@@ -153,11 +153,11 @@ def _partition_seed_arg(text: str):
 # ---------------------------------------------------------------------------
 # measurement core shared by `measure` and `experiment`
 
-def _build_decomposition(grid, classification, ordered: bool, workers: int):
+def _build_decomposition(grid, classification, ordered: bool):
     if not ordered:
-        return decompose(grid, classification, workers=workers)
+        return decompose(grid, classification)
     scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
-    sample = enumerate_pairs(grid, classification, scheme, workers=workers)
+    sample = enumerate_pairs(grid, classification, scheme)
     return decompose_distributions(conditional_pmfs(sample), pair_counts=sample.pair_counts)
 
 
@@ -171,7 +171,6 @@ def _measure_rows(
     target_category: int = 1,
     karlstrom_nb=(),
     leibovici_distance: float = 2.0,
-    workers: int = 1,
 ):
     """(measure, band, value) rows for one grid, in canonical measure order.
 
@@ -182,7 +181,7 @@ def _measure_rows(
     dec = None
     if "shannon_z" in measures or "decomposition" in measures:
         cls = classification or DistanceClassification.default_for(grid)
-        dec = _build_decomposition(grid, cls, ordered, workers)
+        dec = _build_decomposition(grid, cls, ordered)
 
     area_probs = None
     if "batty" in measures or "karlstrom" in measures:
@@ -283,7 +282,6 @@ def _cmd_measure(args) -> int:
         target_category=args.target_category,
         karlstrom_nb=karl,
         leibovici_distance=args.leibovici_distance,
-        workers=args.workers,
     )
     text = "measure,band,value\n"
     text += "".join(f"{m},{b},{_fmt(v)}\n" for m, b, v in rows)
@@ -297,7 +295,7 @@ def _cmd_measure(args) -> int:
 def _cmd_decompose(args) -> int:
     grid = read_grid(args.grid)
     cls = args.bands or DistanceClassification.default_for(grid)
-    dec = _build_decomposition(grid, cls, args.ordered, args.workers)
+    dec = _build_decomposition(grid, cls, args.ordered)
     text = dec.to_csv_row() if args.format == "csv" else dec.to_json() + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
@@ -606,7 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=UNIFORM_PARTITION,
         help=f"integer seed for a random partition, or '{UNIFORM_PARTITION}' (default)",
     )
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_measure)
 
@@ -615,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bands", type=_breaks_arg, default=None)
     _add_order_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_decompose)
 

@@ -8,17 +8,37 @@ with the distance class of the pixel pair.  This module owns
 * the distance classification into half-open bands (d_{k-1}, d_k],
 * the enumeration of all N(N-1)/2 unordered pixel pairs of a grid.
 
-Enumeration never materializes the pair list.  Pixel pairs are grouped by
-their integer displacement vector (dr, dc); all pairs sharing a displacement
-share a distance, and each displacement contributes
-(rows - dr) * (cols - |dc|) pairs whose category tally is one vectorized
-pass over two shifted views of the grid.  Cost is O(#displacements * N)
-instead of O(N^2) pair visits.
+Enumeration never materializes the pair list.  For categories a and b, the
+number of ordered pairs (a at x, b at x + d) at displacement d is the
+cross-correlation of their indicator images, and a band's count is that
+correlation summed over the band's displacements d = (dr, dc), taken from
+the row-major-earlier pixel.  On a zero-padded p1 x p2 plane (2^a 3^b 5^c
+lengths of at least (2R - 1) x (2C - 1), so no correlation wraps around),
+Parseval turns the band sum into one spectral inner product,
+
+    sum over band k of corr_ab(d) = (1/P) Re sum_f w_f conj(F_a) F_b conj(G_k),
+
+with F_a the spectrum of category a, G_k that of band k's 0/1 displacement
+mask and w_f the Hermitian weight of the half spectrum.  One real GEMM per
+band yields the whole I x I table; no inverse transform is needed.  With P
+= p1 * p2 ~ 4N and nb bands, cost is O(nb * I * P log P) for the transforms
+plus nb GEMMs of O(I^2 * P), against O(N^2) pair visits.  Memory stays near
+I * N complex values: only the R non-zero rows are row-transformed, the
+column transforms are finished one block at a time as the GEMM consumes
+them (and redone per band rather than stored), and one band plane is reused
+across bands.
+
+The sums are rounded to int64 and checked twice (``_exact_counts``): each
+must lie within 0.25 of its integer, and each band's counts must add up to
+its closed-form pair total sum (R - dr)(C - |dc|).  A miss raises
+ConsistencyError.  Band assignment uses the float rule of
+``DistanceClassification.band_index`` exactly.
 
 ``enumerate_pairs_bruteforce`` is the independent O(N^2) reference
-implementation used to verify the displacement route on small grids; the
-two are cross-checked in the test suite and by the ``verify`` command, and
-must never be merged.
+implementation used to verify the FFT route on small grids, in the test
+suite and by the ``verify`` command; the test suite also keeps an
+O(#displacements * N) displacement-grouped tally (``tests/oracles.py``) as
+the reference on mid-size grids.  The routes must never be merged.
 """
 
 from __future__ import annotations
@@ -26,17 +46,20 @@ from __future__ import annotations
 import bisect
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .errors import CoverageError
+from .errors import ConsistencyError, CoverageError
 from .lattice import CategoricalGrid, max_centroid_distance, window_diagonal
 from .prob import JointPmf, Pmf
 
 _UINT63_MAX = 2**63 - 1
+# an FFT pair sum further than this from its integer is a numerical fault
+_ROUNDING_TOL = 0.25
+# bytes of category spectra finished per column block and consumed by one GEMM
+_BLOCK_BYTES = 1 << 18
 
 
 def count_categories(scheme: "CooccurrenceScheme") -> int:
@@ -119,6 +142,8 @@ class DistanceClassification:
         b = tuple(float(x) for x in self.breaks)
         if len(b) < 2:
             raise ValueError("need at least two break points")
+        if not all(math.isfinite(x) for x in b):
+            raise ValueError("break points must be finite")
         if b[0] < 0.0:
             raise ValueError("break points must be >= 0")
         if any(x >= y for x, y in zip(b, b[1:])):
@@ -214,38 +239,84 @@ class PairSample:
                 fh.write(text)
 
 
-def _displacements(rows: int, cols: int):
-    """Every displacement (dr, dc) linking a pixel to a later row-major pixel."""
-    for dc in range(1, cols):
-        yield 0, dc
-    for dr in range(1, rows):
-        for dc in range(-(cols - 1), cols):
-            yield dr, dc
+def _fast_length(n: int) -> int:
+    """Smallest 2^a * 3^b * 5^c >= n: a length pocketfft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
-def _tally_displacements(m0, lut, breaks, num_bands, num_codes, items, skip_outside):
-    rows, cols = m0.shape
-    counts = np.zeros((num_bands, num_codes), dtype=np.int64)
-    pair_counts = np.zeros(num_bands, dtype=np.int64)
-    for dr, dc in items:
-        d = math.sqrt(dr * dr + dc * dc)
-        if d <= breaks[0] or d > breaks[-1]:
-            if skip_outside:
-                continue
-            raise CoverageError(
-                f"distance {d:.6g} of displacement ({dr}, {dc}) has no band"
-            )
-        k = bisect.bisect_left(breaks, d) - 1
-        if dc >= 0:
-            a = m0[: rows - dr, : cols - dc]
-            b = m0[dr:, dc:]
-        else:
-            a = m0[: rows - dr, -dc:]
-            b = m0[dr:, : cols + dc]
-        codes = lut[a.ravel(), b.ravel()]
-        counts[k] += np.bincount(codes, minlength=num_codes)
-        pair_counts[k] += codes.size
-    return counts, pair_counts
+def _band_plane(rows, cols, p2, classification, require_coverage):
+    """Band of every displacement, laid out as the transposed band mask plane.
+
+    Entry [dc mod p2, dr] holds the 0-based band of displacement (dr, dc),
+    or -1 where (dr, dc) links no pixel to a later row-major pixel or its
+    distance has no band.  Also returns each band's closed-form pair total,
+    the sum of (rows - dr) * (cols - |dc|) over its displacements.  Distances
+    and band edges follow ``DistanceClassification.band_index`` exactly.
+    """
+    dr = np.arange(rows)
+    dc = np.arange(p2)[:, None]
+    dc = np.where(dc < cols, dc, dc - p2)
+    reach = (dc > -cols) & ((dr > 0) | (dc > 0))
+    breaks = np.asarray(classification.breaks)
+    dist = np.sqrt((dr * dr + dc * dc).astype(np.float64))
+    inside = (dist > breaks[0]) & (dist <= breaks[-1])
+    if require_coverage and np.any(reach & ~inside):
+        j, i = np.argwhere(reach & ~inside)[0]
+        raise CoverageError(
+            f"distance {dist[j, i]:.6g} of displacement ({i}, {dc[j, 0]}) has no band"
+        )
+    band = np.searchsorted(breaks, dist, side="left") - 1
+    band[~(reach & inside)] = -1
+    pairs = (rows - dr) * (cols - np.abs(dc))
+    totals = np.bincount(
+        band.ravel() + 1, weights=pairs.ravel(), minlength=classification.num_bands + 1
+    )
+    return band, totals[1:].astype(np.int64)
+
+
+def _exact_counts(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Round per-band FFT pair sums to int64, checked two ways.
+
+    ``sums`` has one leading axis per band.  A sum further than
+    ``_ROUNDING_TOL`` from its integer, or a band whose rounded counts do not
+    add up to its closed-form pair total, raises ConsistencyError.
+    """
+    counts = np.rint(sums)
+    worst = float(np.max(np.abs(sums - counts), initial=0.0))
+    if worst > _ROUNDING_TOL:
+        raise ConsistencyError(f"FFT pair sum lies {worst:.3g} from the nearest integer")
+    counts = counts.astype(np.int64)
+    got = counts.reshape(len(totals), -1).sum(axis=1)
+    if np.any(got != totals):
+        raise ConsistencyError(
+            f"per-band pair counts {got.tolist()} disagree with the geometry {totals.tolist()}"
+        )
+    return counts
+
+
+def _block_sum(spectra, band_spectrum, weight, p1):
+    """(I, I) sums Re sum_f w_f conj(F_a) F_b conj(G) over one column block.
+
+    Finishes the column transforms of the block's stage-one spectra, then
+    takes the sum as one real GEMM on (re, im) pairs.  The block's arrays
+    are freed on return, before the next block is transformed.
+    """
+    g = np.fft.fft(band_spectrum, n=p1, axis=1)
+    f = np.fft.fft(spectra, n=p1, axis=2)
+    t = f * (g.conj() * weight)
+    ni = len(f)
+    return f.reshape(ni, -1).view(np.float64) @ t.reshape(ni, -1).view(np.float64).T
 
 
 def enumerate_pairs(
@@ -254,7 +325,6 @@ def enumerate_pairs(
     scheme: CooccurrenceScheme,
     *,
     require_coverage: bool = True,
-    workers: int = 1,
 ) -> PairSample:
     """Tally every unordered pixel pair by distance band and pair category.
 
@@ -262,11 +332,9 @@ def enumerate_pairs(
     category tuple is read from the row-major-first pixel.  With
     ``require_coverage=True`` (the default) any pair whose distance has no
     band raises CoverageError; with False such pairs are silently skipped,
-    which is what the cumulative single-band measures need.
-
-    ``workers > 1`` splits the displacement list across threads; the merge
-    is a fixed-order sum of per-worker tallies, so results are identical to
-    the serial run.
+    which is what the cumulative single-band measures need.  Counts are the
+    FFT band sums of the module docstring; sums that fail its exactness
+    checks raise ConsistencyError.
     """
     if scheme.degree != 2:
         raise ValueError("pair enumeration supports degree-2 schemes only")
@@ -275,31 +343,45 @@ def enumerate_pairs(
     if grid.size < 2:
         raise ValueError("need at least two pixels to form a pair")
 
+    rows, cols = grid.rows, grid.cols
+    nb = classification.num_bands
+    # circular correlation on p1 x p2 equals the linear one: no wrap-around
+    p1, p2 = _fast_length(2 * rows - 1), _fast_length(2 * cols - 1)
+    h2 = p2 // 2 + 1
+    band, totals = _band_plane(rows, cols, p2, classification, require_coverage)
     m0 = grid.matrix - 1
-    lut = scheme.pair_code_table()
-    breaks = list(classification.breaks)
-    nb, nc = classification.num_bands, scheme.num_z_categories
-    items = list(_displacements(grid.rows, grid.cols))
+    present = np.flatnonzero(np.bincount(m0.ravel()))
+    ni = len(present)
+    # stage one of each 2-D transform: row rfft of the `rows` non-zero rows,
+    # stored column-major so that stage two runs along contiguous memory.
+    # np.fft is loaded on first access, which keeps it out of import time.
+    spectra = np.empty((ni, h2, rows), dtype=np.complex128)
+    for i, a in enumerate(present):
+        np.fft.rfft(m0.T == a, n=p2, axis=0, out=spectra[i])
+    # Parseval over the half spectrum: columns with a mirror image count twice
+    weight = np.full((h2, 1), 2.0 / (p1 * p2))
+    weight[0] /= 2.0
+    if p2 % 2 == 0:
+        weight[-1] /= 2.0
 
-    if workers > 1 and len(items) > 1:
-        chunks = np.array_split(np.arange(len(items)), min(workers, len(items)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda ix: _tally_displacements(
-                        m0, lut, breaks, nb, nc,
-                        [items[i] for i in ix], not require_coverage,
-                    ),
-                    chunks,
-                )
-            )
-        counts = sum(p[0] for p in parts)
-        pair_counts = sum(p[1] for p in parts)
-    else:
-        counts, pair_counts = _tally_displacements(
-            m0, lut, breaks, nb, nc, items, not require_coverage
-        )
-    return PairSample(scheme, classification, pair_counts, counts)
+    plane = np.empty((p2, rows))
+    plane_spectrum = np.empty((h2, rows), dtype=np.complex128)
+    step = max(1, _BLOCK_BYTES // (16 * ni * p1))
+    sums = np.zeros((nb, ni, ni))
+    for k in range(nb):
+        if totals[k] == 0:
+            continue
+        np.equal(band, k, out=plane)
+        np.fft.rfft(plane, axis=0, out=plane_spectrum)
+        for j in range(0, h2, step):
+            cut = slice(j, j + step)
+            sums[k] += _block_sum(spectra[:, cut], plane_spectrum[cut], weight[cut], p1)
+
+    exact = _exact_counts(sums, totals)
+    counts = np.zeros((nb, scheme.num_z_categories), dtype=np.int64)
+    codes = scheme.pair_code_table()[np.ix_(present, present)]
+    np.add.at(counts.T, codes.ravel(), exact.reshape(nb, -1).T)
+    return PairSample(scheme, classification, totals, counts)
 
 
 def enumerate_pairs_bruteforce(

@@ -234,8 +234,6 @@ def decompose_distributions(
 def decompose(
     grid: CategoricalGrid,
     classification: DistanceClassification | None = None,
-    *,
-    workers: int = 1,
 ) -> EntropyDecomposition:
     """Decompose the unordered pair entropy of a grid over distance bands.
 
@@ -247,6 +245,6 @@ def decompose(
     if classification is None:
         classification = DistanceClassification.default_for(grid)
     scheme = CooccurrenceScheme(grid.num_categories, ordered=False)
-    sample = enumerate_pairs(grid, classification, scheme, workers=workers)
+    sample = enumerate_pairs(grid, classification, scheme)
     dists = conditional_pmfs(sample)
     return decompose_distributions(dists, pair_counts=sample.pair_counts)

@@ -308,3 +308,8 @@ def test_bad_cli_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["measure", "g.grid", "--measures", "nonsense"])
     assert exc.value.code == 2
+    # non-finite break points would misbin every pair instead of failing
+    for bands in ("0,nan", "0,inf", "nan,1,10"):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "g.grid", "--bands", bands])
+        assert exc.value.code == 2

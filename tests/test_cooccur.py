@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import _displacements, enumerate_pairs_displacement
 
 from spatent import (
     CategoricalGrid,
+    ConsistencyError,
     CooccurrenceScheme,
     CoverageError,
     DistanceClassification,
@@ -19,6 +21,7 @@ from spatent import (
     enumerate_pairs_bruteforce,
     tabulate_within,
 )
+from spatent.cooccur import _exact_counts
 
 
 def _grid(rows, cols, cats, values):
@@ -102,6 +105,10 @@ def test_classification_validation():
         DistanceClassification((0.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         DistanceClassification((-1.0, 1.0))
+    # a NaN first break once put every pair of a grid into band w2
+    for breaks in ((math.nan, 1.0, 10.0), (0.0, math.inf), (-math.inf, 1.0), (0.0, 1.0, math.nan)):
+        with pytest.raises(ValueError):
+            DistanceClassification(breaks)
 
 
 def test_default_classification_for_50x50():
@@ -192,17 +199,6 @@ def test_scheme_must_cover_grid_categories():
         enumerate_pairs(g, DistanceClassification.default_for(g), CooccurrenceScheme(2))
 
 
-def test_workers_do_not_change_counts():
-    rng = np.random.default_rng(5)
-    g = _grid(30, 40, 4, rng.integers(1, 5, size=1200))
-    cls = DistanceClassification.default_for(g)
-    scheme = CooccurrenceScheme(4)
-    a = enumerate_pairs(g, cls, scheme, workers=1)
-    b = enumerate_pairs(g, cls, scheme, workers=4)
-    np.testing.assert_array_equal(a.category_counts, b.category_counts)
-    np.testing.assert_array_equal(a.pair_counts, b.pair_counts)
-
-
 def test_tabulate_within_distance_one():
     g = _chessboard(3)
     pmf = tabulate_within(g, 1.0, CooccurrenceScheme(2))
@@ -232,10 +228,10 @@ def test_single_pixel_grid_rejected():
 
 
 @st.composite
-def small_grids(draw):
-    rows = draw(st.integers(min_value=1, max_value=8))
-    cols = draw(st.integers(min_value=2 if rows == 1 else 1, max_value=8))
-    cats = draw(st.integers(min_value=1, max_value=4))
+def small_grids(draw, max_side=8, max_cats=5):
+    rows = draw(st.integers(min_value=1, max_value=max_side))
+    cols = draw(st.integers(min_value=2 if rows == 1 else 1, max_value=max_side))
+    cats = draw(st.integers(min_value=1, max_value=max_cats))
     vals = draw(
         st.lists(
             st.integers(min_value=1, max_value=cats),
@@ -246,18 +242,108 @@ def small_grids(draw):
     return _grid(rows, cols, cats, vals)
 
 
-@given(small_grids(), st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_bruteforce_oracle_equality(grid, ordered):
+# strictly increasing finite breaks, or None for the grid's default bands
+band_breaks = st.none() | st.lists(
+    st.floats(min_value=0.0, max_value=12.0), min_size=2, max_size=6, unique=True
+).map(sorted)
+
+
+def _tally_or_none(route, grid, breaks, scheme, require_coverage):
+    cls = (
+        DistanceClassification.default_for(grid)
+        if breaks is None
+        else DistanceClassification(tuple(breaks))
+    )
+    try:
+        return route(grid, cls, scheme, require_coverage=require_coverage)
+    except CoverageError:
+        return None
+
+
+def _assert_same_tally(fast, slow):
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        np.testing.assert_array_equal(fast.pair_counts, slow.pair_counts)
+        np.testing.assert_array_equal(fast.category_counts, slow.category_counts)
+
+
+@given(small_grids(), st.booleans(), band_breaks, st.booleans())
+@example(_grid(1, 7, 3, [1, 2, 3, 3, 2, 1, 1]), True, None, True)
+@example(_grid(6, 1, 2, [2, 1, 1, 2, 2, 1]), True, [0.5, 1.0, 2.5], False)
+@settings(max_examples=120)
+def test_bruteforce_oracle_equality(grid, ordered, breaks, require_coverage):
+    scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
+    _assert_same_tally(
+        _tally_or_none(enumerate_pairs, grid, breaks, scheme, require_coverage),
+        _tally_or_none(enumerate_pairs_bruteforce, grid, breaks, scheme, require_coverage),
+    )
+
+
+@st.composite
+def mid_grids(draw):
+    rows = draw(st.integers(min_value=20, max_value=60))
+    cols = draw(st.integers(min_value=20, max_value=60))
+    cats = draw(st.integers(min_value=1, max_value=20))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    values = np.random.default_rng(seed).integers(1, cats + 1, size=rows * cols)
+    return _grid(rows, cols, cats, values)
+
+
+@given(mid_grids(), st.booleans())
+@example(_grid(60, 60, 20, np.random.default_rng(7).integers(1, 21, size=3600)), True)
+@settings(max_examples=8)
+def test_displacement_oracle_equality(grid, ordered):
     cls = DistanceClassification.default_for(grid)
     scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
-    fast = enumerate_pairs(grid, cls, scheme)
-    slow = enumerate_pairs_bruteforce(grid, cls, scheme)
-    np.testing.assert_array_equal(fast.pair_counts, slow.pair_counts)
-    np.testing.assert_array_equal(fast.category_counts, slow.category_counts)
+    _assert_same_tally(
+        enumerate_pairs(grid, cls, scheme),
+        enumerate_pairs_displacement(grid, cls, scheme),
+    )
 
 
-@given(small_grids())
+@given(small_grids(max_side=30, max_cats=3), band_breaks)
+@settings(max_examples=40)
+def test_band_totals_match_closed_form(grid, breaks):
+    scheme = CooccurrenceScheme(grid.num_categories)
+    sample = _tally_or_none(enumerate_pairs, grid, breaks, scheme, False)
+    expected = np.zeros(sample.classification.num_bands, dtype=np.int64)
+    for dr, dc in _displacements(grid.rows, grid.cols):
+        k = sample.classification.band_index(math.sqrt(dr * dr + dc * dc))
+        if k is not None:
+            expected[k] += (grid.rows - dr) * (grid.cols - abs(dc))
+    np.testing.assert_array_equal(sample.pair_counts, expected)
+    np.testing.assert_array_equal(sample.category_counts.sum(axis=1), expected)
+
+
+@given(small_grids(max_side=30), band_breaks)
+@settings(max_examples=40)
+def test_ordered_table_folds_to_unordered(grid, breaks):
+    i = grid.num_categories
+    ordered = _tally_or_none(enumerate_pairs, grid, breaks, CooccurrenceScheme(i, ordered=True), False)
+    unordered = _tally_or_none(enumerate_pairs, grid, breaks, CooccurrenceScheme(i), False)
+    table = ordered.category_counts.reshape(-1, i, i)
+    upper = table + table.transpose(0, 2, 1)
+    upper[:, np.arange(i), np.arange(i)] //= 2
+    rows, cols = np.triu_indices(i)
+    np.testing.assert_array_equal(upper[:, rows, cols], unordered.category_counts)
+
+
+def test_rounding_guard_rejects_inexact_band_sums():
+    sums = np.array([[[1.0, 2.2], [0.0, 0.9]], [[0.0, 1.0], [1.0, 0.0]]])
+    np.testing.assert_array_equal(
+        _exact_counts(sums, np.array([4, 2])), [[[1, 2], [0, 1]], [[0, 1], [1, 0]]]
+    )
+    with pytest.raises(ConsistencyError):
+        _exact_counts(sums + np.array([0.0, 0.3]).reshape(2, 1, 1), np.array([4, 2]))
+
+
+def test_total_guard_rejects_counts_off_the_closed_form():
+    sums = np.array([[[1.0, 2.0], [0.0, 1.0]]])
+    with pytest.raises(ConsistencyError):
+        _exact_counts(sums, np.array([5]))
+
+
+@given(small_grids(max_cats=4))
 @settings(max_examples=40, deadline=None)
 def test_mixture_consistency_is_exact(grid):
     cls = DistanceClassification.default_for(grid)

@@ -149,14 +149,6 @@ def test_category_relabelling_invariance():
         assert ba.info_partial == pytest.approx(bb.info_partial, abs=1e-12)
 
 
-def test_workers_decompose_identical():
-    rng = np.random.default_rng(21)
-    g = _grid(40, 30, 5, rng.integers(1, 6, size=1200))
-    a = decompose(g, workers=1)
-    b = decompose(g, workers=3)
-    assert a == b
-
-
 # --------------------------------------------------------------------------
 # serialization
 
