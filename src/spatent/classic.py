@@ -21,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccur import CooccurrenceScheme, count_categories, tabulate_within
+from .cooccur import CooccurrenceScheme, DistanceClassification, tabulate_within
 from .errors import ConsistencyError
 from .lattice import AreaPartition, CategoricalGrid
-from .prob import shannon
+from .prob import Pmf, shannon
 
 
 @dataclass(frozen=True)
@@ -155,14 +155,49 @@ def karlstrom_entropy(ap: AreaProbabilities, nb: AreaNeighbourhood) -> float:
 # ---------------------------------------------------------------------------
 # contiguity-based indices
 
+CONTIGUITY_INDICES = ("oneill", "leibovici", "rc", "parresol")
+
+
+def contiguity_index(name: str, pairs: Pmf) -> float:
+    """One contiguity-based index from the pair pmf it is defined on.
+
+    ``pairs`` is the pmf of pair categories at distance (0, 1] (rook
+    contiguity) for ``"oneill"``, ``"rc"`` and ``"parresol"``, and at
+    distance (0, d] for ``"leibovici"``; the pair coding is ordered except
+    for the unordered contagion variant.  O'Neill and Leibovici are its
+    Shannon entropy H, Parresol-Edwards is -H, and the relative contagion
+    is 1 - H / log(number of pair categories).
+    """
+    h = shannon(pairs)
+    if name in ("oneill", "leibovici"):
+        return h
+    if name == "parresol":
+        return -h
+    if name == "rc":
+        if len(pairs) < 2:
+            raise ValueError("contagion needs at least two categories")
+        return 1.0 - h / math.log(len(pairs))
+    raise ValueError(f"unknown contiguity index {name!r}")
+
+
+def checked_leibovici_distance(max_distance: float) -> float:
+    """``max_distance`` as the upper end of Leibovici's band (0, max_distance]."""
+    if max_distance < 1.0:
+        raise ValueError("max_distance must be >= 1 so that some pair exists")
+    return DistanceClassification.single_band(max_distance).breaks[-1]
+
+
+def _ordered(grid: CategoricalGrid) -> CooccurrenceScheme:
+    return CooccurrenceScheme(grid.num_categories, ordered=True)
+
+
 def oneill_entropy(grid: CategoricalGrid) -> float:
     """O'Neill's entropy: Shannon entropy of ordered contiguous pixel pairs.
 
     Contiguous means centroid distance in (0, 1], i.e. rook adjacency; the
     range is [0, 2 log(I)].
     """
-    scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
-    return shannon(tabulate_within(grid, 1.0, scheme))
+    return contiguity_index("oneill", tabulate_within(grid, 1.0, _ordered(grid)))
 
 
 def leibovici_entropy(grid: CategoricalGrid, max_distance: float) -> float:
@@ -170,10 +205,8 @@ def leibovici_entropy(grid: CategoricalGrid, max_distance: float) -> float:
 
     At max_distance = 1 it coincides with O'Neill's entropy by construction.
     """
-    if max_distance < 1.0:
-        raise ValueError("max_distance must be >= 1 so that some pair exists")
-    scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
-    return shannon(tabulate_within(grid, max_distance, scheme))
+    d = checked_leibovici_distance(max_distance)
+    return contiguity_index("leibovici", tabulate_within(grid, d, _ordered(grid)))
 
 
 def relative_contagion(grid: CategoricalGrid, *, ordered: bool = True) -> float:
@@ -183,13 +216,10 @@ def relative_contagion(grid: CategoricalGrid, *, ordered: bool = True) -> float:
     categories are uniform.  The unordered variant normalizes by the
     unordered category count (I^2 + I) / 2.
     """
-    if grid.num_categories < 2:
-        raise ValueError("contagion needs at least two categories")
     scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
-    h = shannon(tabulate_within(grid, 1.0, scheme))
-    return 1.0 - h / math.log(count_categories(scheme))
+    return contiguity_index("rc", tabulate_within(grid, 1.0, scheme))
 
 
 def parresol_edwards_entropy(grid: CategoricalGrid) -> float:
     """Parresol-Edwards form: the negated O'Neill entropy."""
-    return -oneill_entropy(grid)
+    return contiguity_index("parresol", tabulate_within(grid, 1.0, _ordered(grid)))

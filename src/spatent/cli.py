@@ -28,14 +28,13 @@ import numpy as np
 
 from . import __version__
 from .classic import (
+    CONTIGUITY_INDICES,
     batty_entropy,
     build_area_neighbourhood,
+    checked_leibovici_distance,
+    contiguity_index,
     estimate_area_probs,
     karlstrom_entropy,
-    leibovici_entropy,
-    oneill_entropy,
-    parresol_edwards_entropy,
-    relative_contagion,
 )
 from .cooccur import (
     CooccurrenceScheme,
@@ -46,8 +45,8 @@ from .cooccur import (
 )
 from .decomp import (
     MI_AGREEMENT_TOL,
-    decompose,
     decompose_distributions,
+    decompose_sample,
 )
 from .errors import ConsistencyError
 from .lattice import (
@@ -58,7 +57,7 @@ from .lattice import (
     write_grid,
     write_partition,
 )
-from .prob import conditional_entropy, mutual_information, shannon
+from .prob import Pmf, conditional_entropy, mutual_information, shannon
 from .simgen import SCENARIOS, ScenarioSpec, generate, replicate_seed
 
 log = logging.getLogger("spatent")
@@ -154,11 +153,19 @@ def _partition_seed_arg(text: str):
 # measurement core shared by `measure` and `experiment`
 
 def _build_decomposition(grid, classification, ordered: bool):
-    if not ordered:
-        return decompose(grid, classification)
-    scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
-    sample = enumerate_pairs(grid, classification, scheme)
-    return decompose_distributions(conditional_pmfs(sample), pair_counts=sample.pair_counts)
+    scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
+    return decompose_sample(enumerate_pairs(grid, classification, scheme))
+
+
+def _pairs_within(tally, distance: float) -> Pmf:
+    """Pmf of the tally's pairs at distance <= ``distance``.
+
+    ``distance`` is one of the tally's breaks or at least its last one, so
+    the pairs are exactly those of its leading bands, pooled.
+    """
+    lo, hi = tally.classification.breaks[0], tally.classification.breaks[-1]
+    near = tally.coarsen(DistanceClassification((lo, min(distance, hi))))
+    return Pmf.from_counts(near.scheme.category_labels(), near.pooled_category_counts())
 
 
 def _measure_rows(
@@ -174,14 +181,33 @@ def _measure_rows(
 ):
     """(measure, band, value) rows for one grid, in canonical measure order.
 
+    Every pair-based measure comes from one ordered tally of the grid over
+    the decomposition's bands, split further at distance 1 and at the
+    Leibovici distance: the decomposition takes its bands back (folded to
+    unordered codes unless ``ordered``), the contiguity indices pool the
+    leading bands.  ``classification`` must cover the grid when the
+    decomposition or shannon_z is requested; the other measures use the
+    grid's default bands.
+
     Batty and Karlstrom rows are NaN when the target category is absent from
     the grid (the area probabilities are then undefined).
     """
     rows = []
     dec = None
-    if "shannon_z" in measures or "decomposition" in measures:
-        cls = classification or DistanceClassification.default_for(grid)
-        dec = _build_decomposition(grid, cls, ordered)
+    pairs = {}
+    wants_dec = "shannon_z" in measures or "decomposition" in measures
+    contiguity = [m for m in CONTIGUITY_INDICES if m in measures]
+    if wants_dec or contiguity:
+        cls = (classification if wants_dec else None) or DistanceClassification.default_for(grid)
+        d = checked_leibovici_distance(leibovici_distance) if "leibovici" in measures else 1.0
+        scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
+        tally = enumerate_pairs(grid, cls.refined((1.0, d)), scheme)
+        if wants_dec:
+            sample = tally.coarsen(cls)
+            dec = decompose_sample(sample if ordered else sample.fold())
+        if contiguity:
+            near = _pairs_within(tally, 1.0)
+            pairs = {m: _pairs_within(tally, d) if m == "leibovici" else near for m in contiguity}
 
     area_probs = None
     if "batty" in measures or "karlstrom" in measures:
@@ -206,15 +232,9 @@ def _measure_rows(
             for band, nb in karlstrom_nb:
                 value = karlstrom_entropy(area_probs, nb) if area_probs else math.nan
                 rows.append(("karlstrom", band, value))
-        elif m == "oneill":
-            rows.append(("oneill", "", oneill_entropy(grid)))
-        elif m == "leibovici":
-            band = f"d{leibovici_distance:g}"
-            rows.append(("leibovici", band, leibovici_entropy(grid, leibovici_distance)))
-        elif m == "rc":
-            rows.append(("rc", "", relative_contagion(grid)))
-        elif m == "parresol":
-            rows.append(("parresol", "", parresol_edwards_entropy(grid)))
+        elif m in pairs:
+            band = f"d{leibovici_distance:g}" if m == "leibovici" else ""
+            rows.append((m, band, contiguity_index(m, pairs[m])))
         elif m == "decomposition":
             rows.append(("mutual_information", "", dec.mutual_information))
             rows.append(("residual_global", "", dec.residual_global))
@@ -349,22 +369,22 @@ def _cmd_experiment(args) -> int:
 
     def run(task):
         label, kind, cats, rep, uflag = task
-        spec = ScenarioSpec(
-            kind,
-            args.rows,
-            args.cols,
-            cats,
-            "uniform" if uflag else "dirichlet",
-            replicate_seed(args.seed, kind, cats, rep),
-        )
-        grid = generate(spec)
         # area-based indices are defined on the two-category scenarios only
         selected = args.measures
         if cats != 2:
             selected = tuple(m for m in selected if m not in area_measures)
+        # one failing replicate is reported and skipped, the others are written
         try:
+            spec = ScenarioSpec(
+                kind,
+                args.rows,
+                args.cols,
+                cats,
+                "uniform" if uflag else "dirichlet",
+                replicate_seed(args.seed, kind, cats, rep),
+            )
             rows = _measure_rows(
-                grid,
+                generate(spec),
                 selected,
                 classification=cls,
                 partition=partition if cats == 2 else None,
@@ -372,8 +392,8 @@ def _cmd_experiment(args) -> int:
                 karlstrom_nb=karl if cats == 2 else (),
                 leibovici_distance=args.leibovici_distance,
             )
-        except ConsistencyError as exc:
-            return task, None, str(exc)
+        except Exception as exc:
+            return task, None, exc
         return task, rows, None
 
     if args.workers > 1:
@@ -391,7 +411,10 @@ def _cmd_experiment(args) -> int:
         fh.write("scenario,replicate,uniform_flag,measure,band,value\n")
         for (label, _kind, _cats, rep, uflag), rows, err in results:
             if err is not None:
-                log.error("replicate %s/%d aborted: %s", label, rep, err)
+                log.error(
+                    "replicate %s/%d aborted: %s: %s",
+                    label, rep, type(err).__name__, err, exc_info=err,
+                )
                 failed += 1
                 continue
             for m, band, value in rows:

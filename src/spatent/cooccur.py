@@ -8,6 +8,11 @@ with the distance class of the pixel pair.  This module owns
 * the distance classification into half-open bands (d_{k-1}, d_k],
 * the enumeration of all N(N-1)/2 unordered pixel pairs of a grid.
 
+One ordered tally over fine enough bands holds every other tally of the same
+grid: ``PairSample.coarsen`` sums adjacent bands into any classification
+whose breaks it shares, and ``PairSample.fold`` adds (a, b) to (b, a) for
+the unordered coding.  Both are exact integer sums.
+
 Enumeration never materializes the pair list.  For categories a and b, the
 number of ordered pairs (a at x, b at x + d) at displacement d is the
 cross-correlation of their indicator images, and a band's count is that
@@ -187,6 +192,12 @@ class DistanceClassification:
         """True when every inter-pixel distance of the grid has a band."""
         return self.breaks[0] < 1.0 and self.breaks[-1] >= max_centroid_distance(grid)
 
+    def refined(self, extra) -> "DistanceClassification":
+        """This classification split further at the extra breaks strictly inside it."""
+        lo, hi = self.breaks[0], self.breaks[-1]
+        inner = {float(b) for b in extra if lo < b < hi}
+        return DistanceClassification(tuple(sorted(inner.union(self.breaks))))
+
 
 @dataclass(frozen=True)
 class PairSample:
@@ -221,6 +232,32 @@ class PairSample:
 
     def pooled_category_counts(self) -> np.ndarray:
         return self.category_counts.sum(axis=0)
+
+    def coarsen(self, classification: DistanceClassification) -> "PairSample":
+        """The tally over a sub-classification, by summing adjacent bands.
+
+        Every break of ``classification`` must be a break of this tally, so
+        each of its bands is a run of consecutive bands here.  Bands outside
+        its outer breaks are dropped, as ``require_coverage=False`` would.
+        """
+        position = {b: i for i, b in enumerate(self.classification.breaks)}
+        missing = [b for b in classification.breaks if b not in position]
+        if missing:
+            raise ValueError(f"breaks {missing} are not breaks of this tally")
+        at = [position[b] for b in classification.breaks]
+        cumulative = np.zeros((len(position), self.scheme.num_z_categories), dtype=np.int64)
+        np.cumsum(self.category_counts, axis=0, out=cumulative[1:])
+        counts = cumulative[at[1:]] - cumulative[at[:-1]]
+        return PairSample(self.scheme, classification, counts.sum(axis=1), counts)
+
+    def fold(self) -> "PairSample":
+        """The unordered tally: ordered codes (a, b) and (b, a) added together."""
+        if not self.scheme.ordered:
+            return self
+        scheme = CooccurrenceScheme(self.scheme.num_x_categories, degree=self.scheme.degree)
+        counts = np.zeros((self.classification.num_bands, scheme.num_z_categories), dtype=np.int64)
+        np.add.at(counts.T, scheme.pair_code_table().ravel(), self.category_counts.T)
+        return PairSample(scheme, self.classification, self.pair_counts, counts)
 
     def to_csv(self, path_or_buf) -> None:
         """Write rows 'band,z_category,count' covering every cell of the table."""

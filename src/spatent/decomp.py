@@ -32,6 +32,7 @@ from .cooccur import (
     CooccurrenceScheme,
     DistanceClassification,
     PairDistributions,
+    PairSample,
     conditional_pmfs,
     enumerate_pairs,
 )
@@ -40,7 +41,7 @@ from .lattice import CategoricalGrid
 from .prob import (
     JointPmf,
     Pmf,
-    conditional_entropy,
+    joint_entropy,
     kl_divergence,
     mutual_information,
     shannon,
@@ -70,14 +71,13 @@ def spatial_mutual_information(joint: JointPmf) -> float:
     """MI(Z, W) from the pair-category x band joint distribution.
 
     Evaluated both as the joint-vs-product divergence and as
-    H(Z) - H(Z | W); the routes must agree within MI_AGREEMENT_TOL or a
+    H(Z) - H(Z | W), with H(Z | W) = H(Z, W) - H(W) so that empty bands need
+    no special case; the routes must agree within MI_AGREEMENT_TOL or a
     ConsistencyError is raised.
     """
     mi = mutual_information(joint)
     h_z = shannon(joint.row_marginal())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DegenerateDistributionWarning)
-        h_res = conditional_entropy(joint, conditioning="cols")
+    h_res = joint_entropy(joint) - shannon(joint.col_marginal())
     alt = h_z - h_res
     if abs(mi - alt) > MI_AGREEMENT_TOL:
         raise ConsistencyError(
@@ -245,6 +245,10 @@ def decompose(
     if classification is None:
         classification = DistanceClassification.default_for(grid)
     scheme = CooccurrenceScheme(grid.num_categories, ordered=False)
-    sample = enumerate_pairs(grid, classification, scheme)
+    return decompose_sample(enumerate_pairs(grid, classification, scheme))
+
+
+def decompose_sample(sample: PairSample) -> EntropyDecomposition:
+    """Decomposition of a pair tally over its own bands and pair coding."""
     dists = conditional_pmfs(sample)
     return decompose_distributions(dists, pair_counts=sample.pair_counts)

@@ -191,15 +191,50 @@ def write_grid(grid: CategoricalGrid, path) -> None:
             fh.write(" ".join(str(int(x)) for x in m[r]) + "\n")
 
 
+_DIGITS = b"0123456789"
+_WHITESPACE = b" \t\n\r\x0b\x0c"
+# longest token parsed: 10**18 - 1 still fits an int64
+_MAX_DIGITS = 18
+
+
+def _parse_naturals(data: bytes, what: str) -> np.ndarray:
+    """Whitespace-separated ASCII decimal numbers; any other byte is an error.
+
+    Signs, underscores and non-ASCII digits, which Python's ``int()``
+    accepts, raise ValueError like every other byte outside the two sets.
+    """
+    if data.translate(None, _DIGITS + _WHITESPACE):
+        raise ValueError(f"{what}: only ASCII digits and whitespace are allowed")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    # every whitespace byte sorts below "0": token edges are digit/non-digit flips
+    edges = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False, append=False))
+    starts, widths = edges[0::2], edges[1::2] - edges[0::2]
+    longest = int(widths.max(initial=0))
+    if longest > _MAX_DIGITS:
+        raise ValueError(f"{what}: number longer than {_MAX_DIGITS} digits")
+    values = np.zeros(starts.size, dtype=np.int64)
+    for j in range(longest):
+        more = widths > j
+        values[more] = values[more] * 10 + (buf[starts[more] + j] - ord("0"))
+    return values
+
+
+def _read_sections(path) -> tuple[bytes, bytes]:
+    """The first line of a file and the rest, split at its first line break."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    cut = min((i for i in (data.find(b"\n"), data.find(b"\r")) if i >= 0), default=len(data))
+    return data[:cut], data[cut:]
+
+
 def read_grid(path) -> CategoricalGrid:
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"{path}: header must be 'rows cols num_categories'")
-        rows, cols, num_categories = (int(x) for x in header)
-        body = fh.read().split()
-    values = np.array([int(x) for x in body], dtype=np.int64)
-    return CategoricalGrid(rows, cols, num_categories, values)
+    """Read the format of ``write_grid``: decimal digits and whitespace only."""
+    header, body = _read_sections(path)
+    dims = _parse_naturals(header, f"{path}: header")
+    if dims.size != 3:
+        raise ValueError(f"{path}: header must be 'rows cols num_categories'")
+    rows, cols, num_categories = (int(x) for x in dims)
+    return CategoricalGrid(rows, cols, num_categories, _parse_naturals(body, str(path)))
 
 
 def write_partition(partition: AreaPartition, path) -> None:
@@ -210,7 +245,9 @@ def write_partition(partition: AreaPartition, path) -> None:
 
 
 def read_partition(path, rows: int, cols: int) -> AreaPartition:
-    with open(path, "r", encoding="ascii") as fh:
-        num_areas = int(fh.readline().strip())
-        ids = np.array([int(x) for x in fh.read().split()], dtype=np.int64)
-    return AreaPartition(rows, cols, num_areas, ids)
+    """Read the format of ``write_partition``: decimal digits and whitespace only."""
+    header, body = _read_sections(path)
+    count = _parse_naturals(header, f"{path}: header")
+    if count.size != 1:
+        raise ValueError(f"{path}: first line must be the area count")
+    return AreaPartition(rows, cols, int(count[0]), _parse_naturals(body, str(path)))

@@ -1,13 +1,34 @@
 """End-to-end command line coverage on tiny inputs."""
 
+import hashlib
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from spatent import CategoricalGrid, read_grid, write_grid
+from spatent import (
+    CategoricalGrid,
+    CooccurrenceScheme,
+    CoverageError,
+    DistanceClassification,
+    decompose,
+    enumerate_pairs,
+    leibovici_entropy,
+    max_centroid_distance,
+    oneill_entropy,
+    parresol_edwards_entropy,
+    read_grid,
+    relative_contagion,
+    shannon,
+    write_grid,
+)
+from spatent import cli
 from spatent.cli import main
+from spatent.decomp import decompose_sample
 
 
 def _write(tmp_path, name, rows, cols, cats, values):
@@ -138,6 +159,108 @@ def test_measure_to_file(tmp_path):
     rc = main(["measure", str(path), "--measures", "oneill", "--out", str(out)])
     assert rc == 0
     assert out.read_text().startswith("measure,band,value\noneill,,")
+
+
+# --------------------------------------------------------------------------
+# one ordered tally per grid feeds every pair-based measure
+
+PAIR_MEASURES = ("shannon_x", "shannon_z", "oneill", "leibovici", "rc", "parresol", "decomposition")
+
+
+@st.composite
+def grids_with_bands(draw):
+    """A grid of side <= 30 with I <= 20 and covering breaks (or None)."""
+    rows = draw(st.integers(min_value=1, max_value=30))
+    cols = draw(st.integers(min_value=2 if rows == 1 else 1, max_value=30))
+    cats = draw(st.integers(min_value=1, max_value=20))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    values = np.random.default_rng(seed).integers(1, cats + 1, size=rows * cols)
+    grid = CategoricalGrid(rows, cols, cats, values)
+    if draw(st.booleans()):
+        return grid, None
+    lo = draw(st.floats(min_value=0.0, max_value=0.99))
+    hi = max_centroid_distance(grid) + draw(st.floats(min_value=0.0, max_value=5.0))
+    inner = draw(
+        st.lists(st.floats(min_value=lo, max_value=hi, exclude_min=True, exclude_max=True),
+                 max_size=6, unique=True)
+    )
+    return grid, DistanceClassification((lo, *sorted(inner), hi))
+
+
+def _rows_table(rows):
+    table = {(m, b): v for m, b, v in rows}
+    assert len(table) == len(rows)
+    return table
+
+
+@given(
+    grids_with_bands(),
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, "diagonal", "beyond"]),
+    st.booleans(),
+)
+@example((CategoricalGrid(1, 2, 2, np.array([1, 2])), DistanceClassification((0, 1))), 1.0, True)
+@settings(max_examples=40)
+def test_measure_rows_equal_the_direct_measures(case, leibovici, ordered):
+    grid, cls = case
+    diagonal = math.hypot(grid.rows, grid.cols)
+    d = {"diagonal": diagonal, "beyond": diagonal + 1.0}.get(leibovici, leibovici)
+    measures = PAIR_MEASURES if grid.num_categories > 1 else tuple(
+        m for m in PAIR_MEASURES if m != "rc"
+    )
+    table = _rows_table(
+        cli._measure_rows(grid, measures, classification=cls, ordered=ordered, leibovici_distance=d)
+    )
+    bands = cls or DistanceClassification.default_for(grid)
+    scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
+    dec = (
+        decompose_sample(enumerate_pairs(grid, bands, scheme)) if ordered else decompose(grid, bands)
+    )
+    assert table.pop(("shannon_x", "")) == shannon(grid.category_pmf())
+    assert table.pop(("shannon_z", "")) == dec.marginal
+    assert table.pop(("oneill", "")) == oneill_entropy(grid)
+    assert table.pop(("leibovici", f"d{d:g}")) == leibovici_entropy(grid, d)
+    if grid.num_categories > 1:
+        assert table.pop(("rc", "")) == relative_contagion(grid)
+    assert table.pop(("parresol", "")) == parresol_edwards_entropy(grid)
+    assert table.pop(("mutual_information", "")) == dec.mutual_information
+    assert table.pop(("residual_global", "")) == dec.residual_global
+    assert table.pop(("mi_proportional", "")) == dec.mi_proportional
+    for b in dec.bands:
+        assert table.pop(("p_w", b.label)) == b.p_w
+        assert table.pop(("residual_partial", b.label)) == b.residual_partial
+        assert table.pop(("info_partial", b.label)) == b.info_partial
+    assert not table
+
+
+def test_measure_rows_keep_their_errors():
+    grid = CategoricalGrid(4, 4, 2, (np.arange(16) % 2) + 1)
+    short = DistanceClassification((0, 1, 2))  # the corner pair lies beyond 2
+    # bands that leave pairs out fail the decomposition only
+    for measures in (("decomposition",), ("shannon_z",)):
+        with pytest.raises(CoverageError):
+            cli._measure_rows(grid, measures, classification=short)
+    rows = cli._measure_rows(grid, ("oneill", "leibovici"), classification=short)
+    assert rows == [("oneill", "", oneill_entropy(grid)), ("leibovici", "d2", leibovici_entropy(grid, 2))]
+    with pytest.raises(ValueError, match="max_distance must be >= 1 so that some pair exists"):
+        cli._measure_rows(grid, ("leibovici",), leibovici_distance=0.5)
+    with pytest.raises(ValueError, match="contagion needs at least two categories"):
+        cli._measure_rows(CategoricalGrid(4, 4, 1, np.ones(16)), ("rc",))
+
+
+def test_measure_rows_tally_once_and_only_for_pair_measures(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return enumerate_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_pairs", counting)
+    grid = CategoricalGrid(6, 6, 2, (np.arange(36) % 2) + 1)
+    cli._measure_rows(grid, ("shannon_x",))
+    assert calls == []
+    cli._measure_rows(grid, cli.MEASURES[:2] + cli.MEASURES[4:], leibovici_distance=3.5)
+    # the default bands, split further at the Leibovici distance
+    assert [c.breaks for c in calls] == [(0.0, 1.0, 2.0, 3.5, 5.0, math.hypot(6, 6))]
 
 
 # --------------------------------------------------------------------------
@@ -313,3 +436,55 @@ def test_bad_cli_arguments_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "g.grid", "--bands", bands])
         assert exc.value.code == 2
+
+
+def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return enumerate_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "enumerate_pairs", counting)
+    out = _run_experiment(tmp_path, "once", 1)
+    # two scenarios, two replicates each plus the flagged equal-split one
+    assert len(calls) == 6
+    assert len({id(grid) for grid in calls}) == 6
+    assert (out / "results_long.csv").exists()
+
+
+def test_experiment_isolates_a_failed_replicate(tmp_path, monkeypatch, caplog):
+    full = _run_experiment(tmp_path, "full", 1)
+    real_generate = cli.generate
+    bad_seed = cli.replicate_seed(3, "random", 5, 1)
+
+    def failing(spec):
+        if spec.seed == bad_seed and spec.pmf_source == "dirichlet":
+            raise ValueError("boom")
+        return real_generate(spec)
+
+    monkeypatch.setattr(cli, "generate", failing)
+    out = tmp_path / "partial"
+    with caplog.at_level(logging.ERROR, logger="spatent"):
+        rc = main(EXP_ARGS.format(workers=2, out=out).split())
+    assert rc == 1
+    assert "replicate random_x5/1 aborted: ValueError: boom" in caplog.text
+    kept = [
+        line
+        for line in (full / "results_long.csv").read_text().splitlines()
+        if not line.startswith("random_x5,1,0,")
+    ]
+    assert (out / "results_long.csv").read_text().splitlines() == kept
+    assert (out / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_experiment_output_matches_the_pinned_checksums(tmp_path, workers):
+    out = tmp_path / f"pin{workers}"
+    argv = f"experiment --replicates 10 --seed 0 --workers {workers} --out {out}"
+    assert main(argv.split()) == 0
+    for name, prefix in (
+        ("results_long.csv", "d3f803faeefd5d7c"),
+        ("summary.csv", "38ee305e3b9320c8"),
+    ):
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] == prefix

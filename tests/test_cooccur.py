@@ -361,3 +361,62 @@ def test_mixture_consistency_is_exact(grid):
     np.testing.assert_allclose(
         dists.joint.row_marginal().probs, dists.p_z.probs, rtol=0, atol=1e-15
     )
+
+
+# --------------------------------------------------------------------------
+# one ordered tally, coarsened and folded, equals the direct tallies
+
+@st.composite
+def covered_grids(draw):
+    """A grid of side <= 30 with I <= 20, a covering classification of it and
+    a coarser one whose breaks are a subset, both outer breaks included."""
+    rows = draw(st.integers(min_value=1, max_value=30))
+    cols = draw(st.integers(min_value=2 if rows == 1 else 1, max_value=30))
+    cats = draw(st.integers(min_value=1, max_value=20))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    values = np.random.default_rng(seed).integers(1, cats + 1, size=rows * cols)
+    grid = _grid(rows, cols, cats, values)
+    lo = draw(st.floats(min_value=0.0, max_value=0.99))
+    hi = math.hypot(rows - 1, cols - 1) + draw(st.floats(min_value=0.0, max_value=5.0))
+    inner = draw(
+        st.lists(st.floats(min_value=lo, max_value=hi, exclude_min=True, exclude_max=True),
+                 max_size=8, unique=True)
+    )
+    fine = (lo, *sorted(inner), hi)
+    keep = draw(st.lists(st.booleans(), min_size=len(inner), max_size=len(inner)))
+    coarse = (lo, *(b for b, k in zip(sorted(inner), keep) if k), hi)
+    return grid, DistanceClassification(fine), DistanceClassification(coarse)
+
+
+@given(covered_grids())
+@example(
+    (_grid(1, 2, 1, [1, 1]), DistanceClassification((0.0, 1.0)), DistanceClassification((0.0, 1.0)))
+)
+@settings(max_examples=40)
+def test_coarsened_and_folded_tally_equals_direct_tallies(case):
+    grid, fine, coarse = case
+    i = grid.num_categories
+    ordered, unordered = CooccurrenceScheme(i, ordered=True), CooccurrenceScheme(i)
+    tally = enumerate_pairs(grid, fine, ordered)
+    _assert_same_tally(tally.coarsen(coarse), enumerate_pairs(grid, coarse, ordered))
+    _assert_same_tally(tally.coarsen(coarse).fold(), enumerate_pairs(grid, coarse, unordered))
+    _assert_same_tally(tally.fold(), enumerate_pairs(grid, fine, unordered))
+    # a sub-range keeps only its own pairs, as a tally without coverage does
+    sub = DistanceClassification(fine.breaks[:2])
+    _assert_same_tally(
+        tally.coarsen(sub), enumerate_pairs(grid, sub, ordered, require_coverage=False)
+    )
+
+
+def test_coarsen_needs_breaks_of_the_tally():
+    g = _chessboard(4)
+    tally = enumerate_pairs(g, DistanceClassification((0, 1, 2, 5)), CooccurrenceScheme(2))
+    assert tally.fold() is tally
+    with pytest.raises(ValueError, match="not breaks of this tally"):
+        tally.coarsen(DistanceClassification((0, 1.5, 5)))
+
+
+def test_refined_adds_only_inner_breaks():
+    cls = DistanceClassification((0.5, 2.0, 5.0))
+    assert cls.refined((1.0, 2.0, 5.0, 7.0, 0.25)).breaks == (0.5, 1.0, 2.0, 5.0)
+    assert cls.refined(()).breaks == cls.breaks

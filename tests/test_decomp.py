@@ -113,6 +113,23 @@ def test_empty_bands_flagged_not_fatal():
     assert dec.marginal > 0.0
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the process-wide warnings filters must not be changed")
+
+
+def test_empty_band_decomposes_with_warnings_as_errors(monkeypatch):
+    g = _grid(1, 3, 2, [1, 2, 1])  # band w3 holds no pixel pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with monkeypatch.context() as m:
+            # the filters are process-wide: no thread may change them mid-run
+            m.setattr(warnings, "catch_warnings", _forbidden)
+            m.setattr(warnings, "simplefilter", _forbidden)
+            dec = decompose(g)
+    assert dec.band("w3").empty
+    assert dec.marginal == pytest.approx(dec.mutual_information + dec.residual_global, abs=1e-15)
+
+
 def test_piece_functions_match_decomposition():
     g = _chessboard(2)
     cls = DistanceClassification.default_for(g)

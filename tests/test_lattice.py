@@ -169,6 +169,51 @@ def test_grid_read_rejects_corruption(tmp_path):
         read_grid(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"2 2 20\n1 2\n2 1_1\n",  # int() reads 1_1 as 11
+        b"2 2 2\n+2 1\n2 1\n",  # sign
+        b"2 2 2\n1 2\n2 -1\n",
+        b"2 2 +2\n1 2\n2 1\n",  # sign in the header
+        b"2 2 2\n1 2\n2 1.0\n",  # float
+        b"2 2 2\n1 2\n2 1e0\n",
+        b"2 2 2\n1 2\n2 1 1\n",  # extra value
+        b"2 2 2\n1 2\n2\n",  # missing value
+        "2 2 2\n1 2\n2 \u0661\n".encode(),  # non-ASCII digit, which int() accepts
+        b"2 2 2\n1 2\n2 \xff\n",  # non-ASCII byte
+        b"2 2 2\n1 2\n2 0000000000000000001\n",  # beyond 18 digits
+        b"",  # empty file
+        b"\n1 2\n2 1\n",  # empty header
+    ],
+)
+def test_grid_read_rejects_malformed_text(tmp_path, text):
+    path = tmp_path / "bad.grid"
+    path.write_bytes(text)
+    with pytest.raises(ValueError):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_grid_read_accepts_any_line_break(tmp_path, newline):
+    path = tmp_path / "g.grid"
+    path.write_bytes(newline.join([b"2 3 12", b"1  12 3", b"\t4 5 6", b""]))
+    back = read_grid(path)
+    assert (back.rows, back.cols, back.num_categories) == (2, 3, 12)
+    np.testing.assert_array_equal(back.values, [1, 12, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [b"4\n1 2 3 4_0\n", b"+4\n1 2 3 4\n", b"4\n1 2 3 4.0\n", b"4 4\n1 2 3 4\n", b"4\n1 2 3\n", b""],
+)
+def test_partition_read_rejects_malformed_text(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text)
+    with pytest.raises(ValueError):
+        read_partition(path, 2, 2)
+
+
 def test_partition_roundtrip(tmp_path):
     g = _grid(10, 10, 1, np.ones(100))
     part = partition_window(g, 4, 3)
