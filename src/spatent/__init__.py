@@ -36,10 +36,6 @@ from .decomp import (
     EntropyDecomposition,
     decompose,
     decompose_distributions,
-    global_residual,
-    partial_information,
-    partial_residual,
-    proportional_mi,
     spatial_mutual_information,
 )
 from .errors import (
@@ -119,7 +115,6 @@ __all__ = [
     "enumerate_pairs_bruteforce",
     "estimate_area_probs",
     "generate",
-    "global_residual",
     "joint_entropy",
     "karlstrom_entropy",
     "kl_divergence",
@@ -128,11 +123,8 @@ __all__ = [
     "mutual_information",
     "oneill_entropy",
     "parresol_edwards_entropy",
-    "partial_information",
-    "partial_residual",
     "partition_window",
     "pixel_distance",
-    "proportional_mi",
     "read_grid",
     "read_partition",
     "relative_contagion",

@@ -99,6 +99,8 @@ class AreaNeighbourhood:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("weights must be a square matrix")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < 0.0) or np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-9):
             raise ValueError("rows must be non-negative and sum to 1")
         w = w.copy()
@@ -123,7 +125,7 @@ def build_area_neighbourhood(
     belongs to its own neighbourhood; distance 0 gives the identity
     neighbourhood.  Weights are equal within a neighbourhood (1/|N(g)|).
     """
-    if distance < 0.0:
+    if not distance >= 0.0:
         raise ValueError("neighbourhood distance must be >= 0")
     c = partition.centroids()
     diff = c[:, None, :] - c[None, :, :]

@@ -20,7 +20,6 @@ import json
 import logging
 import math
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -47,6 +46,7 @@ from .decomp import (
     MI_AGREEMENT_TOL,
     decompose_distributions,
     decompose_sample,
+    identity_residuals,
 )
 from .errors import ConsistencyError
 from .lattice import (
@@ -57,7 +57,7 @@ from .lattice import (
     write_grid,
     write_partition,
 )
-from .prob import Pmf, conditional_entropy, mutual_information, shannon
+from .prob import Pmf, shannon
 from .simgen import SCENARIOS, ScenarioSpec, generate, replicate_seed
 
 log = logging.getLogger("spatent")
@@ -135,9 +135,22 @@ def _distances_arg(text: str) -> tuple:
         out = tuple(float(t) for t in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not out or any(d < 0 for d in out):
+    if not out or not all(d >= 0 for d in out):
         raise argparse.ArgumentTypeError("distances must be non-negative numbers")
     return out
+
+
+def _leibovici_distance_arg(text: str) -> float:
+    try:
+        return checked_leibovici_distance(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
+
+
+def _positive_int_arg(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _partition_seed_arg(text: str):
@@ -465,13 +478,16 @@ def _cmd_experiment(args) -> int:
 
 
 def _verify_grid(grid) -> list:
-    """(name, passed, detail) for every identity check on one grid."""
+    """(name, passed, detail) for every check on one grid.
+
+    The pair total and, up to 64 pixels, the brute-force oracle check the
+    tally; ``identity_residuals`` checks the decomposition.  A decomposition
+    that raises on its identities is one failed ``decomposition`` check.
+    """
     checks = []
     cls = DistanceClassification.default_for(grid)
     scheme = CooccurrenceScheme(grid.num_categories)
     sample = enumerate_pairs(grid, cls, scheme)
-    dists = conditional_pmfs(sample)
-    tol = MI_AGREEMENT_TOL
 
     n = grid.size
     expected = n * (n - 1) // 2
@@ -479,43 +495,14 @@ def _verify_grid(grid) -> list:
         ("pair-total", sample.total_pairs == expected, f"count={sample.total_pairs}")
     )
 
-    mass = abs(float(dists.p_w.probs.sum()) - 1.0)
-    mass = max(mass, abs(float(dists.p_z.probs.sum()) - 1.0))
-    for cond in dists.conditionals:
-        if cond is not None:
-            mass = max(mass, abs(float(cond.probs.sum()) - 1.0))
-    checks.append(("pmf-mass", mass < 1e-9, f"residual={mass:.3e}"))
-
-    mixture = np.zeros_like(dists.p_z.probs)
-    for k, cond in enumerate(dists.conditionals):
-        if cond is not None:
-            mixture = mixture + float(dists.p_w.probs[k]) * cond.probs
-    mix_res = float(np.max(np.abs(mixture - dists.p_z.probs)))
-    checks.append(("mixture-consistency", mix_res < tol, f"residual={mix_res:.3e}"))
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            dec = decompose_distributions(dists, pair_counts=sample.pair_counts)
-        except ConsistencyError as exc:
-            checks.append(("decomposition", False, str(exc)))
-            return checks
-        split = abs(dec.marginal - dec.mutual_information - dec.residual_global)
-        checks.append(("entropy-split", split < tol, f"residual={split:.3e}"))
-
-        h_cond = conditional_entropy(dists.joint, conditioning="cols")
-        dual = abs(mutual_information(dists.joint) - (dec.marginal - h_cond))
-        checks.append(("mi-dual-route", dual < tol, f"residual={dual:.3e}"))
-
-        agg_mi = abs(
-            dec.mutual_information - sum(b.p_w * b.info_partial for b in dec.bands)
-        )
-        checks.append(("mi-aggregation", agg_mi < tol, f"residual={agg_mi:.3e}"))
-
-        agg_res = abs(
-            dec.residual_global - sum(b.p_w * b.residual_partial for b in dec.bands)
-        )
-        checks.append(("residual-aggregation", agg_res < tol, f"residual={agg_res:.3e}"))
+    dists = conditional_pmfs(sample)
+    try:
+        dec = decompose_distributions(dists, sample.pair_counts)
+    except ConsistencyError as exc:
+        checks.append(("decomposition", False, str(exc)))
+    else:
+        for name, residual in identity_residuals(dists, dec).items():
+            checks.append((name, residual <= MI_AGREEMENT_TOL, f"residual={residual:.3e}"))
 
     if n <= 64:
         ref = enumerate_pairs_bruteforce(grid, cls, scheme)
@@ -536,7 +523,13 @@ def _cmd_verify(args) -> int:
             print(f"FAIL {path} read: {exc}")
             failures += 1
             continue
-        for name, passed, detail in _verify_grid(grid):
+        try:
+            checks = _verify_grid(grid)
+        except (ValueError, ConsistencyError) as exc:
+            print(f"FAIL {path} tally: {exc}")
+            failures += 1
+            continue
+        for name, passed, detail in checks:
             print(f"{'PASS' if passed else 'FAIL'} {path} {name} ({detail})")
             if not passed:
                 failures += 1
@@ -585,13 +578,13 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--leibovici-distance",
-        type=float,
+        type=_leibovici_distance_arg,
         default=2.0,
         help="co-occurrence distance for the cumulative pair entropy (default 2)",
     )
     p.add_argument(
         "--areas",
-        type=int,
+        type=_positive_int_arg,
         default=100,
         help="number of areas for the partition-based indices (default 100)",
     )
@@ -607,10 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write scenario replicate grids + manifest")
     p.add_argument("--scenario", choices=SCENARIOS, required=True)
-    p.add_argument("--rows", type=int, default=50)
-    p.add_argument("--cols", type=int, default=50)
-    p.add_argument("--categories", type=int, default=2)
-    p.add_argument("--replicates", type=int, default=1)
+    p.add_argument("--rows", type=_positive_int_arg, default=50)
+    p.add_argument("--cols", type=_positive_int_arg, default=50)
+    p.add_argument("--categories", type=_positive_int_arg, default=2)
+    p.add_argument("--replicates", type=_positive_int_arg, default=1)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--uniform-pmf", action="store_true", help="exact equal category split")
     p.add_argument("--out", required=True, help="output directory")
@@ -645,9 +638,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=_plan_arg(DEFAULT_DESIGN),
         help=f"comma list of kind:categories (default {DEFAULT_DESIGN})",
     )
-    p.add_argument("--rows", type=int, default=50)
-    p.add_argument("--cols", type=int, default=50)
-    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--rows", type=_positive_int_arg, default=50)
+    p.add_argument("--cols", type=_positive_int_arg, default=50)
+    p.add_argument("--replicates", type=_positive_int_arg, default=100)
     p.add_argument("--seed", type=int, default=0, help="master seed")
     _add_measure_flags(p)
     p.add_argument(
@@ -655,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="omit the flagged equal-split replicate appended to each scenario",
     )
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int_arg, default=1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 

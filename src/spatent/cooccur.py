@@ -4,7 +4,7 @@ The spatial measures implemented in this package are entropies of a
 transformed variable: the category pair observed at two pixels, together
 with the distance class of the pixel pair.  This module owns
 
-* the pair-category coding (ordered or unordered degree-2 tuples),
+* the pair-category coding (ordered or unordered category pairs),
 * the distance classification into half-open bands (d_{k-1}, d_k],
 * the enumeration of all N(N-1)/2 unordered pixel pairs of a grid.
 
@@ -68,14 +68,13 @@ _BLOCK_BYTES = 1 << 18
 
 
 def count_categories(scheme: "CooccurrenceScheme") -> int:
-    """Number of distinct category tuples the scheme can produce.
+    """Number of distinct category pairs the scheme can produce.
 
-    Ordered tuples of m draws from I categories: I**m.  Unordered
-    (multiset) tuples: C(I + m - 1, m).  For pairs (m = 2) the unordered
-    count collapses to (I^2 + I) / 2.
+    Ordered pairs of I categories: I^2.  Unordered pairs: C(I + 1, 2) =
+    (I^2 + I) / 2.
     """
-    i, m = scheme.num_x_categories, scheme.degree
-    n = i**m if scheme.ordered else math.comb(i + m - 1, m)
+    i = scheme.num_x_categories
+    n = i * i if scheme.ordered else math.comb(i + 1, 2)
     if n > _UINT63_MAX:
         raise OverflowError(f"category count {n} exceeds the 64-bit range")
     return n
@@ -83,7 +82,7 @@ def count_categories(scheme: "CooccurrenceScheme") -> int:
 
 @dataclass(frozen=True)
 class CooccurrenceScheme:
-    """How a tuple of pixel categories is encoded as one co-occurrence category.
+    """How the category pair at two pixels is coded as one co-occurrence category.
 
     ``ordered=False`` identifies permutations: the pair (a, b) is stored
     sorted.  ``ordered=True`` keeps orientation; for pairs the first element
@@ -93,32 +92,27 @@ class CooccurrenceScheme:
 
     num_x_categories: int
     ordered: bool = False
-    degree: int = 2
 
     def __post_init__(self) -> None:
         if self.num_x_categories < 1:
             raise ValueError("num_x_categories must be >= 1")
-        if self.degree < 2:
-            raise ValueError("degree must be >= 2")
 
     @property
     def num_z_categories(self) -> int:
         return count_categories(self)
 
     def category_labels(self) -> tuple:
-        """All category tuples in canonical order, 1-based codes."""
+        """All category pairs in canonical order, 1-based codes."""
         rng = range(1, self.num_x_categories + 1)
         if self.ordered:
-            return tuple(product(rng, repeat=self.degree))
-        return tuple(combinations_with_replacement(rng, self.degree))
+            return tuple(product(rng, repeat=2))
+        return tuple(combinations_with_replacement(rng, 2))
 
     def pair_code_table(self) -> np.ndarray:
         """(I, I) lookup: 0-based categories of a pair -> 0-based pair code.
 
-        Pairs only; the table is what makes vectorized tallying possible.
+        The table is what makes vectorized tallying possible.
         """
-        if self.degree != 2:
-            raise ValueError("pair_code_table is defined for degree 2 only")
         i = self.num_x_categories
         lut = np.empty((i, i), dtype=np.int64)
         if self.ordered:
@@ -254,7 +248,7 @@ class PairSample:
         """The unordered tally: ordered codes (a, b) and (b, a) added together."""
         if not self.scheme.ordered:
             return self
-        scheme = CooccurrenceScheme(self.scheme.num_x_categories, degree=self.scheme.degree)
+        scheme = CooccurrenceScheme(self.scheme.num_x_categories)
         counts = np.zeros((self.classification.num_bands, scheme.num_z_categories), dtype=np.int64)
         np.add.at(counts.T, scheme.pair_code_table().ravel(), self.category_counts.T)
         return PairSample(scheme, self.classification, self.pair_counts, counts)
@@ -373,8 +367,6 @@ def enumerate_pairs(
     FFT band sums of the module docstring; sums that fail its exactness
     checks raise ConsistencyError.
     """
-    if scheme.degree != 2:
-        raise ValueError("pair enumeration supports degree-2 schemes only")
     if scheme.num_x_categories < grid.num_categories:
         raise ValueError("scheme has fewer categories than the grid")
     if grid.size < 2:
@@ -436,8 +428,6 @@ def enumerate_pairs_bruteforce(
     """
     from .lattice import pixel_distance
 
-    if scheme.degree != 2:
-        raise ValueError("pair enumeration supports degree-2 schemes only")
     if grid.size < 2:
         raise ValueError("need at least two pixels to form a pair")
 

@@ -12,9 +12,12 @@ distance).  Both terms split further band by band: H(Z | w_k) is the
 partial residual entropy and PI(Z, w_k) = KL(p(Z | w_k) || p(Z)) the
 partial information of band k, with MI = sum_k p(w_k) PI(Z, w_k).
 
-The mutual information is computed twice, through the joint divergence and
-through H(Z) - H(Z)_W; disagreement beyond tolerance raises instead of
-returning either number.
+Every decomposition is checked against six identities before it is
+returned (``identity_residuals``): the estimated pmfs sum to 1, the band
+conditionals mix back into p(Z), the entropy split holds, the mutual
+information agrees with H(Z) - (H(Z, W) - H(W)), and the band-weighted
+partial terms sum to MI and to H(Z)_W.  A residual beyond MI_AGREEMENT_TOL
+raises ConsistencyError instead of returning the numbers.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,11 +38,10 @@ from .cooccur import (
     conditional_pmfs,
     enumerate_pairs,
 )
-from .errors import ConsistencyError, DegenerateDistributionWarning
+from .errors import ConsistencyError
 from .lattice import CategoricalGrid
 from .prob import (
     JointPmf,
-    Pmf,
     joint_entropy,
     kl_divergence,
     mutual_information,
@@ -50,56 +51,13 @@ from .prob import (
 MI_AGREEMENT_TOL = 1e-10
 
 
-def partial_residual(p_z_given_w: Pmf) -> float:
-    """Residual entropy of one band: Shannon entropy of p(Z | w_k)."""
-    return shannon(p_z_given_w)
-
-
-def global_residual(p_w: Pmf, partials: Sequence[float]) -> float:
-    """Spatial residual entropy: band-weighted mean of the partial residuals."""
-    if len(partials) != len(p_w):
-        raise ValueError("one partial residual per band is required")
-    return float(np.dot(p_w.probs, np.asarray(partials, dtype=np.float64)))
-
-
-def partial_information(p_z_given_w: Pmf, p_z: Pmf) -> float:
-    """Partial information of one band: KL(p(Z | w_k) || p(Z))."""
-    return kl_divergence(p_z_given_w, p_z)
-
-
 def spatial_mutual_information(joint: JointPmf) -> float:
     """MI(Z, W) from the pair-category x band joint distribution.
 
-    Evaluated both as the joint-vs-product divergence and as
-    H(Z) - H(Z | W), with H(Z | W) = H(Z, W) - H(W) so that empty bands need
-    no special case; the routes must agree within MI_AGREEMENT_TOL or a
-    ConsistencyError is raised.
+    The divergence of the joint from the product of its marginals; its
+    agreement with the entropy route is one of ``identity_residuals``.
     """
-    mi = mutual_information(joint)
-    h_z = shannon(joint.row_marginal())
-    h_res = joint_entropy(joint) - shannon(joint.col_marginal())
-    alt = h_z - h_res
-    if abs(mi - alt) > MI_AGREEMENT_TOL:
-        raise ConsistencyError(
-            f"mutual information routes disagree: {mi!r} vs {alt!r}"
-        )
-    return mi
-
-
-def proportional_mi(decomposition: "EntropyDecomposition") -> float:
-    """Share of the pair entropy explained by space: MI / H(Z), in [0, 1].
-
-    A constant grid has H(Z) = 0; that degenerate ratio is defined as 0 and
-    flagged with a DegenerateDistributionWarning.
-    """
-    if decomposition.marginal == 0.0:
-        warnings.warn(
-            "proportional mutual information of a zero-entropy grid is defined as 0",
-            DegenerateDistributionWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return decomposition.mutual_information / decomposition.marginal
+    return mutual_information(joint)
 
 
 @dataclass(frozen=True)
@@ -175,60 +133,91 @@ class EntropyDecomposition:
 
 
 def decompose_distributions(
-    dists: PairDistributions, pair_counts: Sequence[int] | None = None
+    dists: PairDistributions, pair_counts: Sequence[int]
 ) -> EntropyDecomposition:
     """Decomposition from already-estimated pair distributions.
 
-    ``pair_counts`` optionally supplies the per-band pair counts Q_k for the
-    report; frequencies alone carry no sample size.
+    ``pair_counts`` supplies the per-band pair counts Q_k for the report;
+    frequencies alone carry no sample size.  Raises ConsistencyError,
+    naming the worst identity, when any of ``identity_residuals`` exceeds
+    MI_AGREEMENT_TOL.
     """
     p_w = dists.p_w
     p_z = dists.p_z
     h_z = shannon(p_z)
-    if pair_counts is None:
-        pair_counts = [0] * len(p_w)
 
     bands = []
-    partials = []
-    infos = []
-    for k, label in enumerate(p_w.labels):
-        cond = dists.conditionals[k]
+    for k, (label, cond) in enumerate(zip(p_w.labels, dists.conditionals)):
         if cond is None:
-            partials.append(0.0)
-            infos.append(0.0)
+            bands.append(BandDecomposition(label, 0.0, int(pair_counts[k]), 0.0, 0.0, empty=True))
+        else:
             bands.append(
-                BandDecomposition(label, 0.0, int(pair_counts[k]), 0.0, 0.0, empty=True)
+                BandDecomposition(
+                    label,
+                    float(p_w.probs[k]),
+                    int(pair_counts[k]),
+                    shannon(cond),
+                    kl_divergence(cond, p_z),
+                )
             )
-            continue
-        h_k = partial_residual(cond)
-        pi_k = partial_information(cond, p_z)
-        partials.append(h_k)
-        infos.append(pi_k)
-        bands.append(
-            BandDecomposition(
-                label, float(p_w.probs[k]), int(pair_counts[k]), h_k, pi_k
-            )
-        )
-    h_res = global_residual(p_w, partials)
-    mi = spatial_mutual_information(dists.joint)
-
-    mi_from_bands = float(np.dot(p_w.probs, np.asarray(infos)))
-    if abs(mi - mi_from_bands) > MI_AGREEMENT_TOL:
-        raise ConsistencyError(
-            f"band-weighted partial information {mi_from_bands!r} "
-            f"disagrees with mutual information {mi!r}"
-        )
-
+    partials = np.array([b.residual_partial for b in bands])
+    mi = mutual_information(dists.joint)
     degenerate = h_z == 0.0
-    mi_prop = 0.0 if degenerate else mi / h_z
-    return EntropyDecomposition(
+    dec = EntropyDecomposition(
         marginal=h_z,
-        residual_global=h_res,
+        residual_global=float(np.dot(p_w.probs, partials)),
         mutual_information=mi,
-        mi_proportional=mi_prop,
+        mi_proportional=0.0 if degenerate else mi / h_z,
         bands=tuple(bands),
         degenerate=degenerate,
     )
+
+    failed = {
+        name: r for name, r in identity_residuals(dists, dec).items() if not r <= MI_AGREEMENT_TOL
+    }
+    if failed:
+        worst = max(failed, key=failed.get)
+        raise ConsistencyError(
+            f"decomposition identity {worst} misses by {failed[worst]:.3e} "
+            f"(tolerance {MI_AGREEMENT_TOL:g}); failing: {', '.join(failed)}"
+        )
+    return dec
+
+
+def identity_residuals(
+    dists: PairDistributions, dec: EntropyDecomposition
+) -> dict[str, float]:
+    """Absolute residual of every identity linking ``dec`` to ``dists``.
+
+    pmf-mass              p(W), p(Z) and every p(Z | w_k) sum to 1
+    mixture-consistency   sum_k p(w_k) p(Z | w_k) = p(Z), worst label
+    entropy-split         H(Z) = MI(Z, W) + H(Z)_W
+    mi-dual-route         MI(Z, W) = H(Z) - (H(Z, W) - H(W))
+    mi-aggregation        MI(Z, W) = sum_k p(w_k) PI(Z, w_k)
+    residual-aggregation  H(Z)_W = sum_k p(w_k) H(Z | w_k)
+
+    The dual route needs no empty-band case: H(Z, W) - H(W) is H(Z | W)
+    with zero-mass bands contributing nothing.
+    """
+    p_w = dists.p_w.probs
+    p_z = dists.p_z.probs
+    conds = np.array(
+        [np.zeros_like(p_z) if c is None else c.probs for c in dists.conditionals]
+    )
+    filled = [c is not None for c in dists.conditionals]
+    weights = np.array([b.p_w for b in dec.bands])
+    infos = np.array([b.info_partial for b in dec.bands])
+    partials = np.array([b.residual_partial for b in dec.bands])
+    h_z_given_w = joint_entropy(dists.joint) - shannon(dists.p_w)
+    mass = np.abs(np.concatenate(([p_w.sum(), p_z.sum()], conds[filled].sum(axis=1))) - 1.0)
+    return {
+        "pmf-mass": float(mass.max()),
+        "mixture-consistency": float(np.max(np.abs(p_w @ conds - p_z))),
+        "entropy-split": abs(dec.marginal - dec.mutual_information - dec.residual_global),
+        "mi-dual-route": abs(dec.mutual_information - (dec.marginal - h_z_given_w)),
+        "mi-aggregation": abs(dec.mutual_information - float(np.dot(weights, infos))),
+        "residual-aggregation": abs(dec.residual_global - float(np.dot(weights, partials))),
+    }
 
 
 def decompose(

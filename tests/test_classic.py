@@ -107,6 +107,11 @@ def test_neighbourhood_validation():
         AreaNeighbourhood(np.array([[0.5, 0.4], [0.5, 0.5]]))  # row sum != 1
     with pytest.raises(ValueError):
         AreaNeighbourhood(np.array([[1.0, -0.0001], [0.0, 1.0]]).clip(-1, 1) * [[1, -1], [1, 1]])
+    with pytest.raises(ValueError):
+        AreaNeighbourhood(np.array([[np.nan, np.nan], [0.0, 1.0]]))  # NaN passes both tests above
+    part = partition_window(_all_black(10), 4, UNIFORM_PARTITION)
+    with pytest.raises(ValueError):
+        build_area_neighbourhood(part, math.nan)
 
 
 def test_distance_zero_gives_identity_neighbourhood():

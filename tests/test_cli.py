@@ -326,10 +326,15 @@ def test_verify_multiple_files(tmp_path, capsys):
     good = _chessboard_path(tmp_path)
     bad = tmp_path / "bad.grid"
     bad.write_text("1 2 2\n1 3\n")
-    rc = main(["verify", str(good), str(bad)])
+    one = tmp_path / "one.grid"
+    one.write_text("1 1 1\n1\n")  # reads, but holds no pixel pair to tally
+    rc = main(["verify", str(one), str(good), str(bad)])
     assert rc == 1
     out = capsys.readouterr().out
-    assert out.count("FAIL") == 1
+    assert out.count("FAIL") == 2
+    assert f"FAIL {one} tally: need at least two pixels" in out
+    assert f"PASS {good} pair-total" in out
+    assert f"PASS {good} residual-aggregation" in out
 
 
 # --------------------------------------------------------------------------
@@ -436,6 +441,28 @@ def test_bad_cli_arguments_exit_2():
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "g.grid", "--bands", bands])
         assert exc.value.code == 2
+    # numbers no measure or design can use are refused before any work starts
+    for argv in (
+        "measure g.grid --leibovici-distance nan",
+        "measure g.grid --leibovici-distance inf",
+        "measure g.grid --leibovici-distance 0.5",
+        "experiment --leibovici-distance nan --out x",
+        "measure g.grid --karlstrom-distances nan",
+        "measure g.grid --karlstrom-distances 0,nan",
+        "measure g.grid --areas 0",
+        "measure g.grid --areas -3",
+        "experiment --areas 0 --out x",
+        "experiment --rows 0 --out x",
+        "experiment --cols 0 --out x",
+        "experiment --replicates -1 --out x",
+        "experiment --workers 0 --out x",
+        "experiment --workers two --out x",
+        "generate --scenario random --rows 0 --out x",
+        "generate --scenario random --replicates 0 --out x",
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2, argv
 
 
 def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):

@@ -71,15 +71,10 @@ def test_entropy_maxima_round_to_published_table():
     assert seen == [(0.69, 1.39, 1.1), (1.61, 3.22, 2.71), (3.0, 5.99, 5.35)]
 
 
-def test_higher_degree_counts():
-    assert count_categories(CooccurrenceScheme(2, ordered=True, degree=3)) == 8
-    assert count_categories(CooccurrenceScheme(2, ordered=False, degree=3)) == 4
-    assert count_categories(CooccurrenceScheme(4, ordered=False, degree=3)) == 20
-
-
 def test_count_overflow_guard():
+    # 10^20 ordered pairs exceed 2^63 - 1
     with pytest.raises(OverflowError):
-        count_categories(CooccurrenceScheme(10**7, ordered=True, degree=3))
+        count_categories(CooccurrenceScheme(10**10, ordered=True))
 
 
 def test_pair_code_table_matches_labels():

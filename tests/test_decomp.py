@@ -1,5 +1,6 @@
 """Distance-band entropy decomposition: worked examples and identities."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -11,19 +12,19 @@ from hypothesis import strategies as st
 
 from spatent import (
     CategoricalGrid,
+    ConsistencyError,
     CooccurrenceScheme,
-    DegenerateDistributionWarning,
     DistanceClassification,
+    Pmf,
     conditional_pmfs,
     decompose,
     decompose_distributions,
     enumerate_pairs,
-    global_residual,
-    partial_information,
-    partial_residual,
-    proportional_mi,
+    write_grid,
     as_pmf,
 )
+from spatent import cli, decomp
+from spatent.decomp import identity_residuals
 
 
 def _grid(rows, cols, cats, values):
@@ -86,8 +87,6 @@ def test_all_one_category_grid_degenerate():
     for band in dec.bands:
         assert band.residual_partial == 0.0
         assert band.info_partial == 0.0
-    with pytest.warns(DegenerateDistributionWarning):
-        assert proportional_mi(dec) == 0.0
 
 
 def test_single_band_classification_carries_no_information():
@@ -126,30 +125,55 @@ def test_empty_band_decomposes_with_warnings_as_errors(monkeypatch):
             m.setattr(warnings, "catch_warnings", _forbidden)
             m.setattr(warnings, "simplefilter", _forbidden)
             dec = decompose(g)
+            checks = cli._verify_grid(g)
     assert dec.band("w3").empty
     assert dec.marginal == pytest.approx(dec.mutual_information + dec.residual_global, abs=1e-15)
+    assert [name for name, passed, _ in checks if not passed] == []
+    assert "mi-dual-route" in [name for name, _, _ in checks]
 
 
-def test_piece_functions_match_decomposition():
-    g = _chessboard(2)
-    cls = DistanceClassification.default_for(g)
-    sample = enumerate_pairs(g, cls, CooccurrenceScheme(2))
+IDENTITIES = (
+    "pmf-mass",
+    "mixture-consistency",
+    "entropy-split",
+    "mi-dual-route",
+    "mi-aggregation",
+    "residual-aggregation",
+)
+
+
+def test_identity_residuals_name_the_broken_identity(tmp_path, monkeypatch, capsys):
+    g = _grid(6, 6, 3, np.random.default_rng(4).integers(1, 4, size=36))
+    sample = enumerate_pairs(g, DistanceClassification.default_for(g), CooccurrenceScheme(3))
     dists = conditional_pmfs(sample)
-    dec = decompose_distributions(dists, pair_counts=sample.pair_counts)
+    dec = decompose_distributions(dists, sample.pair_counts)
+    residuals = identity_residuals(dists, dec)
+    assert tuple(residuals) == IDENTITIES
+    assert max(residuals.values()) < 1e-10
 
-    partials = [
-        partial_residual(c) if c is not None else 0.0 for c in dists.conditionals
-    ]
-    assert global_residual(dists.p_w, partials) == pytest.approx(
-        dec.residual_global, abs=1e-15
-    )
-    infos = [
-        partial_information(c, dists.p_z) if c is not None else 0.0
-        for c in dists.conditionals
-    ]
-    np.testing.assert_allclose(
-        infos, [b.info_partial for b in dec.bands], rtol=0, atol=1e-15
-    )
+    shifted = dataclasses.replace(dec, residual_global=dec.residual_global + 1e-6)
+    broken = {name for name, r in identity_residuals(dists, shifted).items() if r > 1e-10}
+    assert broken == {"entropy-split", "residual-aggregation"}
+
+    def with_conditional(k, cond):
+        conds = dists.conditionals[:k] + (cond,) + dists.conditionals[k + 1 :]
+        changed = dataclasses.replace(dists, conditionals=conds)
+        return {name for name, r in identity_residuals(changed, dec).items() if r > 1e-10}
+
+    first = dists.conditionals[0]
+    assert with_conditional(0, Pmf.uniform(first.labels)) == {"mixture-consistency"}
+    last = dists.conditionals[-1]  # a Pmf admits mass errors up to 1e-9
+    heavy = dataclasses.replace(last, probs=last.probs * (1 + 5e-10))
+    assert "pmf-mass" in with_conditional(len(dists.conditionals) - 1, heavy)
+
+    exact = decomp.mutual_information
+    monkeypatch.setattr(decomp, "mutual_information", lambda joint: exact(joint) + 1e-6)
+    with pytest.raises(ConsistencyError, match="mi-"):
+        decompose(g)
+    path = tmp_path / "g.grid"
+    write_grid(g, path)
+    assert cli.main(["verify", str(path)]) == 1
+    assert f"FAIL {path} decomposition" in capsys.readouterr().out
 
 
 def test_category_relabelling_invariance():
