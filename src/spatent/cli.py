@@ -8,9 +8,11 @@ decompose   distance-band entropy decomposition of one grid (JSON or CSV)
 experiment  scenario ensemble -> long CSV plus quantile summary CSV
 verify      run the internal identity suite on one or more grid files
 
-Experiment output is deterministic for a given plan and master seed whatever
-the worker count: every replicate derives its own RNG stream from its index
-and rows are emitted in plan order.
+Experiment output is deterministic for a given plan and master seed: every
+replicate derives its own RNG stream from its index, and replicates run one
+after another in plan order, each written as soon as it finishes.  A
+``ValueError`` or ``OSError`` caused by the input is reported as one
+``error: <message>`` line with exit code 2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 import logging
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -57,8 +58,8 @@ from .lattice import (
     write_grid,
     write_partition,
 )
-from .prob import Pmf, shannon
-from .simgen import SCENARIOS, ScenarioSpec, generate, replicate_seed
+from .prob import shannon
+from .simgen import SCENARIOS, ScenarioSpec, check_categories, generate, replicate_seed
 
 log = logging.getLogger("spatent")
 
@@ -120,10 +121,12 @@ def _plan_arg(text: str) -> tuple:
         if not item:
             continue
         kind, sep, cats = item.partition(":")
-        if not sep or kind not in SCENARIOS or not cats.isdigit():
-            raise argparse.ArgumentTypeError(
-                f"bad plan entry {item!r}, expected kind:categories with kind in {SCENARIOS}"
-            )
+        try:
+            if not sep or kind not in SCENARIOS or not cats.isdigit():
+                raise ValueError(f"expected kind:categories with kind in {SCENARIOS}")
+            check_categories(kind, int(cats))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad plan entry {item!r}: {exc}")
         plan.append((kind, int(cats)))
     if not plan:
         raise argparse.ArgumentTypeError("empty scenario plan")
@@ -153,6 +156,12 @@ def _positive_int_arg(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int_arg(text: str) -> int:
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _partition_seed_arg(text: str):
     if text == UNIFORM_PARTITION:
         return UNIFORM_PARTITION
@@ -164,22 +173,6 @@ def _partition_seed_arg(text: str):
 
 # ---------------------------------------------------------------------------
 # measurement core shared by `measure` and `experiment`
-
-def _build_decomposition(grid, classification, ordered: bool):
-    scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
-    return decompose_sample(enumerate_pairs(grid, classification, scheme))
-
-
-def _pairs_within(tally, distance: float) -> Pmf:
-    """Pmf of the tally's pairs at distance <= ``distance``.
-
-    ``distance`` is one of the tally's breaks or at least its last one, so
-    the pairs are exactly those of its leading bands, pooled.
-    """
-    lo, hi = tally.classification.breaks[0], tally.classification.breaks[-1]
-    near = tally.coarsen(DistanceClassification((lo, min(distance, hi))))
-    return Pmf.from_counts(near.scheme.category_labels(), near.pooled_category_counts())
-
 
 def _measure_rows(
     grid,
@@ -219,8 +212,8 @@ def _measure_rows(
             sample = tally.coarsen(cls)
             dec = decompose_sample(sample if ordered else sample.fold())
         if contiguity:
-            near = _pairs_within(tally, 1.0)
-            pairs = {m: _pairs_within(tally, d) if m == "leibovici" else near for m in contiguity}
+            near = tally.within(1.0)
+            pairs = {m: tally.within(d) if m == "leibovici" else near for m in contiguity}
 
     area_probs = None
     if "batty" in measures or "karlstrom" in measures:
@@ -328,7 +321,8 @@ def _cmd_measure(args) -> int:
 def _cmd_decompose(args) -> int:
     grid = read_grid(args.grid)
     cls = args.bands or DistanceClassification.default_for(grid)
-    dec = _build_decomposition(grid, cls, args.ordered)
+    scheme = CooccurrenceScheme(grid.num_categories, ordered=args.ordered)
+    dec = decompose_sample(enumerate_pairs(grid, cls, scheme))
     text = dec.to_csv_row() if args.format == "csv" else dec.to_json() + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
@@ -338,15 +332,13 @@ def _cmd_decompose(args) -> int:
 
 
 def _experiment_tasks(plan, replicates: int, include_uniform: bool):
-    tasks = []
     for kind, cats in plan:
         label = f"{kind}_x{cats}"
         for rep in range(replicates):
-            tasks.append((label, kind, cats, rep, 0))
+            yield label, kind, cats, rep, 0
         if include_uniform:
             # the idealized extra replicate with the exact equal category split
-            tasks.append((label, kind, cats, replicates, 1))
-    return tasks
+            yield label, kind, cats, replicates, 1
 
 
 def _cmd_experiment(args) -> int:
@@ -378,43 +370,6 @@ def _cmd_experiment(args) -> int:
         if "karlstrom" in args.measures:
             karl = _karlstrom_neighbourhoods(partition, args.karlstrom_distances)
 
-    tasks = _experiment_tasks(args.scenarios, args.replicates, not args.skip_uniform)
-
-    def run(task):
-        label, kind, cats, rep, uflag = task
-        # area-based indices are defined on the two-category scenarios only
-        selected = args.measures
-        if cats != 2:
-            selected = tuple(m for m in selected if m not in area_measures)
-        # one failing replicate is reported and skipped, the others are written
-        try:
-            spec = ScenarioSpec(
-                kind,
-                args.rows,
-                args.cols,
-                cats,
-                "uniform" if uflag else "dirichlet",
-                replicate_seed(args.seed, kind, cats, rep),
-            )
-            rows = _measure_rows(
-                generate(spec),
-                selected,
-                classification=cls,
-                partition=partition if cats == 2 else None,
-                target_category=1,
-                karlstrom_nb=karl if cats == 2 else (),
-                leibovici_distance=args.leibovici_distance,
-            )
-        except Exception as exc:
-            return task, None, exc
-        return task, rows, None
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as ex:
-            results = list(ex.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
     failed = 0
     written = 0
     ensemble: dict = {}
@@ -422,11 +377,36 @@ def _cmd_experiment(args) -> int:
     long_path = out / "results_long.csv"
     with open(long_path, "w", encoding="ascii") as fh:
         fh.write("scenario,replicate,uniform_flag,measure,band,value\n")
-        for (label, _kind, _cats, rep, uflag), rows, err in results:
-            if err is not None:
+        for label, kind, cats, rep, uflag in _experiment_tasks(
+            args.scenarios, args.replicates, not args.skip_uniform
+        ):
+            # area-based indices are defined on the two-category scenarios only
+            selected = args.measures
+            if cats != 2:
+                selected = tuple(m for m in selected if m not in area_measures)
+            # one failing replicate is reported and skipped, the others are written
+            try:
+                spec = ScenarioSpec(
+                    kind,
+                    args.rows,
+                    args.cols,
+                    cats,
+                    "uniform" if uflag else "dirichlet",
+                    replicate_seed(args.seed, kind, cats, rep),
+                )
+                rows = _measure_rows(
+                    generate(spec),
+                    selected,
+                    classification=cls,
+                    partition=partition if cats == 2 else None,
+                    target_category=1,
+                    karlstrom_nb=karl if cats == 2 else (),
+                    leibovici_distance=args.leibovici_distance,
+                )
+            except Exception as exc:
                 log.error(
                     "replicate %s/%d aborted: %s: %s",
-                    label, rep, type(err).__name__, err, exc_info=err,
+                    label, rep, type(exc).__name__, exc, exc_info=exc,
                 )
                 failed += 1
                 continue
@@ -604,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=_positive_int_arg, default=50)
     p.add_argument("--categories", type=_positive_int_arg, default=2)
     p.add_argument("--replicates", type=_positive_int_arg, default=1)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_non_negative_int_arg, default=0, help="master seed")
     p.add_argument("--uniform-pmf", action="store_true", help="exact equal category split")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_generate)
@@ -613,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid", help="grid file path")
     _add_measure_flags(p)
     _add_order_flags(p)
-    p.add_argument("--target-category", type=int, default=1)
+    p.add_argument("--target-category", type=_positive_int_arg, default=1)
     p.add_argument(
         "--partition-seed",
         type=_partition_seed_arg,
@@ -641,14 +621,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=_positive_int_arg, default=50)
     p.add_argument("--cols", type=_positive_int_arg, default=50)
     p.add_argument("--replicates", type=_positive_int_arg, default=100)
-    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--seed", type=_non_negative_int_arg, default=0, help="master seed")
     _add_measure_flags(p)
     p.add_argument(
         "--skip-uniform",
         action="store_true",
         help="omit the flagged equal-split replicate appended to each scenario",
     )
-    p.add_argument("--workers", type=_positive_int_arg, default=1)
+    p.add_argument(
+        "--workers",
+        type=_positive_int_arg,
+        default=1,
+        help="accepted for compatibility and ignored: replicates run one after another",
+    )
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_experiment)
 
@@ -661,8 +646,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     logging.basicConfig(format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "generate":
+        try:
+            check_categories(args.scenario, args.categories)
+        except ValueError as exc:
+            parser.error(str(exc))
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        log.error("error: %s", exc)
+        return 2
 
 
 if __name__ == "__main__":

@@ -232,7 +232,7 @@ class PairSample:
 
         Every break of ``classification`` must be a break of this tally, so
         each of its bands is a run of consecutive bands here.  Bands outside
-        its outer breaks are dropped, as ``require_coverage=False`` would.
+        its outer breaks are dropped.
         """
         position = {b: i for i, b in enumerate(self.classification.breaks)}
         missing = [b for b in classification.breaks if b not in position]
@@ -243,6 +243,18 @@ class PairSample:
         np.cumsum(self.category_counts, axis=0, out=cumulative[1:])
         counts = cumulative[at[1:]] - cumulative[at[:-1]]
         return PairSample(self.scheme, classification, counts.sum(axis=1), counts)
+
+    def within(self, distance: float) -> Pmf:
+        """Pmf of the pair categories of all pairs at distance <= ``distance``.
+
+        ``distance`` is one of the tally's breaks or at least its last one,
+        so the pairs are exactly those of its leading bands, pooled.
+        """
+        lo, hi = self.classification.breaks[0], self.classification.breaks[-1]
+        near = self.coarsen(DistanceClassification((lo, min(distance, hi))))
+        if near.total_pairs == 0:
+            raise ValueError(f"no pixel pairs at distance <= {distance}")
+        return Pmf.from_counts(self.scheme.category_labels(), near.pooled_category_counts())
 
     def fold(self) -> "PairSample":
         """The unordered tally: ordered codes (a, b) and (b, a) added together."""
@@ -286,14 +298,15 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _band_plane(rows, cols, p2, classification, require_coverage):
+def _band_plane(rows, cols, p2, classification):
     """Band of every displacement, laid out as the transposed band mask plane.
 
     Entry [dc mod p2, dr] holds the 0-based band of displacement (dr, dc),
-    or -1 where (dr, dc) links no pixel to a later row-major pixel or its
-    distance has no band.  Also returns each band's closed-form pair total,
-    the sum of (rows - dr) * (cols - |dc|) over its displacements.  Distances
-    and band edges follow ``DistanceClassification.band_index`` exactly.
+    or -1 where (dr, dc) links no pixel to a later row-major pixel; a
+    linking displacement whose distance has no band raises CoverageError.
+    Also returns each band's closed-form pair total, the sum of (rows - dr)
+    * (cols - |dc|) over its displacements.  Distances and band edges follow
+    ``DistanceClassification.band_index`` exactly.
     """
     dr = np.arange(rows)
     dc = np.arange(p2)[:, None]
@@ -302,13 +315,13 @@ def _band_plane(rows, cols, p2, classification, require_coverage):
     breaks = np.asarray(classification.breaks)
     dist = np.sqrt((dr * dr + dc * dc).astype(np.float64))
     inside = (dist > breaks[0]) & (dist <= breaks[-1])
-    if require_coverage and np.any(reach & ~inside):
+    if np.any(reach & ~inside):
         j, i = np.argwhere(reach & ~inside)[0]
         raise CoverageError(
             f"distance {dist[j, i]:.6g} of displacement ({i}, {dc[j, 0]}) has no band"
         )
     band = np.searchsorted(breaks, dist, side="left") - 1
-    band[~(reach & inside)] = -1
+    band[~reach] = -1
     pairs = (rows - dr) * (cols - np.abs(dc))
     totals = np.bincount(
         band.ravel() + 1, weights=pairs.ravel(), minlength=classification.num_bands + 1
@@ -354,18 +367,14 @@ def enumerate_pairs(
     grid: CategoricalGrid,
     classification: DistanceClassification,
     scheme: CooccurrenceScheme,
-    *,
-    require_coverage: bool = True,
 ) -> PairSample:
     """Tally every unordered pixel pair by distance band and pair category.
 
     Pairs are unordered {u, v} with no self-pairs; for an ordered scheme the
-    category tuple is read from the row-major-first pixel.  With
-    ``require_coverage=True`` (the default) any pair whose distance has no
-    band raises CoverageError; with False such pairs are silently skipped,
-    which is what the cumulative single-band measures need.  Counts are the
-    FFT band sums of the module docstring; sums that fail its exactness
-    checks raise ConsistencyError.
+    category tuple is read from the row-major-first pixel.  A pair whose
+    distance has no band raises CoverageError.  Counts are the FFT band
+    sums of the module docstring; sums that fail its exactness checks raise
+    ConsistencyError.
     """
     if scheme.num_x_categories < grid.num_categories:
         raise ValueError("scheme has fewer categories than the grid")
@@ -377,7 +386,7 @@ def enumerate_pairs(
     # circular correlation on p1 x p2 equals the linear one: no wrap-around
     p1, p2 = _fast_length(2 * rows - 1), _fast_length(2 * cols - 1)
     h2 = p2 // 2 + 1
-    band, totals = _band_plane(rows, cols, p2, classification, require_coverage)
+    band, totals = _band_plane(rows, cols, p2, classification)
     m0 = grid.matrix - 1
     present = np.flatnonzero(np.bincount(m0.ravel()))
     ni = len(present)
@@ -417,8 +426,6 @@ def enumerate_pairs_bruteforce(
     grid: CategoricalGrid,
     classification: DistanceClassification,
     scheme: CooccurrenceScheme,
-    *,
-    require_coverage: bool = True,
 ) -> PairSample:
     """Reference tally visiting all N(N-1)/2 pairs one by one.
 
@@ -442,9 +449,7 @@ def enumerate_pairs_bruteforce(
             d = pixel_distance(u, v, grid)
             k = classification.band_index(d)
             if k is None:
-                if require_coverage:
-                    raise CoverageError(f"distance {d:.6g} has no band")
-                continue
+                raise CoverageError(f"distance {d:.6g} has no band")
             a, b = int(vals[u]), int(vals[v])
             key = (a, b) if scheme.ordered else (min(a, b), max(a, b))
             counts[k, index[key]] += 1
@@ -457,17 +462,12 @@ def tabulate_within(
 ) -> Pmf:
     """Pmf of pair categories over all pairs at distance in (0, max_distance].
 
-    The cumulative tabulation behind the contiguity-based classical indices.
+    One tally over (0, window diagonal], split at ``max_distance`` and
+    pooled by ``PairSample.within``.
     """
-    sample = enumerate_pairs(
-        grid,
-        DistanceClassification.single_band(max_distance),
-        scheme,
-        require_coverage=False,
-    )
-    if sample.total_pairs == 0:
-        raise ValueError(f"no pixel pairs at distance <= {max_distance}")
-    return Pmf.from_counts(scheme.category_labels(), sample.pooled_category_counts())
+    d = DistanceClassification.single_band(max_distance).breaks[-1]
+    whole = DistanceClassification((0.0, window_diagonal(grid)))
+    return enumerate_pairs(grid, whole.refined((d,)), scheme).within(d)
 
 
 @dataclass(frozen=True)
@@ -484,7 +484,6 @@ class PairDistributions:
     conditionals: tuple
     p_z: Pmf
     joint: JointPmf
-    empty_bands: tuple
 
 
 def conditional_pmfs(sample: PairSample) -> PairDistributions:
@@ -503,5 +502,4 @@ def conditional_pmfs(sample: PairSample) -> PairDistributions:
         for k in range(len(band_labels))
     )
     joint = JointPmf(z_labels, band_labels, sample.category_counts.T / total)
-    empty = tuple(band_labels[k] for k in range(len(band_labels)) if q[k] == 0)
-    return PairDistributions(p_w, conditionals, p_z, joint, empty)
+    return PairDistributions(p_w, conditionals, p_z, joint)

@@ -38,6 +38,14 @@ REPULSIVE_NOISE_RATIO = 0.25  # scattered swaps per surplus cell, see arrange_re
 PMF_SOURCES = ("dirichlet", "uniform")
 
 
+def check_categories(kind: str, num_categories: int) -> None:
+    """Raise ValueError unless the scenario kind is defined for this many categories."""
+    if num_categories < 2:
+        raise ValueError("scenarios need at least two categories")
+    if kind in ("repulsive", "multicluster") and num_categories != 2:
+        raise ValueError(f"{kind} patterns are defined for two categories only")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One replicate of one scenario: geometry, mix source, and seed."""
@@ -56,10 +64,7 @@ class ScenarioSpec:
             raise ValueError(f"unknown pmf_source {self.pmf_source!r}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be positive")
-        if self.num_categories < 2:
-            raise ValueError("scenarios need at least two categories")
-        if self.kind in ("repulsive", "multicluster") and self.num_categories != 2:
-            raise ValueError(f"{self.kind} patterns are defined for two categories only")
+        check_categories(self.kind, self.num_categories)
         if self.kind == "multicluster" and (self.rows < 5 or self.cols < 5):
             raise ValueError("multicluster needs at least 5 rows and 5 columns")
         if self.pmf_source == "uniform" and (self.rows * self.cols) % self.num_categories:

@@ -4,6 +4,11 @@ import hashlib
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,9 +31,11 @@ from spatent import (
     shannon,
     write_grid,
 )
-from spatent import cli
+from spatent import ConsistencyError, cli
 from spatent.cli import main
 from spatent.decomp import decompose_sample
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _write(tmp_path, name, rows, cols, cats, values):
@@ -159,6 +166,52 @@ def test_measure_to_file(tmp_path):
     rc = main(["measure", str(path), "--measures", "oneill", "--out", str(out)])
     assert rc == 0
     assert out.read_text().startswith("measure,band,value\noneill,,")
+
+
+# --------------------------------------------------------------------------
+# input errors: one log line and exit 2, no traceback
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("measure {missing}", "No such file or directory"),
+        ("decompose {missing}", "No such file or directory"),
+        ("decompose {g7} --bands 0,1,2", "has no band"),
+        ("measure {g7}", "more areas than pixels"),
+        ("measure {g7} --areas 1 --target-category 3", "target category 3 out of range"),
+        ("generate --scenario multicluster --rows 4 --out {out}", "at least 5 rows"),
+        ("experiment --rows 6 --cols 6 --skip-uniform --out {out}", "more areas than pixels"),
+    ],
+    ids=[
+        "measure-missing-file",
+        "decompose-missing-file",
+        "decompose-uncovered-bands",
+        "measure-too-many-areas",
+        "measure-target-category-out-of-range",
+        "generate-multicluster-too-small",
+        "experiment-too-many-areas",
+    ],
+)
+def test_input_errors_exit_2_in_one_line(tmp_path, caplog, capsys, argv, message):
+    g7 = _write(tmp_path, "g7.grid", 7, 7, 2, (np.arange(49) % 2) + 1)
+    paths = {"missing": tmp_path / "missing.grid", "g7": g7, "out": tmp_path / "gen"}
+    with caplog.at_level(logging.ERROR, logger="spatent"):
+        assert main(argv.format(**paths).split()) == 2
+    assert len(caplog.records) == 1
+    record = caplog.records[0]
+    assert record.getMessage().startswith("error: ")
+    assert message in record.getMessage()
+    assert record.exc_info is None
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_consistency_errors_still_propagate(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ConsistencyError("routes disagree")
+
+    monkeypatch.setattr(cli, "decompose_sample", broken)
+    with pytest.raises(ConsistencyError, match="routes disagree"):
+        main(["decompose", str(_chessboard_path(tmp_path))])
 
 
 # --------------------------------------------------------------------------
@@ -395,8 +448,14 @@ def test_experiment_summary_quantiles(tmp_path):
     assert float(row.split(",")[-1]) == pytest.approx(math.log(2), abs=1e-10)
 
 
-def test_experiment_deterministic_across_workers(tmp_path):
+def _no_threads(self):
+    raise AssertionError("experiment must run its replicates in this thread")
+
+
+def test_experiment_deterministic_across_workers(tmp_path, monkeypatch):
     a = _run_experiment(tmp_path, "wa", 1)
+    # --workers is accepted but the replicates run serially
+    monkeypatch.setattr(threading.Thread, "start", _no_threads)
     b = _run_experiment(tmp_path, "wb", 3)
     assert (a / "results_long.csv").read_bytes() == (b / "results_long.csv").read_bytes()
     assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
@@ -459,6 +518,18 @@ def test_bad_cli_arguments_exit_2():
         "experiment --workers two --out x",
         "generate --scenario random --rows 0 --out x",
         "generate --scenario random --replicates 0 --out x",
+        "generate --scenario random --seed -1 --out x",
+        "experiment --seed -1 --out x",
+        "experiment --seed 1.5 --out x",
+        "generate --scenario random --categories 1 --out x",
+        "generate --scenario repulsive --categories 5 --out x",
+        "generate --scenario multicluster --categories 3 --out x",
+        "experiment --scenarios random:1 --out x",
+        "experiment --scenarios random:0 --out x",
+        "experiment --scenarios compact:2,repulsive:5 --out x",
+        "experiment --scenarios multicluster:3 --out x",
+        "measure g.grid --target-category 0",
+        "measure g.grid --target-category -1",
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
@@ -515,3 +586,16 @@ def test_experiment_output_matches_the_pinned_checksums(tmp_path, workers):
         ("summary.csv", "38ee305e3b9320c8"),
     ):
         assert hashlib.sha256((out / name).read_bytes()).hexdigest()[:16] == prefix
+
+
+def test_import_loads_no_fft_and_no_thread_pool():
+    code = (
+        "import sys, spatent, spatent.cli; "
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith(('numpy.fft', 'concurrent.futures'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.strip() == "[]"

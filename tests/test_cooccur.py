@@ -20,6 +20,7 @@ from spatent import (
     enumerate_pairs,
     enumerate_pairs_bruteforce,
     tabulate_within,
+    window_diagonal,
 )
 from spatent.cooccur import _exact_counts
 
@@ -169,23 +170,24 @@ def test_2x2_chessboard_counts():
 def test_ordered_pair_read_rightward_and_downward():
     g = _grid(1, 2, 2, [1, 2])
     cls = DistanceClassification.single_band(1.0)
-    sample = enumerate_pairs(g, cls, CooccurrenceScheme(2, ordered=True), require_coverage=False)
+    sample = enumerate_pairs(g, cls, CooccurrenceScheme(2, ordered=True))
     labels = CooccurrenceScheme(2, ordered=True).category_labels()
     assert sample.category_counts[0].tolist() == [0, 1, 0, 0]
     assert labels[1] == (1, 2)  # left pixel first
     g2 = _grid(2, 1, 2, [2, 1])
-    sample2 = enumerate_pairs(g2, cls, CooccurrenceScheme(2, ordered=True), require_coverage=False)
+    sample2 = enumerate_pairs(g2, cls, CooccurrenceScheme(2, ordered=True))
     assert labels[sample2.category_counts[0].argmax()] == (2, 1)  # top pixel first
 
 
 def test_coverage_enforcement():
     g = _chessboard(4)
+    for breaks in ((0.0, 1.0), (1.0, 5.0), (0.5, 4.0)):
+        with pytest.raises(CoverageError):
+            enumerate_pairs(g, DistanceClassification(breaks), CooccurrenceScheme(2))
     with pytest.raises(CoverageError):
-        enumerate_pairs(g, DistanceClassification((0.0, 1.0)), CooccurrenceScheme(2))
-    sample = enumerate_pairs(
-        g, DistanceClassification((0.0, 1.0)), CooccurrenceScheme(2), require_coverage=False
-    )
-    assert sample.total_pairs == 24  # contiguous pairs only
+        enumerate_pairs_bruteforce(g, DistanceClassification((0.0, 1.0)), CooccurrenceScheme(2))
+    sample = enumerate_pairs(g, DistanceClassification((0.0, 1.0, 5.0)), CooccurrenceScheme(2))
+    assert sample.coarsen(DistanceClassification((0.0, 1.0))).total_pairs == 24  # contiguous
 
 
 def test_scheme_must_cover_grid_categories():
@@ -199,6 +201,27 @@ def test_tabulate_within_distance_one():
     pmf = tabulate_within(g, 1.0, CooccurrenceScheme(2))
     # 12 contiguous pairs on a 3x3 board, all mixed
     assert pmf.prob_of((1, 2)) == 1.0
+    with pytest.raises(ValueError, match=r"no pixel pairs at distance <= 0\.5"):
+        tabulate_within(g, 0.5, CooccurrenceScheme(2))
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            tabulate_within(g, bad, CooccurrenceScheme(2))
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("rows,cols,cats", [(1, 7, 2), (6, 1, 3), (9, 13, 5), (20, 20, 2)])
+@pytest.mark.parametrize("distance", [1.0, 1.5, 2.0, 3.0, 7.5, 100.0])
+def test_tabulate_within_equals_a_single_band_tally(rows, cols, cats, distance, ordered):
+    values = np.random.default_rng(rows * cols).integers(1, cats + 1, size=rows * cols)
+    g = _grid(rows, cols, cats, values)
+    scheme = CooccurrenceScheme(cats, ordered=ordered)
+    # the oracle skips pairs beyond the band: the old cumulative tally
+    ref = enumerate_pairs_displacement(
+        g, DistanceClassification.single_band(distance), scheme, require_coverage=False
+    )
+    pmf = tabulate_within(g, distance, scheme)
+    assert pmf.labels == scheme.category_labels()
+    np.testing.assert_array_equal(pmf.probs, ref.category_counts[0] / ref.total_pairs)
 
 
 def test_pair_sample_csv_export():
@@ -243,16 +266,23 @@ band_breaks = st.none() | st.lists(
 ).map(sorted)
 
 
-def _tally_or_none(route, grid, breaks, scheme, require_coverage):
+def _tally_or_none(route, grid, breaks, scheme):
     cls = (
         DistanceClassification.default_for(grid)
         if breaks is None
         else DistanceClassification(tuple(breaks))
     )
     try:
-        return route(grid, cls, scheme, require_coverage=require_coverage)
+        return route(grid, cls, scheme)
     except CoverageError:
         return None
+
+
+def _covering(grid, breaks):
+    """The grid's default bands, or (0, window diagonal] split at the drawn breaks."""
+    if breaks is None:
+        return DistanceClassification.default_for(grid)
+    return DistanceClassification((0.0, window_diagonal(grid))).refined(breaks)
 
 
 def _assert_same_tally(fast, slow):
@@ -262,15 +292,16 @@ def _assert_same_tally(fast, slow):
         np.testing.assert_array_equal(fast.category_counts, slow.category_counts)
 
 
-@given(small_grids(), st.booleans(), band_breaks, st.booleans())
-@example(_grid(1, 7, 3, [1, 2, 3, 3, 2, 1, 1]), True, None, True)
-@example(_grid(6, 1, 2, [2, 1, 1, 2, 2, 1]), True, [0.5, 1.0, 2.5], False)
+@given(small_grids(), st.booleans(), band_breaks)
+@example(_grid(1, 7, 3, [1, 2, 3, 3, 2, 1, 1]), True, None)
+@example(_grid(6, 1, 2, [2, 1, 1, 2, 2, 1]), True, [0.5, 1.0, 5.5])
+@example(_grid(6, 1, 2, [2, 1, 1, 2, 2, 1]), True, [0.5, 1.0, 2.5])
 @settings(max_examples=120)
-def test_bruteforce_oracle_equality(grid, ordered, breaks, require_coverage):
+def test_bruteforce_oracle_equality(grid, ordered, breaks):
     scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
     _assert_same_tally(
-        _tally_or_none(enumerate_pairs, grid, breaks, scheme, require_coverage),
-        _tally_or_none(enumerate_pairs_bruteforce, grid, breaks, scheme, require_coverage),
+        _tally_or_none(enumerate_pairs, grid, breaks, scheme),
+        _tally_or_none(enumerate_pairs_bruteforce, grid, breaks, scheme),
     )
 
 
@@ -300,7 +331,7 @@ def test_displacement_oracle_equality(grid, ordered):
 @settings(max_examples=40)
 def test_band_totals_match_closed_form(grid, breaks):
     scheme = CooccurrenceScheme(grid.num_categories)
-    sample = _tally_or_none(enumerate_pairs, grid, breaks, scheme, False)
+    sample = enumerate_pairs(grid, _covering(grid, breaks), scheme)
     expected = np.zeros(sample.classification.num_bands, dtype=np.int64)
     for dr, dc in _displacements(grid.rows, grid.cols):
         k = sample.classification.band_index(math.sqrt(dr * dr + dc * dc))
@@ -314,8 +345,9 @@ def test_band_totals_match_closed_form(grid, breaks):
 @settings(max_examples=40)
 def test_ordered_table_folds_to_unordered(grid, breaks):
     i = grid.num_categories
-    ordered = _tally_or_none(enumerate_pairs, grid, breaks, CooccurrenceScheme(i, ordered=True), False)
-    unordered = _tally_or_none(enumerate_pairs, grid, breaks, CooccurrenceScheme(i), False)
+    cls = _covering(grid, breaks)
+    ordered = enumerate_pairs(grid, cls, CooccurrenceScheme(i, ordered=True))
+    unordered = enumerate_pairs(grid, cls, CooccurrenceScheme(i))
     table = ordered.category_counts.reshape(-1, i, i)
     upper = table + table.transpose(0, 2, 1)
     upper[:, np.arange(i), np.arange(i)] //= 2
@@ -396,10 +428,10 @@ def test_coarsened_and_folded_tally_equals_direct_tallies(case):
     _assert_same_tally(tally.coarsen(coarse), enumerate_pairs(grid, coarse, ordered))
     _assert_same_tally(tally.coarsen(coarse).fold(), enumerate_pairs(grid, coarse, unordered))
     _assert_same_tally(tally.fold(), enumerate_pairs(grid, fine, unordered))
-    # a sub-range keeps only its own pairs, as a tally without coverage does
+    # a sub-range keeps only its own pairs: the oracle skips the others
     sub = DistanceClassification(fine.breaks[:2])
     _assert_same_tally(
-        tally.coarsen(sub), enumerate_pairs(grid, sub, ordered, require_coverage=False)
+        tally.coarsen(sub), enumerate_pairs_displacement(grid, sub, ordered, require_coverage=False)
     )
 
 
