@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .classic import (
     karlstrom_entropy,
 )
 from .cooccur import (
+    BandGeometry,
     CooccurrenceScheme,
     DistanceClassification,
     conditional_pmfs,
@@ -174,6 +176,19 @@ def _partition_seed_arg(text: str):
 # ---------------------------------------------------------------------------
 # measurement core shared by `measure` and `experiment`
 
+def _pair_bands(grid, measures, classification, leibovici_distance):
+    """(decomposition bands, contiguity distance) of the pair measures of a grid.
+
+    The decomposition or shannon_z uses ``classification`` when given; any
+    other request gets the grid's default bands.  The contiguity distance
+    is the Leibovici distance when ``leibovici`` is requested, else 1.
+    """
+    wants_dec = "shannon_z" in measures or "decomposition" in measures
+    cls = (classification if wants_dec else None) or DistanceClassification.default_for(grid)
+    d = checked_leibovici_distance(leibovici_distance) if "leibovici" in measures else 1.0
+    return cls, d
+
+
 def _measure_rows(
     grid,
     measures,
@@ -184,16 +199,17 @@ def _measure_rows(
     target_category: int = 1,
     karlstrom_nb=(),
     leibovici_distance: float = 2.0,
+    geometry=None,
 ):
     """(measure, band, value) rows for one grid, in canonical measure order.
 
     Every pair-based measure comes from one ordered tally of the grid over
     the decomposition's bands, split further at distance 1 and at the
-    Leibovici distance: the decomposition takes its bands back (folded to
-    unordered codes unless ``ordered``), the contiguity indices pool the
-    leading bands.  ``classification`` must cover the grid when the
-    decomposition or shannon_z is requested; the other measures use the
-    grid's default bands.
+    Leibovici distance (see ``_pair_bands``): the decomposition takes its
+    bands back (folded to unordered codes unless ``ordered``), the
+    contiguity indices pool the leading bands.  ``classification`` must
+    cover the grid when the decomposition or shannon_z is requested.
+    ``geometry``, when given, is the ``BandGeometry`` of that tally.
 
     Batty and Karlstrom rows are NaN when the target category is absent from
     the grid (the area probabilities are then undefined).
@@ -204,10 +220,9 @@ def _measure_rows(
     wants_dec = "shannon_z" in measures or "decomposition" in measures
     contiguity = [m for m in CONTIGUITY_INDICES if m in measures]
     if wants_dec or contiguity:
-        cls = (classification if wants_dec else None) or DistanceClassification.default_for(grid)
-        d = checked_leibovici_distance(leibovici_distance) if "leibovici" in measures else 1.0
+        cls, d = _pair_bands(grid, measures, classification, leibovici_distance)
         scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
-        tally = enumerate_pairs(grid, cls.refined((1.0, d)), scheme)
+        tally = enumerate_pairs(grid, cls.refined((1.0, d)), scheme, geometry=geometry)
         if wants_dec:
             sample = tally.coarsen(cls)
             dec = decompose_sample(sample if ordered else sample.fold())
@@ -353,12 +368,22 @@ def _cmd_experiment(args) -> int:
                 ",".join(bad),
             )
             return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # the plan is checked before any replicate runs: each entry by simgen's
+    # rules, the bands by the tally geometry that every replicate shares
+    specs = {
+        (kind, cats): ScenarioSpec(kind, args.rows, args.cols, cats)
+        for kind, cats in args.scenarios
+    }
     dummy = CategoricalGrid(
         args.rows, args.cols, 1, np.ones(args.rows * args.cols, dtype=np.int64)
     )
     cls = args.bands or DistanceClassification.default_for(dummy)
+    geometry = None
+    if {"shannon_z", "decomposition", *CONTIGUITY_INDICES}.intersection(args.measures):
+        tallied, d = _pair_bands(dummy, args.measures, cls, args.leibovici_distance)
+        geometry = BandGeometry(args.rows, args.cols, tallied.refined((1.0, d)))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     partition = None
     karl = ()
@@ -386,13 +411,10 @@ def _cmd_experiment(args) -> int:
                 selected = tuple(m for m in selected if m not in area_measures)
             # one failing replicate is reported and skipped, the others are written
             try:
-                spec = ScenarioSpec(
-                    kind,
-                    args.rows,
-                    args.cols,
-                    cats,
-                    "uniform" if uflag else "dirichlet",
-                    replicate_seed(args.seed, kind, cats, rep),
+                spec = replace(
+                    specs[kind, cats],
+                    pmf_source="uniform" if uflag else "dirichlet",
+                    seed=replicate_seed(args.seed, kind, cats, rep),
                 )
                 rows = _measure_rows(
                     generate(spec),
@@ -402,6 +424,7 @@ def _cmd_experiment(args) -> int:
                     target_category=1,
                     karlstrom_nb=karl if cats == 2 else (),
                     leibovici_distance=args.leibovici_distance,
+                    geometry=geometry,
                 )
             except Exception as exc:
                 log.error(

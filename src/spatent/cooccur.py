@@ -26,12 +26,19 @@ Parseval turns the band sum into one spectral inner product,
 with F_a the spectrum of category a, G_k that of band k's 0/1 displacement
 mask and w_f the Hermitian weight of the half spectrum.  One real GEMM per
 band yields the whole I x I table; no inverse transform is needed.  With P
-= p1 * p2 ~ 4N and nb bands, cost is O(nb * I * P log P) for the transforms
-plus nb GEMMs of O(I^2 * P), against O(N^2) pair visits.  Memory stays near
-I * N complex values: only the R non-zero rows are row-transformed, the
-column transforms are finished one block at a time as the GEMM consumes
-them (and redone per band rather than stored), and one band plane is reused
-across bands.
+= p1 * p2 ~ 4N and nb bands, cost is O((I + nb) * P log P) for the
+transforms plus nb GEMMs of O(I^2 * P), against O(N^2) pair visits.
+
+Everything that depends only on the grid shape and the bands is a
+``BandGeometry``: the band of every displacement (a narrow integer map; no
+float distance plane outlives band assignment), the closed-form band
+totals, and each G_k after its row transform, kept only for the rows dr =
+0 .. (largest dr in band k), a few rows for every band but the outermost,
+and scaled by w.  A batch of same-shape grids shares one.  Memory stays
+near I * N complex values: only the R non-zero rows of each category are
+row-transformed, and the column transforms are finished one column block
+at a time, each category's block once, then each band's block in turn as
+its GEMM consumes it.
 
 The sums are rounded to int64 and checked twice (``_exact_counts``): each
 must lie within 0.25 of its integer, and each band's counts must add up to
@@ -63,7 +70,7 @@ from .prob import JointPmf, Pmf
 _UINT63_MAX = 2**63 - 1
 # an FFT pair sum further than this from its integer is a numerical fault
 _ROUNDING_TOL = 0.25
-# bytes of category spectra finished per column block and consumed by one GEMM
+# bytes of category spectra finished per column block, consumed by one GEMM per band
 _BLOCK_BYTES = 1 << 18
 
 
@@ -298,35 +305,75 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _band_plane(rows, cols, p2, classification):
-    """Band of every displacement, laid out as the transposed band mask plane.
+def _band_map(rows, cols, p2, classification):
+    """Band of every displacement, as a narrow integer map, and each band's pair total.
 
-    Entry [dc mod p2, dr] holds the 0-based band of displacement (dr, dc),
-    or -1 where (dr, dc) links no pixel to a later row-major pixel; a
-    linking displacement whose distance has no band raises CoverageError.
-    Also returns each band's closed-form pair total, the sum of (rows - dr)
-    * (cols - |dc|) over its displacements.  Distances and band edges follow
+    Entry [dc mod p2, dr] of the (p2, rows) map holds the 0-based band of
+    displacement (dr, dc), or -1 where (dr, dc) links no pixel to a later
+    row-major pixel; a linking displacement whose distance has no band
+    raises CoverageError.  A band's pair total is the sum of (rows - dr) *
+    (cols - |dc|) over its displacements.  Distance is even in dc, so it is
+    computed once per (|dc|, dr); distances and band edges follow
     ``DistanceClassification.band_index`` exactly.
     """
-    dr = np.arange(rows)
-    dc = np.arange(p2)[:, None]
-    dc = np.where(dc < cols, dc, dc - p2)
-    reach = (dc > -cols) & ((dr > 0) | (dc > 0))
+    nb = classification.num_bands
     breaks = np.asarray(classification.breaks)
-    dist = np.sqrt((dr * dr + dc * dc).astype(np.float64))
-    inside = (dist > breaks[0]) & (dist <= breaks[-1])
-    if np.any(reach & ~inside):
-        j, i = np.argwhere(reach & ~inside)[0]
-        raise CoverageError(
-            f"distance {dist[j, i]:.6g} of displacement ({i}, {dc[j, 0]}) has no band"
-        )
-    band = np.searchsorted(breaks, dist, side="left") - 1
-    band[~reach] = -1
-    pairs = (rows - dr) * (cols - np.abs(dc))
-    totals = np.bincount(
-        band.ravel() + 1, weights=pairs.ravel(), minlength=classification.num_bands + 1
-    )
+    dc = np.arange(cols)[:, None]
+    dr = np.arange(rows)
+    dist = np.sqrt((dc * dc + dr * dr).astype(np.float64))
+    outside = (dist <= breaks[0]) | (dist > breaks[-1])
+    outside[0, 0] = False  # the zero displacement pairs no pixels
+    if np.any(outside):
+        j, i = np.argwhere(outside)[0]
+        raise CoverageError(f"distance {dist[j, i]:.6g} of displacement ({i}, {j}) has no band")
+    half = (np.searchsorted(breaks, dist, side="left") - 1).astype(np.min_scalar_type(-nb))
+    del dist, outside  # no float plane outlives band assignment
+    # (dr, dc) and (dr, -dc) both link pixels when dr > 0; at dr = 0 only dc > 0 does
+    links = (rows - dr) * (cols - dc) * (np.where(dc > 0, 2, 1) - (dr == 0))
+    totals = np.bincount(half.ravel() + 1, weights=links.ravel(), minlength=nb + 1)
+    band = np.full((p2, rows), -1, dtype=half.dtype)
+    band[:cols] = half
+    band[p2 - cols + 1:] = half[:0:-1]
+    band[p2 - cols + 1:, 0] = -1
     return band, totals[1:].astype(np.int64)
+
+
+class BandGeometry:
+    """Everything of a tally that depends only on the grid shape and the bands.
+
+    ``totals[k]`` is band k's closed-form pair total, and ``spectra[k]`` its
+    displacement mask after stage one of the 2-D transform: the row rfft of
+    the mask's rows dr = 0 .. (the largest dr in band k), scaled by the
+    Parseval weight, or None for a band no displacement reaches.  One
+    geometry serves every grid of its shape tallied over its classification.
+    """
+
+    def __init__(self, rows: int, cols: int, classification: DistanceClassification):
+        if rows < 1 or cols < 1:
+            raise ValueError("grid dimensions must be positive")
+        self.rows, self.cols, self.classification = rows, cols, classification
+        # circular correlation on p1 x p2 equals the linear one: no wrap-around
+        self.p1, self.p2 = _fast_length(2 * rows - 1), _fast_length(2 * cols - 1)
+        band, self.totals = _band_map(rows, cols, self.p2, classification)
+        self.totals.flags.writeable = False
+        # Parseval over the half spectrum: columns with a mirror image count twice
+        weight = np.full((self.p2 // 2 + 1, 1), 2.0 / (self.p1 * self.p2))
+        weight[0] /= 2.0
+        if self.p2 % 2 == 0:
+            weight[-1] /= 2.0
+        spectra = []
+        for k in range(classification.num_bands):
+            mask = band == k
+            reached = np.flatnonzero(mask.any(axis=0))
+            if reached.size == 0:
+                spectra.append(None)
+                continue
+            # np.fft is loaded on first access, which keeps it out of import time
+            s = np.fft.rfft(mask[:, : reached[-1] + 1], axis=0)
+            s *= weight
+            s.flags.writeable = False
+            spectra.append(s)
+        self.spectra = tuple(spectra)
 
 
 def _exact_counts(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -349,24 +396,12 @@ def _exact_counts(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _block_sum(spectra, band_spectrum, weight, p1):
-    """(I, I) sums Re sum_f w_f conj(F_a) F_b conj(G) over one column block.
-
-    Finishes the column transforms of the block's stage-one spectra, then
-    takes the sum as one real GEMM on (re, im) pairs.  The block's arrays
-    are freed on return, before the next block is transformed.
-    """
-    g = np.fft.fft(band_spectrum, n=p1, axis=1)
-    f = np.fft.fft(spectra, n=p1, axis=2)
-    t = f * (g.conj() * weight)
-    ni = len(f)
-    return f.reshape(ni, -1).view(np.float64) @ t.reshape(ni, -1).view(np.float64).T
-
-
 def enumerate_pairs(
     grid: CategoricalGrid,
     classification: DistanceClassification,
     scheme: CooccurrenceScheme,
+    *,
+    geometry: BandGeometry | None = None,
 ) -> PairSample:
     """Tally every unordered pixel pair by distance band and pair category.
 
@@ -374,52 +409,55 @@ def enumerate_pairs(
     category tuple is read from the row-major-first pixel.  A pair whose
     distance has no band raises CoverageError.  Counts are the FFT band
     sums of the module docstring; sums that fail its exactness checks raise
-    ConsistencyError.
+    ConsistencyError.  ``geometry``, when given, must have been built for
+    the grid's shape and ``classification`` (ValueError otherwise); it
+    saves rebuilding the band spectra for every grid of a batch.
     """
     if scheme.num_x_categories < grid.num_categories:
         raise ValueError("scheme has fewer categories than the grid")
     if grid.size < 2:
         raise ValueError("need at least two pixels to form a pair")
-
     rows, cols = grid.rows, grid.cols
+    if geometry is None:
+        geometry = BandGeometry(rows, cols, classification)
+    elif (geometry.rows, geometry.cols, geometry.classification) != (rows, cols, classification):
+        raise ValueError(
+            f"geometry of a {geometry.rows}x{geometry.cols} grid over bands "
+            f"{geometry.classification.breaks} does not fit a {rows}x{cols} grid "
+            f"over bands {classification.breaks}"
+        )
+
     nb = classification.num_bands
-    # circular correlation on p1 x p2 equals the linear one: no wrap-around
-    p1, p2 = _fast_length(2 * rows - 1), _fast_length(2 * cols - 1)
-    h2 = p2 // 2 + 1
-    band, totals = _band_plane(rows, cols, p2, classification)
+    p1, h2 = geometry.p1, geometry.p2 // 2 + 1
     m0 = grid.matrix - 1
     present = np.flatnonzero(np.bincount(m0.ravel()))
     ni = len(present)
     # stage one of each 2-D transform: row rfft of the `rows` non-zero rows,
-    # stored column-major so that stage two runs along contiguous memory.
-    # np.fft is loaded on first access, which keeps it out of import time.
+    # stored column-major so that stage two runs along contiguous memory
     spectra = np.empty((ni, h2, rows), dtype=np.complex128)
     for i, a in enumerate(present):
-        np.fft.rfft(m0.T == a, n=p2, axis=0, out=spectra[i])
-    # Parseval over the half spectrum: columns with a mirror image count twice
-    weight = np.full((h2, 1), 2.0 / (p1 * p2))
-    weight[0] /= 2.0
-    if p2 % 2 == 0:
-        weight[-1] /= 2.0
+        np.fft.rfft(m0.T == a, n=geometry.p2, axis=0, out=spectra[i])
+    bands = [(k, s) for k, s in enumerate(geometry.spectra) if s is not None]
 
-    plane = np.empty((p2, rows))
-    plane_spectrum = np.empty((h2, rows), dtype=np.complex128)
+    # stage two, one column block at a time: each category block is finished
+    # once, then every band's block, each band feeding one real GEMM on
+    # (re, im) pairs; a block's arrays are freed before the next is made
     step = max(1, _BLOCK_BYTES // (16 * ni * p1))
     sums = np.zeros((nb, ni, ni))
-    for k in range(nb):
-        if totals[k] == 0:
-            continue
-        np.equal(band, k, out=plane)
-        np.fft.rfft(plane, axis=0, out=plane_spectrum)
-        for j in range(0, h2, step):
-            cut = slice(j, j + step)
-            sums[k] += _block_sum(spectra[:, cut], plane_spectrum[cut], weight[cut], p1)
+    for j in range(0, h2, step):
+        cut = slice(j, j + step)
+        f = np.fft.fft(spectra[:, cut], n=p1, axis=2)
+        fr = f.reshape(ni, -1).view(np.float64)
+        for k, s in bands:
+            g = np.fft.fft(s[cut], n=p1, axis=1)
+            t = f * np.conjugate(g, out=g)
+            sums[k] += fr @ t.reshape(ni, -1).view(np.float64).T
 
-    exact = _exact_counts(sums, totals)
+    exact = _exact_counts(sums, geometry.totals)
     counts = np.zeros((nb, scheme.num_z_categories), dtype=np.int64)
     codes = scheme.pair_code_table()[np.ix_(present, present)]
     np.add.at(counts.T, codes.ravel(), exact.reshape(nb, -1).T)
-    return PairSample(scheme, classification, totals, counts)
+    return PairSample(scheme, classification, geometry.totals, counts)
 
 
 def enumerate_pairs_bruteforce(

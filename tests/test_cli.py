@@ -551,6 +551,61 @@ def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
     assert (out / "results_long.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            "--scenarios multicluster:2 --rows 4 --cols 4 --measures decomposition",
+            "multicluster needs at least 5 rows and 5 columns",
+        ),
+        (
+            "--bands 0,1,2 --rows 6 --cols 6 --scenarios random:2 --measures decomposition",
+            "distance 3 of displacement (3, 0) has no band",
+        ),
+    ],
+    ids=["multicluster-too-small", "uncovered-bands"],
+)
+def test_experiment_checks_the_plan_before_any_replicate(
+    tmp_path, monkeypatch, caplog, argv, message
+):
+    drawn = []
+    monkeypatch.setattr(cli, "generate", drawn.append)
+    out = tmp_path / "plan"
+    with caplog.at_level(logging.ERROR, logger="spatent"):
+        assert main(["experiment", *argv.split(), "--out", str(out)]) == 2
+    assert drawn == []
+    assert not (out / "results_long.csv").exists()
+    assert [r.getMessage() for r in caplog.records] == [f"error: {message}"]
+
+
+def test_experiment_checks_bands_only_for_the_decomposition(tmp_path):
+    # the contiguity indices tally the grid's default bands, not --bands
+    out = tmp_path / "oneill"
+    argv = "--bands 0,1,2 --rows 6 --cols 6 --scenarios random:2 --measures oneill --replicates 1"
+    assert main(["experiment", *argv.split(), "--out", str(out)]) == 0
+    rows = (out / "results_long.csv").read_text().splitlines()
+    assert [r.split(",")[3] for r in rows[1:]] == ["oneill", "oneill"]
+
+
+def test_experiment_shares_one_geometry_across_replicates(tmp_path, monkeypatch):
+    seen = []
+
+    def recording(grid, classification, scheme, *, geometry=None):
+        seen.append((classification, geometry))
+        return enumerate_pairs(grid, classification, scheme, geometry=geometry)
+
+    monkeypatch.setattr(cli, "enumerate_pairs", recording)
+    out = tmp_path / "shared"
+    argv = EXP_ARGS.format(workers=1, out=out) + " --leibovici-distance 3.5"
+    assert main(argv.split()) == 0
+    assert len(seen) == 6
+    geometry = seen[0][1]
+    assert all(g is geometry for _, g in seen)
+    # the default bands of a 10x10 grid, split further at the Leibovici distance
+    assert geometry.classification.breaks == (0.0, 1.0, 2.0, 3.5, 5.0, 10.0, math.hypot(10, 10))
+    assert all(cls == geometry.classification for cls, _ in seen)
+
+
 def test_experiment_isolates_a_failed_replicate(tmp_path, monkeypatch, caplog):
     full = _run_experiment(tmp_path, "full", 1)
     real_generate = cli.generate

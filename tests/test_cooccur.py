@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from spatent import (
     tabulate_within,
     window_diagonal,
 )
-from spatent.cooccur import _exact_counts
+from spatent.cooccur import BandGeometry, _exact_counts
 
 
 def _grid(rows, cols, cats, values):
@@ -447,3 +448,103 @@ def test_refined_adds_only_inner_breaks():
     cls = DistanceClassification((0.5, 2.0, 5.0))
     assert cls.refined((1.0, 2.0, 5.0, 7.0, 0.25)).breaks == (0.5, 1.0, 2.0, 5.0)
     assert cls.refined(()).breaks == cls.breaks
+
+
+# --------------------------------------------------------------------------
+# one band geometry serves every grid of its shape and bands
+
+def _awkward_bands(rows, cols, *extra):
+    """(0, window diagonal] split where row supports are awkward: at 1.5; at
+    sqrt(2) and sqrt(5), equal to the distances of (1, 1) and (1, 2); at
+    rows - 1; and around (1.5, 1.55], a band no displacement reaches."""
+    breaks = (math.sqrt(2), 1.5, 1.55, math.sqrt(5), rows - 1, *extra)
+    return DistanceClassification((0.0, math.hypot(rows, cols))).refined(breaks)
+
+
+def _last_rows(rows, cols, cls):
+    """Per band, the largest dr among its displacements, or -1 when it has none."""
+    last = [-1] * cls.num_bands
+    for dr, dc in _displacements(rows, cols):
+        k = cls.band_index(math.sqrt(dr * dr + dc * dc))
+        last[k] = max(last[k], dr)
+    return last
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 8), (8, 1), (2, 2), (3, 8), (5, 7), (8, 8)])
+@pytest.mark.parametrize("ordered", [False, True])
+def test_reused_geometry_equals_bruteforce(rows, cols, ordered):
+    cls = _awkward_bands(rows, cols)
+    geometry = BandGeometry(rows, cols, cls)
+    rng = np.random.default_rng(rows * 10 + cols)
+    for cats in (1, 2, 5, 20):
+        scheme = CooccurrenceScheme(cats, ordered=ordered)
+        for _ in range(2):
+            values = rng.integers(1, cats + 1, size=rows * cols)
+            grid = _grid(rows, cols, cats, values)
+            _assert_same_tally(
+                enumerate_pairs(grid, cls, scheme, geometry=geometry),
+                enumerate_pairs_bruteforce(grid, cls, scheme),
+            )
+
+
+@pytest.mark.parametrize("cats", [1, 2, 5, 20])
+@pytest.mark.parametrize("ordered", [False, True])
+def test_reused_geometry_equals_the_displacement_oracle(cats, ordered):
+    rows, cols = 37, 29
+    cls = _awkward_bands(rows, cols, 10.0, 20.0)
+    geometry = BandGeometry(rows, cols, cls)
+    scheme = CooccurrenceScheme(cats, ordered=ordered)
+    rng = np.random.default_rng(cats)
+    values = rng.integers(1, cats + 1, size=rows * cols)
+    # a random map, the same mix sorted into blocks, and a map missing category 1
+    for v in (values, np.sort(values), np.maximum(values, min(2, cats))):
+        grid = _grid(rows, cols, cats, v)
+        _assert_same_tally(
+            enumerate_pairs(grid, cls, scheme, geometry=geometry),
+            enumerate_pairs_displacement(grid, cls, scheme),
+        )
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 8), (8, 1), (5, 7), (9, 6), (37, 29)])
+def test_band_spectra_keep_the_rows_their_band_reaches(rows, cols):
+    cls = _awkward_bands(rows, cols)
+    geometry = BandGeometry(rows, cols, cls)
+    kept = [0 if s is None else s.shape[1] for s in geometry.spectra]
+    assert kept == [last + 1 for last in _last_rows(rows, cols, cls)]
+    assert 0 in kept  # the band (1.5, 1.55]
+    assert [s is None for s in geometry.spectra] == [t == 0 for t in geometry.totals]
+
+
+def test_geometry_must_fit_the_grid_and_bands():
+    grid = _chessboard(6)
+    cls = DistanceClassification.default_for(grid)
+    scheme = CooccurrenceScheme(2, ordered=True)
+    for wrong in (
+        BandGeometry(6, 7, cls),
+        BandGeometry(7, 6, cls),
+        BandGeometry(6, 6, cls.refined((1.5,))),
+    ):
+        with pytest.raises(ValueError, match="geometry of a"):
+            enumerate_pairs(grid, cls, scheme, geometry=wrong)
+    _assert_same_tally(
+        enumerate_pairs(grid, cls, scheme, geometry=BandGeometry(6, 6, cls)),
+        enumerate_pairs(grid, cls, scheme),
+    )
+    with pytest.raises(CoverageError, match="has no band"):
+        BandGeometry(6, 6, DistanceClassification((0, 1, 2)))
+
+
+def test_tally_peak_allocation_stays_bounded():
+    # the tally that finished every category's column blocks once per band,
+    # over a float distance plane, peaked at 4,303,232 traced bytes here
+    grid = _grid(200, 200, 2, np.random.default_rng(1).integers(1, 3, size=40000))
+    cls = DistanceClassification.default_for(grid)
+    scheme = CooccurrenceScheme(2, ordered=True)
+    enumerate_pairs(grid, cls, scheme)  # loads np.fft outside the trace
+    tracemalloc.start()
+    try:
+        enumerate_pairs(grid, cls, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_303_232
