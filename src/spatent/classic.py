@@ -24,7 +24,7 @@ import numpy as np
 from .cooccur import CooccurrenceScheme, DistanceClassification, tabulate_within
 from .errors import ConsistencyError
 from .lattice import AreaPartition, CategoricalGrid
-from .prob import Pmf, shannon
+from .prob import _plogp
 
 
 @dataclass(frozen=True)
@@ -160,25 +160,25 @@ def karlstrom_entropy(ap: AreaProbabilities, nb: AreaNeighbourhood) -> float:
 CONTIGUITY_INDICES = ("oneill", "leibovici", "rc", "parresol")
 
 
-def contiguity_index(name: str, pairs: Pmf) -> float:
-    """One contiguity-based index from the pair pmf it is defined on.
+def contiguity_index(name: str, probs: np.ndarray) -> float:
+    """One contiguity-based index from the pair-category law it is defined on.
 
-    ``pairs`` is the pmf of pair categories at distance (0, 1] (rook
-    contiguity) for ``"oneill"``, ``"rc"`` and ``"parresol"``, and at
-    distance (0, d] for ``"leibovici"``; the pair coding is ordered except
-    for the unordered contagion variant.  O'Neill and Leibovici are its
-    Shannon entropy H, Parresol-Edwards is -H, and the relative contagion
-    is 1 - H / log(number of pair categories).
+    ``probs``, taken as valid, is the pmf of pair categories at distance
+    (0, 1] (rook contiguity) for ``"oneill"``, ``"rc"`` and ``"parresol"``,
+    and at (0, d] for ``"leibovici"``; the pair coding is ordered except for
+    the unordered contagion variant.  O'Neill and Leibovici are its Shannon
+    entropy H, Parresol-Edwards is -H, and the relative contagion is
+    1 - H / log(number of pair categories).
     """
-    h = shannon(pairs)
+    h = _plogp(probs)
     if name in ("oneill", "leibovici"):
         return h
     if name == "parresol":
         return -h
     if name == "rc":
-        if len(pairs) < 2:
+        if probs.size < 2:
             raise ValueError("contagion needs at least two categories")
-        return 1.0 - h / math.log(len(pairs))
+        return 1.0 - h / math.log(probs.size)
     raise ValueError(f"unknown contiguity index {name!r}")
 
 
@@ -199,7 +199,7 @@ def oneill_entropy(grid: CategoricalGrid) -> float:
     Contiguous means centroid distance in (0, 1], i.e. rook adjacency; the
     range is [0, 2 log(I)].
     """
-    return contiguity_index("oneill", tabulate_within(grid, 1.0, _ordered(grid)))
+    return contiguity_index("oneill", tabulate_within(grid, 1.0, _ordered(grid)).probs)
 
 
 def leibovici_entropy(grid: CategoricalGrid, max_distance: float) -> float:
@@ -208,7 +208,7 @@ def leibovici_entropy(grid: CategoricalGrid, max_distance: float) -> float:
     At max_distance = 1 it coincides with O'Neill's entropy by construction.
     """
     d = checked_leibovici_distance(max_distance)
-    return contiguity_index("leibovici", tabulate_within(grid, d, _ordered(grid)))
+    return contiguity_index("leibovici", tabulate_within(grid, d, _ordered(grid)).probs)
 
 
 def relative_contagion(grid: CategoricalGrid, *, ordered: bool = True) -> float:
@@ -219,9 +219,9 @@ def relative_contagion(grid: CategoricalGrid, *, ordered: bool = True) -> float:
     unordered category count (I^2 + I) / 2.
     """
     scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
-    return contiguity_index("rc", tabulate_within(grid, 1.0, scheme))
+    return contiguity_index("rc", tabulate_within(grid, 1.0, scheme).probs)
 
 
 def parresol_edwards_entropy(grid: CategoricalGrid) -> float:
     """Parresol-Edwards form: the negated O'Neill entropy."""
-    return contiguity_index("parresol", tabulate_within(grid, 1.0, _ordered(grid)))
+    return contiguity_index("parresol", tabulate_within(grid, 1.0, _ordered(grid)).probs)

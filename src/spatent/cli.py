@@ -44,9 +44,11 @@ from .cooccur import (
     conditional_pmfs,
     enumerate_pairs,
     enumerate_pairs_bruteforce,
+    fold_counts,
 )
 from .decomp import (
     MI_AGREEMENT_TOL,
+    decompose_counts,
     decompose_distributions,
     decompose_sample,
     identity_residuals,
@@ -223,12 +225,16 @@ def _measure_rows(
         cls, d = _pair_bands(grid, measures, classification, leibovici_distance)
         scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
         tally = enumerate_pairs(grid, cls.refined((1.0, d)), scheme, geometry=geometry)
+        # pairs up to each decomposition break, then up to 1 and up to d
+        within = tally.cumulative(cls.breaks + (1.0, min(d, cls.breaks[-1])))
         if wants_dec:
-            sample = tally.coarsen(cls)
-            dec = decompose_sample(sample if ordered else sample.fold())
+            counts = np.diff(within[:-2], axis=0)
+            if not ordered:
+                counts = fold_counts(counts, grid.num_categories)
+            dec = decompose_counts(counts, cls.labels)
         if contiguity:
-            near = tally.within(1.0)
-            pairs = {m: tally.within(d) if m == "leibovici" else near for m in contiguity}
+            near, far = within[-2] / within[-2].sum(), within[-1] / within[-1].sum()
+            pairs = {m: far if m == "leibovici" else near for m in contiguity}
 
     area_probs = None
     if "batty" in measures or "karlstrom" in measures:
@@ -442,19 +448,27 @@ def _cmd_experiment(args) -> int:
                 else:
                     ensemble.setdefault(key, []).append(value)
 
+    # keys with equally many non-NaN values share one quantile call; each
+    # key's array replaces its list of floats, and the quantile partitions
+    # its stacked copy in place, so the summary adds little memory
+    groups: dict = {}
+    for key, values in ensemble.items():
+        arr = np.asarray(values, dtype=np.float64)
+        ensemble[key] = arr = arr[~np.isnan(arr)]
+        groups.setdefault(arr.size, []).append(key)
+    quants = dict.fromkeys(ensemble, (math.nan,) * 5)
+    for size, keys in groups.items():
+        if size:
+            table = np.array([ensemble[k] for k in keys])
+            table = np.quantile(table, (0.0, 0.25, 0.5, 0.75, 1.0), axis=1, overwrite_input=True)
+            quants.update(zip(keys, table.T))
     summary_path = out / "summary.csv"
     with open(summary_path, "w", encoding="ascii") as fh:
         fh.write("scenario,measure,band,min,q1,median,q3,max,uniform\n")
-        for key, values in ensemble.items():
-            arr = np.asarray(values, dtype=np.float64)
-            arr = arr[~np.isnan(arr)]
-            if arr.size:
-                quants = np.quantile(arr, (0.0, 0.25, 0.5, 0.75, 1.0))
-            else:
-                quants = (math.nan,) * 5
+        for key in ensemble:
             star = uniform_values.get(key, math.nan)
             label, m, band = key
-            cells = [label, m, band] + [_fmt(v) for v in quants] + [_fmt(star)]
+            cells = [label, m, band] + [_fmt(v) for v in quants[key]] + [_fmt(star)]
             fh.write(",".join(cells) + "\n")
 
     plan_doc = {
@@ -465,7 +479,8 @@ def _cmd_experiment(args) -> int:
         "cols": args.cols,
         "master_seed": args.seed,
         "measures": list(args.measures),
-        "bands": list(cls.breaks),
+        # the bands only where the decomposition tallies them
+        "bands": list(cls.breaks) if {"shannon_z", "decomposition"} & set(args.measures) else None,
         "areas": args.areas if partition is not None else None,
         "uniform_case": not args.skip_uniform,
     }

@@ -9,9 +9,10 @@ with the distance class of the pixel pair.  This module owns
 * the enumeration of all N(N-1)/2 unordered pixel pairs of a grid.
 
 One ordered tally over fine enough bands holds every other tally of the same
-grid: ``PairSample.coarsen`` sums adjacent bands into any classification
-whose breaks it shares, and ``PairSample.fold`` adds (a, b) to (b, a) for
-the unordered coding.  Both are exact integer sums.
+grid: ``PairSample.cumulative`` runs one sum over its bands, so the pairs
+between any two of its breaks are a difference of two rows, and
+``fold_counts`` adds (a, b) to (b, a) for the unordered coding.  Both are
+exact integer sums.
 
 Enumeration never materializes the pair list.  For categories a and b, the
 number of ordered pairs (a at x, b at x + d) at displacement d is the
@@ -40,11 +41,13 @@ row-transformed, and the column transforms are finished one column block
 at a time, each category's block once, then each band's block in turn as
 its GEMM consumes it.
 
-The sums are rounded to int64 and checked twice (``_exact_counts``): each
-must lie within 0.25 of its integer, and each band's counts must add up to
-its closed-form pair total sum (R - dr)(C - |dc|).  A miss raises
-ConsistencyError.  Band assignment uses the float rule of
-``DistanceClassification.band_index`` exactly.
+The sums are rounded to int64 and checked (``_exact_counts``): each must
+lie within 0.25 of its integer and round to a count >= 0, and each band's
+counts must add up to its closed-form pair total sum (R - dr)(C - |dc|).
+A miss raises ConsistencyError.  So every table derived from a tally holds
+valid frequencies, and the decomposition and the contiguity indices read
+them without building a validated pmf.  Band assignment uses the float
+rule of ``DistanceClassification.band_index`` exactly.
 
 ``enumerate_pairs_bruteforce`` is the independent O(N^2) reference
 implementation used to verify the FFT route on small grids, in the test
@@ -56,7 +59,6 @@ the reference on mid-size grids.  The routes must never be merged.
 from __future__ import annotations
 
 import bisect
-import io
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
@@ -222,6 +224,8 @@ class PairSample:
             raise ValueError("pair_counts shape does not match classification")
         if np.any(c.sum(axis=1) != q):
             raise ValueError("per-band category counts do not sum to pair counts")
+        if np.any(c < 0):
+            raise ValueError("category counts must be non-negative")
         q.flags.writeable = False
         c.flags.writeable = False
         object.__setattr__(self, "pair_counts", q)
@@ -231,62 +235,32 @@ class PairSample:
     def total_pairs(self) -> int:
         return int(self.pair_counts.sum())
 
-    def pooled_category_counts(self) -> np.ndarray:
-        return self.category_counts.sum(axis=0)
+    def cumulative(self, breaks) -> np.ndarray:
+        """Pair-category counts of the pairs at distance <= each break, one row each.
 
-    def coarsen(self, classification: DistanceClassification) -> "PairSample":
-        """The tally over a sub-classification, by summing adjacent bands.
-
-        Every break of ``classification`` must be a break of this tally, so
-        each of its bands is a run of consecutive bands here.  Bands outside
-        its outer breaks are dropped.
+        Every break must be a break of this tally.  Rows come from one
+        running sum over the bands, so the pairs between two breaks are the
+        difference of their rows, and the first break's row is all zero.
         """
         position = {b: i for i, b in enumerate(self.classification.breaks)}
-        missing = [b for b in classification.breaks if b not in position]
+        missing = [b for b in breaks if b not in position]
         if missing:
             raise ValueError(f"breaks {missing} are not breaks of this tally")
-        at = [position[b] for b in classification.breaks]
         cumulative = np.zeros((len(position), self.scheme.num_z_categories), dtype=np.int64)
         np.cumsum(self.category_counts, axis=0, out=cumulative[1:])
-        counts = cumulative[at[1:]] - cumulative[at[:-1]]
-        return PairSample(self.scheme, classification, counts.sum(axis=1), counts)
+        return cumulative[[position[b] for b in breaks]]
 
-    def within(self, distance: float) -> Pmf:
-        """Pmf of the pair categories of all pairs at distance <= ``distance``.
+def fold_counts(counts: np.ndarray, num_x_categories: int) -> np.ndarray:
+    """Unordered pair-category counts from ordered ones, along the last axis.
 
-        ``distance`` is one of the tally's breaks or at least its last one,
-        so the pairs are exactly those of its leading bands, pooled.
-        """
-        lo, hi = self.classification.breaks[0], self.classification.breaks[-1]
-        near = self.coarsen(DistanceClassification((lo, min(distance, hi))))
-        if near.total_pairs == 0:
-            raise ValueError(f"no pixel pairs at distance <= {distance}")
-        return Pmf.from_counts(self.scheme.category_labels(), near.pooled_category_counts())
-
-    def fold(self) -> "PairSample":
-        """The unordered tally: ordered codes (a, b) and (b, a) added together."""
-        if not self.scheme.ordered:
-            return self
-        scheme = CooccurrenceScheme(self.scheme.num_x_categories)
-        counts = np.zeros((self.classification.num_bands, scheme.num_z_categories), dtype=np.int64)
-        np.add.at(counts.T, scheme.pair_code_table().ravel(), self.category_counts.T)
-        return PairSample(scheme, self.classification, self.pair_counts, counts)
-
-    def to_csv(self, path_or_buf) -> None:
-        """Write rows 'band,z_category,count' covering every cell of the table."""
-        labels = self.scheme.category_labels()
-        buf = io.StringIO()
-        buf.write("band,z_category,count\n")
-        for k, band in enumerate(self.classification.labels):
-            for r, lab in enumerate(labels):
-                z = "-".join(str(x) for x in lab)
-                buf.write(f"{band},{z},{int(self.category_counts[k, r])}\n")
-        text = buf.getvalue()
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(text)
-        else:
-            with open(path_or_buf, "w", encoding="ascii") as fh:
-                fh.write(text)
+    Unordered code (a, b), a <= b, counts ordered codes (a, b) and (b, a),
+    once on the diagonal; the codes come in ``category_labels`` order.
+    """
+    i = num_x_categories
+    # the pairs a <= b in row-major order; row a starts at code a (2i - a + 1) / 2
+    a = np.repeat(np.arange(i), np.arange(i, 0, -1))
+    b = np.arange(a.size) - a * (2 * i - a + 1) // 2 + a
+    return counts[..., a * i + b] + counts[..., b * i + a] * (a != b)
 
 
 def _fast_length(n: int) -> int:
@@ -377,17 +351,20 @@ class BandGeometry:
 
 
 def _exact_counts(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Round per-band FFT pair sums to int64, checked two ways.
+    """Round per-band FFT pair sums to int64, checked three ways.
 
     ``sums`` has one leading axis per band.  A sum further than
-    ``_ROUNDING_TOL`` from its integer, or a band whose rounded counts do not
-    add up to its closed-form pair total, raises ConsistencyError.
+    ``_ROUNDING_TOL`` from its integer, a negative rounded count, or a band
+    whose rounded counts do not add up to its closed-form pair total raises
+    ConsistencyError.
     """
     counts = np.rint(sums)
     worst = float(np.max(np.abs(sums - counts), initial=0.0))
     if worst > _ROUNDING_TOL:
         raise ConsistencyError(f"FFT pair sum lies {worst:.3g} from the nearest integer")
     counts = counts.astype(np.int64)
+    if np.any(counts < 0):
+        raise ConsistencyError(f"FFT pair sum rounds to the negative count {counts.min()}")
     got = counts.reshape(len(totals), -1).sum(axis=1)
     if np.any(got != totals):
         raise ConsistencyError(
@@ -453,10 +430,12 @@ def enumerate_pairs(
             t = f * np.conjugate(g, out=g)
             sums[k] += fr @ t.reshape(ni, -1).view(np.float64).T
 
-    exact = _exact_counts(sums, geometry.totals)
-    counts = np.zeros((nb, scheme.num_z_categories), dtype=np.int64)
-    codes = scheme.pair_code_table()[np.ix_(present, present)]
-    np.add.at(counts.T, codes.ravel(), exact.reshape(nb, -1).T)
+    i = scheme.num_x_categories
+    counts = np.zeros((nb, i, i), dtype=np.int64)
+    counts[:, present[:, None], present] = _exact_counts(sums, geometry.totals)
+    counts = counts.reshape(nb, i * i)
+    if not scheme.ordered:
+        counts = fold_counts(counts, i)
     return PairSample(scheme, classification, geometry.totals, counts)
 
 
@@ -500,12 +479,15 @@ def tabulate_within(
 ) -> Pmf:
     """Pmf of pair categories over all pairs at distance in (0, max_distance].
 
-    One tally over (0, window diagonal], split at ``max_distance`` and
-    pooled by ``PairSample.within``.
+    One tally over (0, window diagonal], split at ``max_distance``: its
+    first band holds exactly those pairs.
     """
     d = DistanceClassification.single_band(max_distance).breaks[-1]
     whole = DistanceClassification((0.0, window_diagonal(grid)))
-    return enumerate_pairs(grid, whole.refined((d,)), scheme).within(d)
+    near = enumerate_pairs(grid, whole.refined((d,)), scheme).category_counts[0]
+    if not near.any():
+        raise ValueError(f"no pixel pairs at distance <= {d}")
+    return Pmf.from_counts(scheme.category_labels(), near)
 
 
 @dataclass(frozen=True)
@@ -534,7 +516,7 @@ def conditional_pmfs(sample: PairSample) -> PairDistributions:
     z_labels = sample.scheme.category_labels()
 
     p_w = Pmf(band_labels, q / total)
-    p_z = Pmf(z_labels, sample.pooled_category_counts() / total)
+    p_z = Pmf(z_labels, sample.category_counts.sum(axis=0) / total)
     conditionals = tuple(
         Pmf(z_labels, sample.category_counts[k] / q[k]) if q[k] > 0 else None
         for k in range(len(band_labels))

@@ -35,18 +35,11 @@ from .cooccur import (
     DistanceClassification,
     PairDistributions,
     PairSample,
-    conditional_pmfs,
     enumerate_pairs,
 )
 from .errors import ConsistencyError
 from .lattice import CategoricalGrid
-from .prob import (
-    JointPmf,
-    joint_entropy,
-    kl_divergence,
-    mutual_information,
-    shannon,
-)
+from .prob import JointPmf, _kl, _plogp, mutual_information
 
 MI_AGREEMENT_TOL = 1e-10
 
@@ -132,49 +125,43 @@ class EntropyDecomposition:
         return buf.getvalue()
 
 
-def decompose_distributions(
-    dists: PairDistributions, pair_counts: Sequence[int]
-) -> EntropyDecomposition:
-    """Decomposition from already-estimated pair distributions.
+def _laws_of(dists: PairDistributions) -> tuple:
+    """(p_w, p_z, conds, joint) arrays of ``dists``; an empty band's conditional is zero."""
+    p_z = dists.p_z.probs
+    conds = np.array([np.zeros_like(p_z) if c is None else c.probs for c in dists.conditionals])
+    return dists.p_w.probs, p_z, conds, dists.joint.probs
 
-    ``pair_counts`` supplies the per-band pair counts Q_k for the report;
-    frequencies alone carry no sample size.  Raises ConsistencyError,
-    naming the worst identity, when any of ``identity_residuals`` exceeds
-    MI_AGREEMENT_TOL.
+
+def _decompose(p_w, p_z, conds, joint, labels, pair_counts) -> EntropyDecomposition:
+    """Every term from the estimated laws, returned only if all ``_residuals`` hold.
+
+    ``p_w`` (nb,), ``p_z`` (nz,), ``conds`` (nb, nz) with a zero row for
+    each band of zero weight, and ``joint`` the C-contiguous (nz, nb) pair
+    category x band table.
     """
-    p_w = dists.p_w
-    p_z = dists.p_z
-    h_z = shannon(p_z)
-
-    bands = []
-    for k, (label, cond) in enumerate(zip(p_w.labels, dists.conditionals)):
-        if cond is None:
-            bands.append(BandDecomposition(label, 0.0, int(pair_counts[k]), 0.0, 0.0, empty=True))
-        else:
-            bands.append(
-                BandDecomposition(
-                    label,
-                    float(p_w.probs[k]),
-                    int(pair_counts[k]),
-                    shannon(cond),
-                    kl_divergence(cond, p_z),
-                )
-            )
+    h_z = _plogp(p_z)
+    bands = tuple(
+        BandDecomposition(
+            label, float(p_w[k]), int(pair_counts[k]), _plogp(conds[k]), _kl(conds[k], p_z)
+        )
+        if p_w[k] > 0.0
+        else BandDecomposition(label, 0.0, int(pair_counts[k]), 0.0, 0.0, empty=True)
+        for k, label in enumerate(labels)
+    )
     partials = np.array([b.residual_partial for b in bands])
-    mi = mutual_information(dists.joint)
+    mi = mutual_information(joint)
     degenerate = h_z == 0.0
     dec = EntropyDecomposition(
         marginal=h_z,
-        residual_global=float(np.dot(p_w.probs, partials)),
+        residual_global=float(np.dot(p_w, partials)),
         mutual_information=mi,
         mi_proportional=0.0 if degenerate else mi / h_z,
-        bands=tuple(bands),
+        bands=bands,
         degenerate=degenerate,
     )
 
-    failed = {
-        name: r for name, r in identity_residuals(dists, dec).items() if not r <= MI_AGREEMENT_TOL
-    }
+    residuals = _residuals(p_w, p_z, conds, joint, dec)
+    failed = {name: r for name, r in residuals.items() if not r <= MI_AGREEMENT_TOL}
     if failed:
         worst = max(failed, key=failed.get)
         raise ConsistencyError(
@@ -182,6 +169,50 @@ def decompose_distributions(
             f"(tolerance {MI_AGREEMENT_TOL:g}); failing: {', '.join(failed)}"
         )
     return dec
+
+
+def _residuals(p_w, p_z, conds, joint, dec: EntropyDecomposition) -> dict[str, float]:
+    weights = np.array([b.p_w for b in dec.bands])
+    infos = np.array([b.info_partial for b in dec.bands])
+    partials = np.array([b.residual_partial for b in dec.bands])
+    h_z_given_w = _plogp(joint.ravel()) - _plogp(p_w)
+    mass = np.concatenate(([p_w.sum(), p_z.sum()], conds[p_w > 0.0].sum(axis=1)))
+    return {
+        "pmf-mass": float(np.abs(mass - 1.0).max()),
+        "mixture-consistency": float(np.max(np.abs(p_w @ conds - p_z))),
+        "entropy-split": abs(dec.marginal - dec.mutual_information - dec.residual_global),
+        "mi-dual-route": abs(dec.mutual_information - (dec.marginal - h_z_given_w)),
+        "mi-aggregation": abs(dec.mutual_information - float(np.dot(weights, infos))),
+        "residual-aggregation": abs(dec.residual_global - float(np.dot(weights, partials))),
+    }
+
+
+def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
+    """Decomposition of a (num_bands, num_z_categories) int64 pair-count table.
+
+    ``labels`` names the bands.  The laws are relative frequencies: p(w_k)
+    = Q_k / Q, p(Z) the pooled counts over Q, p(Z | w_k) band k's counts
+    over Q_k.  Raises ConsistencyError, naming the worst identity, when any
+    of ``identity_residuals`` exceeds MI_AGREEMENT_TOL.
+    """
+    q = counts.sum(axis=1)
+    total = int(q.sum())
+    if total == 0:
+        raise ValueError("sample contains no pairs")
+    conds = counts / np.maximum(q, 1)[:, None]  # an empty band's row stays zero
+    joint = np.ascontiguousarray(counts.T) / total
+    return _decompose(q / total, counts.sum(axis=0) / total, conds, joint, labels, q)
+
+
+def decompose_distributions(
+    dists: PairDistributions, pair_counts: Sequence[int]
+) -> EntropyDecomposition:
+    """Decomposition from already-estimated pair distributions.
+
+    ``pair_counts`` supplies the per-band pair counts Q_k for the report;
+    frequencies alone carry no sample size.  Checked as ``decompose_counts``.
+    """
+    return _decompose(*_laws_of(dists), dists.p_w.labels, pair_counts)
 
 
 def identity_residuals(
@@ -199,25 +230,7 @@ def identity_residuals(
     The dual route needs no empty-band case: H(Z, W) - H(W) is H(Z | W)
     with zero-mass bands contributing nothing.
     """
-    p_w = dists.p_w.probs
-    p_z = dists.p_z.probs
-    conds = np.array(
-        [np.zeros_like(p_z) if c is None else c.probs for c in dists.conditionals]
-    )
-    filled = [c is not None for c in dists.conditionals]
-    weights = np.array([b.p_w for b in dec.bands])
-    infos = np.array([b.info_partial for b in dec.bands])
-    partials = np.array([b.residual_partial for b in dec.bands])
-    h_z_given_w = joint_entropy(dists.joint) - shannon(dists.p_w)
-    mass = np.abs(np.concatenate(([p_w.sum(), p_z.sum()], conds[filled].sum(axis=1))) - 1.0)
-    return {
-        "pmf-mass": float(mass.max()),
-        "mixture-consistency": float(np.max(np.abs(p_w @ conds - p_z))),
-        "entropy-split": abs(dec.marginal - dec.mutual_information - dec.residual_global),
-        "mi-dual-route": abs(dec.mutual_information - (dec.marginal - h_z_given_w)),
-        "mi-aggregation": abs(dec.mutual_information - float(np.dot(weights, infos))),
-        "residual-aggregation": abs(dec.residual_global - float(np.dot(weights, partials))),
-    }
+    return _residuals(*_laws_of(dists), dec)
 
 
 def decompose(
@@ -239,5 +252,4 @@ def decompose(
 
 def decompose_sample(sample: PairSample) -> EntropyDecomposition:
     """Decomposition of a pair tally over its own bands and pair coding."""
-    dists = conditional_pmfs(sample)
-    return decompose_distributions(dists, pair_counts=sample.pair_counts)
+    return decompose_counts(sample.category_counts, sample.classification.labels)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Final
 
 import numpy as np
@@ -131,7 +132,11 @@ class AreaPartition:
         return self._sizes
 
     def centroids(self) -> np.ndarray:
-        """(G, 2) array of area centroids (mean pixel centroid per area)."""
+        """(G, 2) area centroids (mean pixel centroid per area), computed once, read-only."""
+        return self._centroids
+
+    @cached_property
+    def _centroids(self) -> np.ndarray:
         n = self.rows * self.cols
         r = np.arange(n) // self.cols + 0.5
         c = np.arange(n) % self.cols + 0.5
@@ -140,6 +145,7 @@ class AreaPartition:
             mask = self.assignment == g + 1
             out[g, 0] = r[mask].mean()
             out[g, 1] = c[mask].mean()
+        out.flags.writeable = False
         return out
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -91,9 +90,6 @@ class Pmf:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def prob_of(self, label) -> float:
-        return float(self.probs[self.labels.index(label)])
-
 
 def as_pmf(p) -> Pmf:
     """Coerce a Pmf, or any probability sequence, into a Pmf.
@@ -144,13 +140,18 @@ def kl_divergence(p, q) -> float:
     pp, qq = as_pmf(p), as_pmf(q)
     if pp.labels != qq.labels:
         raise ValueError("kl_divergence: label sets differ")
-    mask = pp.probs > 0.0
-    if np.any(qq.probs[mask] <= 0.0):
+    return _kl(pp.probs, qq.probs)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    """KL(p || q) of two aligned probability vectors, checked only for support."""
+    mask = p > 0.0
+    if np.any(q[mask] <= 0.0):
         raise AbsoluteContinuityError(
             "kl_divergence: support(p) not contained in support(q)"
         )
-    pm = pp.probs[mask]
-    return float((pm * np.log(pm / qq.probs[mask])).sum())
+    pm = p[mask]
+    return float((pm * np.log(pm / q[mask])).sum())
 
 
 @dataclass(frozen=True)
@@ -168,30 +169,15 @@ class JointPmf:
     def __post_init__(self) -> None:
         row_labels = tuple(self.row_labels)
         col_labels = tuple(self.col_labels)
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.ndim != 2:
-            raise InvalidDistributionError("JointPmf: probs must be a matrix")
+        p = np.array(self.probs, dtype=np.float64, order="C")  # a row-major copy
         if p.shape != (len(row_labels), len(col_labels)):
             raise InvalidDistributionError(
                 f"JointPmf: shape {p.shape} does not match labels "
                 f"({len(row_labels)}, {len(col_labels)})"
             )
-        if np.any(p < 0.0):
-            raise InvalidDistributionError("JointPmf: negative probability entry")
-        mass = float(p.sum())
-        if abs(mass - 1.0) > MASS_TOLERANCE:
-            raise InvalidDistributionError(f"JointPmf: total mass {mass!r} is not 1")
-        p = p.copy()
-        p.flags.writeable = False
         object.__setattr__(self, "row_labels", row_labels)
         object.__setattr__(self, "col_labels", col_labels)
-        object.__setattr__(self, "probs", p)
-
-    def row_marginal(self) -> Pmf:
-        return Pmf(self.row_labels, self.probs.sum(axis=1))
-
-    def col_marginal(self) -> Pmf:
-        return Pmf(self.col_labels, self.probs.sum(axis=0))
+        object.__setattr__(self, "probs", _validated_probs(p, "JointPmf").reshape(p.shape))
 
 
 def joint_entropy(joint: JointPmf) -> float:
@@ -227,14 +213,15 @@ def conditional_entropy(joint: JointPmf, conditioning: str = "cols") -> float:
     return float(total)
 
 
-def mutual_information(joint: JointPmf) -> float:
+def mutual_information(joint) -> float:
     """Mutual information MI(X,Y) = KL(joint || product of marginals).
 
     Computed directly as sum over positive cells of
     p(x,y) log(p(x,y) / (p(x) p(y))).  Wherever p(x,y) > 0 the marginal
-    product is positive too, so the divergence always exists.
+    product is positive too, so the divergence always exists.  ``joint`` is
+    a JointPmf, or a probability matrix that the caller has already checked.
     """
-    p = joint.probs
+    p = joint.probs if isinstance(joint, JointPmf) else joint
     r = p.sum(axis=1)
     c = p.sum(axis=0)
     prod = np.outer(r, c)

@@ -129,13 +129,6 @@ def arrange_compact(spec: ScenarioSpec, counts) -> CategoricalGrid:
     return CategoricalGrid(spec.rows, spec.cols, spec.num_categories, out)
 
 
-def _accrete_disc(cells: np.ndarray, centre: tuple, size: int) -> np.ndarray:
-    """First ``size`` cells by centroid distance to ``centre`` (stable ties)."""
-    d2 = (cells[:, 0] + 0.5 - centre[0]) ** 2 + (cells[:, 1] + 0.5 - centre[1]) ** 2
-    order = np.argsort(d2, kind="stable")
-    return cells[order[:size]]
-
-
 def arrange_repulsive(spec: ScenarioSpec, counts) -> CategoricalGrid:
     """Alternating pattern: perfect chessboard bent to the drawn counts.
 
@@ -161,8 +154,9 @@ def arrange_repulsive(spec: ScenarioSpec, counts) -> CategoricalGrid:
         else:
             flip_cells = np.argwhere(parity == 0)
             new_value = 2
-        centre = (rng.uniform(0.0, rows), rng.uniform(0.0, cols))
-        chosen = _accrete_disc(flip_cells, centre, abs(surplus))
+        centre = np.array([[rng.uniform(0.0, rows)], [rng.uniform(0.0, cols)]])
+        r, c = flip_cells.T + 0.5 - centre  # from each cell's centroid; ties stay stable
+        chosen = flip_cells[np.argsort(r * r + c * c, kind="stable")[: abs(surplus)]]
         m[chosen[:, 0], chosen[:, 1]] = new_value
 
         noise = int(round(REPULSIVE_NOISE_RATIO * abs(surplus)))
@@ -175,10 +169,6 @@ def arrange_repulsive(spec: ScenarioSpec, counts) -> CategoricalGrid:
             m[o[:, 0], o[:, 1]] = 2
             m[t[:, 0], t[:, 1]] = 1
     return CategoricalGrid(rows, cols, 2, m.ravel())
-
-
-def _block_edges(n: int, blocks: int) -> np.ndarray:
-    return np.linspace(0, n, blocks + 1).astype(np.int64)
 
 
 def arrange_multicluster(spec: ScenarioSpec, counts) -> CategoricalGrid:
@@ -204,31 +194,34 @@ def arrange_multicluster(spec: ScenarioSpec, counts) -> CategoricalGrid:
     if rem:
         sizes[rng.choice(NUM_CLUSTERS, size=rem, replace=False)] += 1
 
-    m = np.full((rows, cols), background, dtype=np.int64)
-    r_edges = _block_edges(rows, 5)
-    c_edges = _block_edges(cols, 5)
-    uniform = spec.pmf_source == "uniform"
-    block = 0
-    for i in range(5):
-        for j in range(5):
-            r0, r1 = int(r_edges[i]), int(r_edges[i + 1])
-            c0, c1_ = int(c_edges[j]), int(c_edges[j + 1])
-            size = int(sizes[block])
-            block += 1
-            if size == 0:
-                continue
-            if size > (r1 - r0) * (c1_ - c0):
-                raise ValueError("cluster does not fit its mosaic block")
-            if uniform:
-                centre = ((r0 + r1) / 2.0, (c0 + c1_) / 2.0)
-            else:
-                centre = (rng.uniform(r0, r1), rng.uniform(c0, c1_))
-            cells = np.argwhere(np.ones((r1 - r0, c1_ - c0), dtype=bool))
-            cells[:, 0] += r0
-            cells[:, 1] += c0
-            chosen = _accrete_disc(cells, centre, size)
-            m[chosen[:, 0], chosen[:, 1]] = cluster_cat
-    return CategoricalGrid(rows, cols, 2, m.ravel())
+    # block b = 5 i + j of the mosaic: rows r_edges[i]..r_edges[i+1], likewise columns
+    r_edges, c_edges = (np.linspace(0, n, 6).astype(np.int64) for n in (rows, cols))
+    bi, bj = np.divmod(np.arange(NUM_CLUSTERS), 5)
+    lo = np.stack([r_edges[bi], c_edges[bj]], axis=1)
+    hi = np.stack([r_edges[bi + 1], c_edges[bj + 1]], axis=1)
+    if np.any(sizes > np.prod(hi - lo, axis=1)):
+        raise ValueError("cluster does not fit its mosaic block")
+    if spec.pmf_source == "uniform":
+        centres = (lo + hi) / 2.0
+    else:
+        # one draw per non-empty block, in block order: row, then column
+        centres = np.zeros((NUM_CLUSTERS, 2))
+        full = sizes > 0
+        centres[full] = rng.uniform(lo[full], hi[full])
+
+    # every pixel's block and squared distance to its block's centre, row-major
+    r, c = np.divmod(np.arange(spec.size), cols)
+    block = (np.searchsorted(r_edges, r, side="right") - 1) * 5
+    block += np.searchsorted(c_edges, c, side="right") - 1
+    d2 = (r + 0.5 - centres[block, 0]) ** 2 + (c + 0.5 - centres[block, 1]) ** 2
+    # nearest-to-centre accretion in every block at once: the sort is stable,
+    # so ties keep row-major order, which within a block is its own row-major order
+    order = np.lexsort((d2, block))
+    ranked = block[order]
+    rank = np.arange(spec.size) - np.searchsorted(ranked, ranked)
+    m = np.full(spec.size, background, dtype=np.int64)
+    m[order[rank < sizes[ranked]]] = cluster_cat
+    return CategoricalGrid(rows, cols, 2, m)
 
 
 _ARRANGERS = {

@@ -7,6 +7,7 @@ import pytest
 
 from spatent import (
     AreaNeighbourhood,
+    AreaPartition,
     AreaProbabilities,
     CategoricalGrid,
     UNIFORM_PARTITION,
@@ -228,3 +229,14 @@ def test_parresol_is_negated_oneill():
     g = _grid(15, 15, 5, rng.integers(1, 6, size=225))
     assert parresol_edwards_entropy(g) == pytest.approx(-oneill_entropy(g), abs=1e-15)
     assert parresol_edwards_entropy(g) <= 0.0
+
+
+def test_neighbourhoods_reuse_the_partition_centroids():
+    grid = _grid(50, 50, 2, np.ones(2500))
+    part = partition_window(grid, 100, 17)
+    cached = [build_area_neighbourhood(part, d) for d in (0.0, 2.0, 5.0, 10.0)]
+    assert part.centroids() is part.centroids()
+    assert not part.centroids().flags.writeable
+    for d, nb in zip((0.0, 2.0, 5.0, 10.0), cached):
+        fresh = AreaPartition(part.rows, part.cols, part.num_areas, part.assignment)
+        assert np.array_equal(build_area_neighbourhood(fresh, d).weights, nb.weights)

@@ -654,3 +654,49 @@ def test_import_loads_no_fft_and_no_thread_pool():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_experiment_summary_groups_keys_by_value_count(tmp_path, monkeypatch):
+    # keys with 0, 5 and some other count of non-NaN values over 5 replicates;
+    # three decimals survive the 12-digit CSV round trip exactly
+    drawn = iter(np.random.default_rng(5).random(1000).round(3))
+
+    def fake_rows(grid, selected, **kwargs):
+        rep = next(drawn)
+        return [
+            ("a", "", next(drawn)),
+            ("b", "w1", next(drawn) if rep < 0.6 else math.nan),
+            ("c", "", math.nan),
+            ("d", "", next(drawn)),
+        ]
+
+    monkeypatch.setattr(cli, "_measure_rows", fake_rows)
+    out = tmp_path / "grouped"
+    argv = "--scenarios random:2,compact:2 --rows 6 --cols 6 --replicates 5 --skip-uniform"
+    assert main(["experiment", *argv.split(), "--measures", "shannon_x", "--out", str(out)]) == 0
+    values: dict = {}
+    for line in (out / "results_long.csv").read_text().splitlines()[1:]:
+        label, _, _, m, band, v = line.split(",")
+        values.setdefault((label, m, band), []).append(float(v))
+    lines = (out / "summary.csv").read_text().splitlines()[1:]
+    assert [tuple(line.split(",")[:3]) for line in lines] == list(values)
+    sizes = set()
+    for line, (key, vals) in zip(lines, values.items()):
+        arr = np.array(vals)
+        arr = arr[~np.isnan(arr)]
+        sizes.add(arr.size)
+        want = np.quantile(arr, (0.0, 0.25, 0.5, 0.75, 1.0)) if arr.size else [math.nan] * 5
+        assert line.split(",")[3:] == [cli._fmt(v) for v in want] + ["nan"]
+    assert {0, 5} < sizes and len(sizes) > 2
+
+
+@pytest.mark.parametrize(
+    "measures,recorded",
+    [("oneill", None), ("oneill,batty", None), ("decomposition", [0.0, 1.0, 9.0]),
+     ("shannon_z", [0.0, 1.0, 9.0])],
+)
+def test_experiment_plan_records_bands_only_when_tallied(tmp_path, measures, recorded):
+    out = tmp_path / "plan"
+    argv = "--bands 0,1,9 --rows 6 --cols 6 --scenarios random:2 --replicates 1 --areas 4"
+    assert main(["experiment", *argv.split(), "--measures", measures, "--out", str(out)]) == 0
+    assert json.loads((out / "plan.json").read_text())["bands"] == recorded

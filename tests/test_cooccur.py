@@ -1,6 +1,5 @@
 """Pair enumeration: schemes, distance bands, counts, oracle equivalence."""
 
-import io
 import math
 import tracemalloc
 
@@ -16,6 +15,7 @@ from spatent import (
     CooccurrenceScheme,
     CoverageError,
     DistanceClassification,
+    PairSample,
     conditional_pmfs,
     count_categories,
     enumerate_pairs,
@@ -23,7 +23,7 @@ from spatent import (
     tabulate_within,
     window_diagonal,
 )
-from spatent.cooccur import BandGeometry, _exact_counts
+from spatent.cooccur import BandGeometry, _exact_counts, fold_counts
 
 
 def _grid(rows, cols, cats, values):
@@ -188,7 +188,7 @@ def test_coverage_enforcement():
     with pytest.raises(CoverageError):
         enumerate_pairs_bruteforce(g, DistanceClassification((0.0, 1.0)), CooccurrenceScheme(2))
     sample = enumerate_pairs(g, DistanceClassification((0.0, 1.0, 5.0)), CooccurrenceScheme(2))
-    assert sample.coarsen(DistanceClassification((0.0, 1.0))).total_pairs == 24  # contiguous
+    assert sample.cumulative((1.0,)).sum() == 24  # contiguous
 
 
 def test_scheme_must_cover_grid_categories():
@@ -201,7 +201,7 @@ def test_tabulate_within_distance_one():
     g = _chessboard(3)
     pmf = tabulate_within(g, 1.0, CooccurrenceScheme(2))
     # 12 contiguous pairs on a 3x3 board, all mixed
-    assert pmf.prob_of((1, 2)) == 1.0
+    assert pmf.probs[pmf.labels.index((1, 2))] == 1.0
     with pytest.raises(ValueError, match=r"no pixel pairs at distance <= 0\.5"):
         tabulate_within(g, 0.5, CooccurrenceScheme(2))
     for bad in (0.0, -1.0, math.nan, math.inf):
@@ -223,18 +223,6 @@ def test_tabulate_within_equals_a_single_band_tally(rows, cols, cats, distance, 
     pmf = tabulate_within(g, distance, scheme)
     assert pmf.labels == scheme.category_labels()
     np.testing.assert_array_equal(pmf.probs, ref.category_counts[0] / ref.total_pairs)
-
-
-def test_pair_sample_csv_export():
-    g = _grid(2, 2, 2, [1, 2, 2, 1])
-    sample = enumerate_pairs(g, DistanceClassification.default_for(g), CooccurrenceScheme(2))
-    buf = io.StringIO()
-    sample.to_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "band,z_category,count"
-    assert lines[1] == "w1,1-1,0"
-    assert lines[2] == "w1,1-2,4"
-    assert len(lines) == 1 + 3 * 3
 
 
 # --------------------------------------------------------------------------
@@ -371,6 +359,32 @@ def test_total_guard_rejects_counts_off_the_closed_form():
         _exact_counts(sums, np.array([5]))
 
 
+def test_sign_guard_rejects_negative_counts():
+    # the band total holds (-1 + 3 = 2), so only the sign check can catch it
+    sums = np.array([[[-1.0, 3.0]], [[-0.2, 1.1]]])
+    with pytest.raises(ConsistencyError, match="negative count -1"):
+        _exact_counts(sums, np.array([2, 1]))
+    # a sum that rounds to zero from below is a count of zero
+    np.testing.assert_array_equal(_exact_counts(sums[1:], np.array([1])), [[[0, 1]]])
+
+
+def test_pair_sample_rejects_negative_counts():
+    scheme, bands = CooccurrenceScheme(2), DistanceClassification((0, 1))
+    with pytest.raises(ValueError, match="non-negative"):
+        PairSample(scheme, bands, np.array([1]), np.array([[2, -1, 0]]))
+
+
+@pytest.mark.parametrize("num_x", [1, 2, 3, 5, 20])
+def test_fold_counts_follows_the_unordered_codes(num_x):
+    ordered, unordered = CooccurrenceScheme(num_x, ordered=True), CooccurrenceScheme(num_x)
+    counts = np.random.default_rng(num_x).integers(0, 9, size=(3, num_x * num_x))
+    expected = np.zeros((3, unordered.num_z_categories), dtype=np.int64)
+    code = {lab: r for r, lab in enumerate(unordered.category_labels())}
+    for j, (a, b) in enumerate(ordered.category_labels()):
+        expected[:, code[min(a, b), max(a, b)]] += counts[:, j]
+    np.testing.assert_array_equal(fold_counts(counts, num_x), expected)
+
+
 @given(small_grids(max_cats=4))
 @settings(max_examples=40, deadline=None)
 def test_mixture_consistency_is_exact(grid):
@@ -384,15 +398,15 @@ def test_mixture_consistency_is_exact(grid):
     np.testing.assert_allclose(mix, dists.p_z.probs, rtol=0, atol=1e-15)
     # the joint table marginalizes back to p_w and p_z
     np.testing.assert_allclose(
-        dists.joint.col_marginal().probs, dists.p_w.probs, rtol=0, atol=1e-15
+        dists.joint.probs.sum(axis=0), dists.p_w.probs, rtol=0, atol=1e-15
     )
     np.testing.assert_allclose(
-        dists.joint.row_marginal().probs, dists.p_z.probs, rtol=0, atol=1e-15
+        dists.joint.probs.sum(axis=1), dists.p_z.probs, rtol=0, atol=1e-15
     )
 
 
 # --------------------------------------------------------------------------
-# one ordered tally, coarsened and folded, equals the direct tallies
+# one ordered tally, its bands summed and its codes folded, equals the direct tallies
 
 @st.composite
 def covered_grids(draw):
@@ -426,22 +440,30 @@ def test_coarsened_and_folded_tally_equals_direct_tallies(case):
     i = grid.num_categories
     ordered, unordered = CooccurrenceScheme(i, ordered=True), CooccurrenceScheme(i)
     tally = enumerate_pairs(grid, fine, ordered)
-    _assert_same_tally(tally.coarsen(coarse), enumerate_pairs(grid, coarse, ordered))
-    _assert_same_tally(tally.coarsen(coarse).fold(), enumerate_pairs(grid, coarse, unordered))
-    _assert_same_tally(tally.fold(), enumerate_pairs(grid, fine, unordered))
+    coarsened = np.diff(tally.cumulative(coarse.breaks), axis=0)
+    _assert_same_counts(coarsened, enumerate_pairs(grid, coarse, ordered))
+    _assert_same_counts(fold_counts(coarsened, i), enumerate_pairs(grid, coarse, unordered))
+    _assert_same_counts(fold_counts(tally.category_counts, i), enumerate_pairs(grid, fine, unordered))
     # a sub-range keeps only its own pairs: the oracle skips the others
     sub = DistanceClassification(fine.breaks[:2])
-    _assert_same_tally(
-        tally.coarsen(sub), enumerate_pairs_displacement(grid, sub, ordered, require_coverage=False)
+    _assert_same_counts(
+        np.diff(tally.cumulative(sub.breaks), axis=0),
+        enumerate_pairs_displacement(grid, sub, ordered, require_coverage=False),
     )
+
+
+def _assert_same_counts(counts, sample):
+    np.testing.assert_array_equal(counts, sample.category_counts)
+    np.testing.assert_array_equal(counts.sum(axis=1), sample.pair_counts)
 
 
 def test_coarsen_needs_breaks_of_the_tally():
     g = _chessboard(4)
     tally = enumerate_pairs(g, DistanceClassification((0, 1, 2, 5)), CooccurrenceScheme(2))
-    assert tally.fold() is tally
-    with pytest.raises(ValueError, match="not breaks of this tally"):
-        tally.coarsen(DistanceClassification((0, 1.5, 5)))
+    # nothing up to the first break, the 24 rook pairs up to 1, all 120 up to 5
+    np.testing.assert_array_equal(tally.cumulative((0, 1, 5)), [[0, 0, 0], [0, 24, 0], [28, 64, 28]])
+    with pytest.raises(ValueError, match=r"breaks \[1\.5\] are not breaks of this tally"):
+        tally.cumulative((0, 1.5, 5))
 
 
 def test_refined_adds_only_inner_breaks():

@@ -15,16 +15,20 @@ from spatent import (
     ConsistencyError,
     CooccurrenceScheme,
     DistanceClassification,
+    JointPmf,
     Pmf,
     conditional_pmfs,
     decompose,
     decompose_distributions,
     enumerate_pairs,
+    kl_divergence,
+    mutual_information,
+    shannon,
     write_grid,
     as_pmf,
 )
 from spatent import cli, decomp
-from spatent.decomp import identity_residuals
+from spatent.decomp import decompose_counts, decompose_sample, identity_residuals
 
 
 def _grid(rows, cols, cats, values):
@@ -271,3 +275,94 @@ def test_residual_never_exceeds_marginal(grid):
     assert dec.residual_global <= dec.marginal + 1e-10
     if not dec.degenerate:
         assert 0.0 <= dec.mi_proportional <= 1.0 + 1e-12
+
+
+# --------------------------------------------------------------------------
+# the array core against the route through validated pmfs
+
+def _pmf_route(counts, labels):
+    """Every term from validated Pmf/JointPmf objects and the prob functions."""
+    q = counts.sum(axis=1)
+    total = int(q.sum())
+    codes = tuple(range(counts.shape[1]))
+    p_w = Pmf(labels, q / total)
+    p_z = Pmf(codes, counts.sum(axis=0) / total)
+    conds = [Pmf(codes, counts[k] / q[k]) if q[k] else None for k in range(len(labels))]
+    partials = [0.0 if c is None else shannon(c) for c in conds]
+    infos = [0.0 if c is None else kl_divergence(c, p_z) for c in conds]
+    h_z = shannon(p_z)
+    mi = mutual_information(JointPmf(codes, labels, counts.T / total))
+    weights = [0.0 if c is None else float(p_w.probs[k]) for k, c in enumerate(conds)]
+    return {
+        "marginal": h_z,
+        "residual_global": float(np.dot(p_w.probs, np.array(partials))),
+        "mutual_information": mi,
+        "mi_proportional": 0.0 if h_z == 0.0 else mi / h_z,
+        "p_w": weights,
+        "residual_partial": partials,
+        "info_partial": infos,
+        "empty": [c is None for c in conds],
+    }
+
+
+def _terms(dec):
+    return {
+        "marginal": dec.marginal,
+        "residual_global": dec.residual_global,
+        "mutual_information": dec.mutual_information,
+        "mi_proportional": dec.mi_proportional,
+        "p_w": [b.p_w for b in dec.bands],
+        "residual_partial": [b.residual_partial for b in dec.bands],
+        "info_partial": [b.info_partial for b in dec.bands],
+        "empty": [b.empty for b in dec.bands],
+    }
+
+
+def _random_tables(rng, num_x, ordered):
+    nz = num_x * num_x if ordered else num_x * (num_x + 1) // 2
+    for nb in (1, 3, 7):
+        counts = rng.integers(0, 5000, size=(nb, nz))
+        yield counts
+        sparse = counts * (rng.random((nb, nz)) < 0.3)  # zero codes
+        sparse[:, 0] += 1
+        yield sparse
+        if nb > 1:
+            hollow = counts.copy()
+            hollow[rng.choice(nb, size=nb // 2 + 1, replace=False)] = 0  # empty bands
+            hollow[-1] += hollow.sum() == 0
+            yield hollow
+    yield np.eye(1, nz, nz - 1, dtype=np.int64) * 12  # one code only: H(Z) = 0
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("num_x", [2, 5, 20])
+def test_array_core_equals_the_pmf_route(num_x, ordered):
+    rng = np.random.default_rng(num_x * 2 + ordered)
+    for counts in _random_tables(rng, num_x, ordered):
+        labels = tuple(f"w{k + 1}" for k in range(counts.shape[0]))
+        dec = decompose_counts(counts, labels)
+        assert _terms(dec) == _pmf_route(counts, labels)
+        assert [b.pair_count for b in dec.bands] == counts.sum(axis=1).tolist()
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("num_x", [2, 5, 20])
+def test_every_entry_point_shares_the_core(num_x, ordered):
+    rng = np.random.default_rng(num_x)
+    # missing categories leave zero codes; the (2.5, 2.6] band holds no pair
+    values = rng.integers(1, num_x + 1, size=23 * 17)
+    values[values == num_x] = 1
+    g = _grid(23, 17, num_x, values)
+    bands = DistanceClassification((0.0, 1.0, 2.5, 2.6, 7.0, math.hypot(23, 17)))
+    sample = enumerate_pairs(g, bands, CooccurrenceScheme(num_x, ordered=ordered))
+    dec = decompose_sample(sample)
+    assert dec.band("w3").empty
+    assert _terms(dec) == _pmf_route(sample.category_counts, bands.labels)
+    dists = conditional_pmfs(sample)
+    assert decompose_distributions(dists, sample.pair_counts) == dec
+    assert max(identity_residuals(dists, dec).values()) <= decomp.MI_AGREEMENT_TOL
+
+
+def test_core_rejects_an_empty_table():
+    with pytest.raises(ValueError, match="no pairs"):
+        decompose_counts(np.zeros((2, 3), dtype=np.int64), ("w1", "w2"))

@@ -220,6 +220,62 @@ def test_multicluster_empty_minority_edge():
     assert (g.values == 2).all()
 
 
+def _multicluster_block_by_block(spec, counts):
+    """The arrangement drawn one block at a time: the reference for the vectorized one."""
+    c1 = int(counts[0])
+    cluster_cat = 1 if c1 <= spec.size - c1 else 2
+    rng = spec.rng(1)
+    base, rem = divmod(c1 if cluster_cat == 1 else spec.size - c1, 25)
+    sizes = np.full(25, base)
+    if rem:
+        sizes[rng.choice(25, size=rem, replace=False)] += 1
+    m = np.full((spec.rows, spec.cols), 3 - cluster_cat)
+    r_edges = np.linspace(0, spec.rows, 6).astype(np.int64)
+    c_edges = np.linspace(0, spec.cols, 6).astype(np.int64)
+    for b, size in enumerate(sizes):
+        (r0, r1), (c0, c1) = r_edges[b // 5 : b // 5 + 2], c_edges[b % 5 : b % 5 + 2]
+        if size == 0:
+            continue
+        if size > (r1 - r0) * (c1 - c0):
+            raise ValueError("cluster does not fit its mosaic block")
+        if spec.pmf_source == "uniform":
+            centre = ((r0 + r1) / 2.0, (c0 + c1) / 2.0)
+        else:
+            centre = (rng.uniform(r0, r1), rng.uniform(c0, c1))
+        cells = np.argwhere(np.ones((r1 - r0, c1 - c0), dtype=bool)) + (r0, c0)
+        d2 = (cells[:, 0] + 0.5 - centre[0]) ** 2 + (cells[:, 1] + 0.5 - centre[1]) ** 2
+        chosen = cells[np.argsort(d2, kind="stable")[:size]]
+        m[chosen[:, 0], chosen[:, 1]] = cluster_cat
+    return m.ravel()
+
+
+def _outcome(arrangement, spec, counts):
+    try:
+        return arrangement(spec, counts)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rows,cols", [(5, 5), (6, 9), (13, 11), (23, 37), (50, 50)])
+def test_multicluster_matches_the_block_by_block_arrangement(rows, cols):
+    rejected = 0
+    for seed in range(12):
+        for source in ("dirichlet", "uniform"):
+            if source == "uniform" and (rows * cols) % 2:
+                continue
+            spec = _spec("multicluster", 2, source, (seed, 2, 2, seed), rows, cols)
+            counts = draw_counts(spec)
+            got = _outcome(lambda s, c: arrange(s, c).values, spec, counts)
+            want = _outcome(_multicluster_block_by_block, spec, counts)
+            if isinstance(want, str):
+                assert got == want == "cluster does not fit its mosaic block"
+                rejected += 1
+            else:
+                np.testing.assert_array_equal(got, want)
+    # on 6 x 9 the one-cell blocks cannot hold a remainder cell on top of the base one
+    assert rejected > 0 if (rows, cols) == (6, 9) else rejected == 0
+
+
 def test_random_arrangement_varies_with_seed():
     counts = [1250, 1250]
     a = arrange(_spec("random", 2, seed=(1,)), counts)
