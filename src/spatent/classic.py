@@ -111,10 +111,6 @@ class AreaNeighbourhood:
     def num_areas(self) -> int:
         return self.weights.shape[0]
 
-    def neighbours_of(self, g: int) -> np.ndarray:
-        """0-based ids of the areas with positive weight from area g."""
-        return np.nonzero(self.weights[g] > 0.0)[0]
-
 
 def build_area_neighbourhood(
     partition: AreaPartition, distance: float

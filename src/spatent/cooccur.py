@@ -18,36 +18,46 @@ Enumeration never materializes the pair list.  For categories a and b, the
 number of ordered pairs (a at x, b at x + d) at displacement d is the
 cross-correlation of their indicator images, and a band's count is that
 correlation summed over the band's displacements d = (dr, dc), taken from
-the row-major-earlier pixel.  On a zero-padded p1 x p2 plane (2^a 3^b 5^c
-lengths of at least (2R - 1) x (2C - 1), so no correlation wraps around),
-Parseval turns the band sum into one spectral inner product,
+the row-major-earlier pixel.  Only the inner bands 0 .. nb-2 are summed
+this way.  Their displacements reach at most Dr rows and Dc columns, so
+on a zero-padded p1 x p2 plane (2^a 3^b 5^c lengths of at least (R + Dr)
+x (C + Dc)) no correlation they read wraps around, and Parseval turns the
+band sum into one spectral inner product,
 
     sum over band k of corr_ab(d) = (1/P) Re sum_f w_f conj(F_a) F_b conj(G_k),
 
 with F_a the spectrum of category a, G_k that of band k's 0/1 displacement
 mask and w_f the Hermitian weight of the half spectrum.  One real GEMM per
-band yields the whole I x I table; no inverse transform is needed.  With P
-= p1 * p2 ~ 4N and nb bands, cost is O((I + nb) * P log P) for the
-transforms plus nb GEMMs of O(I^2 * P), against O(N^2) pair visits.
+band yields the whole I x I table; no inverse transform is needed.  The
+outermost band, which ends at the window diagonal and holds most pairs of
+a large grid, is the exact integer difference of every ordered pair (a
+before b in row-major order, an O(N) prefix count per category) and the
+inner bands.  With P = p1 * p2 (80 x 80 for a 50 x 50 grid and 240 x 240
+for 200 x 200 with the default bands, at most ~4N) and nb bands, cost is
+O((I + nb) * P log P) for the transforms, nb - 1 GEMMs of O(I^2 * P) and
+O(I * N) for the prefix counts, against O(N^2) pair visits.  A one-band
+classification runs no FFT.
 
 Everything that depends only on the grid shape and the bands is a
 ``BandGeometry``: the band of every displacement (a narrow integer map; no
 float distance plane outlives band assignment), the closed-form band
-totals, and each G_k after its row transform, kept only for the rows dr =
-0 .. (largest dr in band k), a few rows for every band but the outermost,
-and scaled by w.  A batch of same-shape grids shares one.  Memory stays
-near I * N complex values: only the R non-zero rows of each category are
-row-transformed, and the column transforms are finished one column block
-at a time, each category's block once, then each band's block in turn as
-its GEMM consumes it.
+totals, the plane size, and each inner G_k after its row transform, kept
+only for the rows dr = 0 .. (largest dr in band k) and scaled by w.  A
+batch of same-shape grids shares one.  Memory stays near I * N complex
+values: only the R non-zero rows of each category are row-transformed,
+and the column transforms are finished one column block at a time, each
+category's block once, then each band's block in turn as its GEMM
+consumes it.
 
 The sums are rounded to int64 and checked (``_exact_counts``): each must
 lie within 0.25 of its integer and round to a count >= 0, and each band's
 counts must add up to its closed-form pair total sum (R - dr)(C - |dc|).
-A miss raises ConsistencyError.  So every table derived from a tally holds
-valid frequencies, and the decomposition and the contiguity indices read
-them without building a validated pmf.  Band assignment uses the float
-rule of ``DistanceClassification.band_index`` exactly.
+The outermost band's differences must be >= 0 and add up to its total too
+(``_complement_counts``).  A miss raises ConsistencyError.  So every table
+derived from a tally holds valid frequencies, and the decomposition and
+the contiguity indices read them without building a validated pmf.  Band
+assignment uses the float rule of ``DistanceClassification.band_index``
+exactly.
 
 ``enumerate_pairs_bruteforce`` is the independent O(N^2) reference
 implementation used to verify the FFT route on small grids, in the test
@@ -66,7 +76,7 @@ from itertools import combinations_with_replacement, product
 import numpy as np
 
 from .errors import ConsistencyError, CoverageError
-from .lattice import CategoricalGrid, max_centroid_distance, window_diagonal
+from .lattice import CategoricalGrid, window_diagonal
 from .prob import JointPmf, Pmf
 
 _UINT63_MAX = 2**63 - 1
@@ -182,18 +192,11 @@ class DistanceClassification:
     def labels(self) -> tuple[str, ...]:
         return tuple(f"w{k + 1}" for k in range(self.num_bands))
 
-    def intervals(self) -> tuple[tuple[float, float], ...]:
-        return tuple(zip(self.breaks[:-1], self.breaks[1:]))
-
     def band_index(self, distance: float):
         """0-based band of a distance, or None when it falls outside."""
         if distance <= self.breaks[0] or distance > self.breaks[-1]:
             return None
         return bisect.bisect_left(self.breaks, distance) - 1
-
-    def covers(self, grid: CategoricalGrid) -> bool:
-        """True when every inter-pixel distance of the grid has a band."""
-        return self.breaks[0] < 1.0 and self.breaks[-1] >= max_centroid_distance(grid)
 
     def refined(self, extra) -> "DistanceClassification":
         """This classification split further at the extra breaks strictly inside it."""
@@ -279,15 +282,15 @@ def _fast_length(n: int) -> int:
     return best
 
 
-def _band_map(rows, cols, p2, classification):
+def _band_map(rows, cols, classification):
     """Band of every displacement, as a narrow integer map, and each band's pair total.
 
-    Entry [dc mod p2, dr] of the (p2, rows) map holds the 0-based band of
-    displacement (dr, dc), or -1 where (dr, dc) links no pixel to a later
-    row-major pixel; a linking displacement whose distance has no band
-    raises CoverageError.  A band's pair total is the sum of (rows - dr) *
-    (cols - |dc|) over its displacements.  Distance is even in dc, so it is
-    computed once per (|dc|, dr); distances and band edges follow
+    Entry [|dc|, dr] of the (cols, rows) map holds the 0-based band of
+    displacement (dr, dc), or -1 at the zero displacement, which links no
+    pixels; a linking displacement whose distance has no band raises
+    CoverageError.  A band's pair total is the sum of (rows - dr) * (cols -
+    |dc|) over its displacements.  Distance is even in dc, so it is computed
+    once per (|dc|, dr); distances and band edges follow
     ``DistanceClassification.band_index`` exactly.
     """
     nb = classification.num_bands
@@ -305,45 +308,55 @@ def _band_map(rows, cols, p2, classification):
     # (dr, dc) and (dr, -dc) both link pixels when dr > 0; at dr = 0 only dc > 0 does
     links = (rows - dr) * (cols - dc) * (np.where(dc > 0, 2, 1) - (dr == 0))
     totals = np.bincount(half.ravel() + 1, weights=links.ravel(), minlength=nb + 1)
-    band = np.full((p2, rows), -1, dtype=half.dtype)
-    band[:cols] = half
-    band[p2 - cols + 1:] = half[:0:-1]
-    band[p2 - cols + 1:, 0] = -1
-    return band, totals[1:].astype(np.int64)
+    return half, totals[1:].astype(np.int64)
 
 
 class BandGeometry:
     """Everything of a tally that depends only on the grid shape and the bands.
 
-    ``totals[k]`` is band k's closed-form pair total, and ``spectra[k]`` its
-    displacement mask after stage one of the 2-D transform: the row rfft of
-    the mask's rows dr = 0 .. (the largest dr in band k), scaled by the
-    Parseval weight, or None for a band no displacement reaches.  One
-    geometry serves every grid of its shape tallied over its classification.
+    ``totals[k]`` is band k's closed-form pair total.  Only the inner bands
+    0 .. nb-2 are tallied by FFT; the outermost band is every pair minus
+    theirs.  ``spectra[k]``, one per inner band, is band k's displacement
+    mask after stage one of the 2-D transform: the row rfft of the mask's
+    rows dr = 0 .. (the largest dr in band k), scaled by the Parseval
+    weight, or None for a band no displacement reaches.  The p1 x p2 plane
+    is sized by the largest |dr| and |dc| of the inner bands, Dr and Dc:
+    p1 >= rows + Dr and p2 >= cols + Dc keep every correlation these masks
+    read free of wrap-around.  One geometry serves every grid of its shape
+    tallied over its classification.
     """
 
     def __init__(self, rows: int, cols: int, classification: DistanceClassification):
         if rows < 1 or cols < 1:
             raise ValueError("grid dimensions must be positive")
         self.rows, self.cols, self.classification = rows, cols, classification
-        # circular correlation on p1 x p2 equals the linear one: no wrap-around
-        self.p1, self.p2 = _fast_length(2 * rows - 1), _fast_length(2 * cols - 1)
-        band, self.totals = _band_map(rows, cols, self.p2, classification)
+        half, self.totals = _band_map(rows, cols, classification)
         self.totals.flags.writeable = False
+        inner = classification.num_bands - 1
+        dcs, drs = np.nonzero((half >= 0) & (half < inner))
+        reach_r, reach_c = (int(drs.max()), int(dcs.max())) if drs.size else (0, 0)
+        self.p1, self.p2 = _fast_length(rows + reach_r), _fast_length(cols + reach_c)
+        # the band of (dr, dc) at [dc mod p2, dr], as far as the inner bands
+        # reach; at dr = 0 only dc > 0 links a pixel to a later one
+        reached = half[: reach_c + 1, : reach_r + 1]
+        band = np.full((self.p2, reach_r + 1), -1, dtype=half.dtype)
+        band[: reach_c + 1] = reached
+        band[self.p2 - reach_c:] = reached[:0:-1]
+        band[self.p2 - reach_c:, 0] = -1
         # Parseval over the half spectrum: columns with a mirror image count twice
         weight = np.full((self.p2 // 2 + 1, 1), 2.0 / (self.p1 * self.p2))
         weight[0] /= 2.0
         if self.p2 % 2 == 0:
             weight[-1] /= 2.0
         spectra = []
-        for k in range(classification.num_bands):
+        for k in range(inner):
             mask = band == k
-            reached = np.flatnonzero(mask.any(axis=0))
-            if reached.size == 0:
+            rows_reached = np.flatnonzero(mask.any(axis=0))
+            if rows_reached.size == 0:
                 spectra.append(None)
                 continue
             # np.fft is loaded on first access, which keeps it out of import time
-            s = np.fft.rfft(mask[:, : reached[-1] + 1], axis=0)
+            s = np.fft.rfft(mask[:, : rows_reached[-1] + 1], axis=0)
             s *= weight
             s.flags.writeable = False
             spectra.append(s)
@@ -365,7 +378,7 @@ def _exact_counts(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
     counts = counts.astype(np.int64)
     if np.any(counts < 0):
         raise ConsistencyError(f"FFT pair sum rounds to the negative count {counts.min()}")
-    got = counts.reshape(len(totals), -1).sum(axis=1)
+    got = counts.sum(axis=tuple(range(1, counts.ndim)))
     if np.any(got != totals):
         raise ConsistencyError(
             f"per-band pair counts {got.tolist()} disagree with the geometry {totals.tolist()}"
@@ -384,11 +397,13 @@ def enumerate_pairs(
 
     Pairs are unordered {u, v} with no self-pairs; for an ordered scheme the
     category tuple is read from the row-major-first pixel.  A pair whose
-    distance has no band raises CoverageError.  Counts are the FFT band
-    sums of the module docstring; sums that fail its exactness checks raise
-    ConsistencyError.  ``geometry``, when given, must have been built for
-    the grid's shape and ``classification`` (ValueError otherwise); it
-    saves rebuilding the band spectra for every grid of a batch.
+    distance has no band raises CoverageError.  The inner bands' counts are
+    the FFT band sums of the module docstring, and the outermost band's are
+    every ordered pair of the grid minus theirs; counts that fail its
+    exactness checks raise ConsistencyError.  ``geometry``, when given,
+    must have been built for the grid's shape and ``classification``
+    (ValueError otherwise); it saves rebuilding the band spectra for every
+    grid of a batch.
     """
     if scheme.num_x_categories < grid.num_categories:
         raise ValueError("scheme has fewer categories than the grid")
@@ -405,22 +420,42 @@ def enumerate_pairs(
         )
 
     nb = classification.num_bands
-    p1, h2 = geometry.p1, geometry.p2 // 2 + 1
     m0 = grid.matrix - 1
     present = np.flatnonzero(np.bincount(m0.ravel()))
+    counts = np.empty((nb, len(present), len(present)), dtype=np.int64)
+    counts[:-1] = _exact_counts(_inner_band_sums(m0, present, geometry), geometry.totals[:-1])
+    counts[-1] = _complement_counts(
+        _ordered_pair_counts(m0.ravel(), present), counts[:-1], geometry.totals[-1]
+    )
+
+    i = scheme.num_x_categories
+    table = np.zeros((nb, i, i), dtype=np.int64)
+    table[:, present[:, None], present] = counts
+    table = table.reshape(nb, i * i)
+    if not scheme.ordered:
+        table = fold_counts(table, i)
+    return PairSample(scheme, classification, geometry.totals, table)
+
+
+def _inner_band_sums(m0, present, geometry):
+    """FFT pair sums of the inner bands: (nb - 1, ni, ni) floats, per present category pair."""
     ni = len(present)
+    sums = np.zeros((len(geometry.spectra), ni, ni))
+    bands = [(k, s) for k, s in enumerate(geometry.spectra) if s is not None]
+    if not bands:
+        return sums
+    p1, h2 = geometry.p1, geometry.p2 // 2 + 1
+    rows = m0.shape[0]
     # stage one of each 2-D transform: row rfft of the `rows` non-zero rows,
     # stored column-major so that stage two runs along contiguous memory
     spectra = np.empty((ni, h2, rows), dtype=np.complex128)
     for i, a in enumerate(present):
         np.fft.rfft(m0.T == a, n=geometry.p2, axis=0, out=spectra[i])
-    bands = [(k, s) for k, s in enumerate(geometry.spectra) if s is not None]
 
     # stage two, one column block at a time: each category block is finished
     # once, then every band's block, each band feeding one real GEMM on
     # (re, im) pairs; a block's arrays are freed before the next is made
     step = max(1, _BLOCK_BYTES // (16 * ni * p1))
-    sums = np.zeros((nb, ni, ni))
     for j in range(0, h2, step):
         cut = slice(j, j + step)
         f = np.fft.fft(spectra[:, cut], n=p1, axis=2)
@@ -429,14 +464,52 @@ def enumerate_pairs(
             g = np.fft.fft(s[cut], n=p1, axis=1)
             t = f * np.conjugate(g, out=g)
             sums[k] += fr @ t.reshape(ni, -1).view(np.float64).T
+    return sums
 
-    i = scheme.num_x_categories
-    counts = np.zeros((nb, i, i), dtype=np.int64)
-    counts[:, present[:, None], present] = _exact_counts(sums, geometry.totals)
-    counts = counts.reshape(nb, i * i)
-    if not scheme.ordered:
-        counts = fold_counts(counts, i)
-    return PairSample(scheme, classification, geometry.totals, counts)
+
+def _ordered_pair_counts(flat, present):
+    """(ni, ni) int64 counts of the pairs (a at u, b at v) over every u < v of the grid.
+
+    Entry (a, b), a < b, sums over the pixels v of b the number of a-pixels
+    before v: one prefix count per category.  Three identities give the
+    rest.  The n_a (n_a - 1) / 2 pairs of two a-pixels are all (a, a).  A
+    pair of an a-pixel and a b-pixel is (a, b) or (b, a), n_a n_b in all.
+    And the pixels before v number v, so column b adds up to the sum of
+    the indices of b's pixels; that gives the last entry above the
+    diagonal, and the last two categories need no prefix count.
+    """
+    positions = [np.flatnonzero(flat == a) for a in present]
+    n = np.array([p.size for p in positions])
+    order = np.concatenate(positions)  # pixels by category, row-major within
+    starts = np.concatenate(([0], np.cumsum(n)[:-1]))
+    every = np.zeros((len(n), len(n)), dtype=np.int64)
+    for i, p in enumerate(positions[:-2]):
+        before = np.zeros(flat.size, dtype=np.int64)
+        before[p] = 1
+        np.cumsum(before, out=before)  # a-pixels up to v: those before v when v is no a-pixel
+        later = starts[i + 1:]
+        every[i, i + 1:] = np.add.reduceat(before[order[later[0]:]], later - later[0])
+    if len(n) > 1:
+        every[-2, -1] = positions[-1].sum() - n[-1] * (n[-1] - 1) // 2 - every[:-2, -1].sum()
+    every += np.tril(np.outer(n, n) - every.T, -1)
+    every[np.diag_indices_from(every)] = n * (n - 1) // 2
+    return every
+
+
+def _complement_counts(every, inner, total):
+    """The outermost band's counts: every pair minus the inner bands', checked.
+
+    A negative count, or counts that do not add up to the band's closed-form
+    pair total, raises ConsistencyError.
+    """
+    outer = every - inner.sum(axis=0)
+    if np.any(outer < 0):
+        raise ConsistencyError(f"outermost band count {outer.min()} is negative")
+    if outer.sum() != total:
+        raise ConsistencyError(
+            f"outermost band counts add up to {outer.sum()}, not the geometry's {total}"
+        )
+    return outer
 
 
 def enumerate_pairs_bruteforce(

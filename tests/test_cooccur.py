@@ -20,10 +20,17 @@ from spatent import (
     count_categories,
     enumerate_pairs,
     enumerate_pairs_bruteforce,
+    max_centroid_distance,
     tabulate_within,
     window_diagonal,
 )
-from spatent.cooccur import BandGeometry, _exact_counts, fold_counts
+from spatent.cooccur import (
+    BandGeometry,
+    _complement_counts,
+    _exact_counts,
+    _fast_length,
+    fold_counts,
+)
 
 
 def _grid(rows, cols, cats, values):
@@ -114,7 +121,7 @@ def test_default_classification_for_50x50():
     assert cls.breaks == (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, pytest.approx(math.hypot(50, 50)))
     assert cls.num_bands == 7
     assert cls.labels == ("w1", "w2", "w3", "w4", "w5", "w6", "w7")
-    assert cls.covers(g)
+    assert cls.breaks[0] < 1 and cls.breaks[-1] >= max_centroid_distance(g)
 
 
 def test_default_classification_drops_unreachable_breaks():
@@ -131,7 +138,7 @@ def test_band_index_half_open():
     assert cls.band_index(5.0) == 2
     assert cls.band_index(0.0) is None  # at the left edge of the first band
     assert cls.band_index(5.1) is None
-    assert cls.intervals() == ((0.0, 1.0), (1.0, 2.0), (2.0, 5.0))
+    assert tuple(zip(cls.breaks[:-1], cls.breaks[1:])) == ((0.0, 1.0), (1.0, 2.0), (2.0, 5.0))
 
 
 # --------------------------------------------------------------------------
@@ -368,6 +375,23 @@ def test_sign_guard_rejects_negative_counts():
     np.testing.assert_array_equal(_exact_counts(sums[1:], np.array([1])), [[[0, 1]]])
 
 
+def test_exact_counts_accepts_zero_bands():
+    counts = _exact_counts(np.zeros((0, 2, 2)), np.zeros(0, dtype=np.int64))
+    assert counts.shape == (0, 2, 2) and counts.dtype == np.int64
+
+
+def test_complement_guard_rejects_negative_and_off_total_counts():
+    every = np.array([[3, 2], [1, 0]])
+    inner = np.array([[[1, 2], [0, 0]], [[1, 0], [0, 0]]])
+    np.testing.assert_array_equal(_complement_counts(every, inner, 2), [[1, 0], [1, 0]])
+    # the outer total holds (2 - 1 + 1 = 2), so only the sign check can catch it
+    shifted = inner + np.array([[[-1, 1], [0, 0]], [[0, 0], [0, 0]]])
+    with pytest.raises(ConsistencyError, match="count -1 is negative"):
+        _complement_counts(every, shifted, 2)
+    with pytest.raises(ConsistencyError, match="add up to 2, not the geometry's 3"):
+        _complement_counts(every, inner, 3)
+
+
 def test_pair_sample_rejects_negative_counts():
     scheme, bands = CooccurrenceScheme(2), DistanceClassification((0, 1))
     with pytest.raises(ValueError, match="non-negative"):
@@ -531,10 +555,97 @@ def test_reused_geometry_equals_the_displacement_oracle(cats, ordered):
 def test_band_spectra_keep_the_rows_their_band_reaches(rows, cols):
     cls = _awkward_bands(rows, cols)
     geometry = BandGeometry(rows, cols, cls)
+    # the outermost band keeps no spectrum: it is every pair minus the inner bands
+    assert len(geometry.spectra) == cls.num_bands - 1
     kept = [0 if s is None else s.shape[1] for s in geometry.spectra]
-    assert kept == [last + 1 for last in _last_rows(rows, cols, cls)]
+    assert kept == [last + 1 for last in _last_rows(rows, cols, cls)[:-1]]
     assert 0 in kept  # the band (1.5, 1.55]
-    assert [s is None for s in geometry.spectra] == [t == 0 for t in geometry.totals]
+    assert [s is None for s in geometry.spectra] == [t == 0 for t in geometry.totals[:-1]]
+
+
+def test_plane_is_sized_by_the_inner_bands():
+    for n, side in ((50, 80), (200, 240), (1000, 1080)):
+        geometry = BandGeometry(n, n, DistanceClassification.default_for(_chessboard(n)))
+        assert (geometry.p1, geometry.p2) == (side, side)
+    for rows, cols in ((1, 8), (8, 1), (5, 5), (5, 7), (9, 6), (37, 29), (29, 37)):
+        diag = math.hypot(rows, cols)
+        for breaks in (
+            (0.0, diag),
+            (0.0, 1.0, 100.0, 200.0),
+            (0.0, 1.0, 3.5, diag),
+            _awkward_bands(rows, cols).breaks,
+            DistanceClassification.default_for(_grid(rows, cols, 1, np.ones(rows * cols))).breaks,
+        ):
+            geometry = BandGeometry(rows, cols, DistanceClassification(breaks))
+            assert geometry.p1 <= _fast_length(2 * rows - 1)
+            assert geometry.p2 <= _fast_length(2 * cols - 1)
+
+
+# the edges of the outermost band's complement route, (rows, cols, breaks) each
+COMPLEMENT_EDGES_SMALL = [
+    pytest.param(8, 8, (0.0, math.hypot(8, 8)), id="one-band"),
+    pytest.param(5, 5, (0.0, 1.0, 100.0, 200.0), id="unreached-outer-band"),
+    pytest.param(4, 8, (0.0, 1.0, 3.5, math.hypot(4, 8)), id="inner-bands-reach-every-row"),
+    pytest.param(8, 4, (0.0, 1.0, 3.5, math.hypot(8, 4)), id="inner-bands-reach-every-column"),
+    pytest.param(1, 8, (0.0, 1.0, 2.0, 5.0, math.hypot(1, 8)), id="1xn"),
+    pytest.param(8, 1, (0.0, 1.0, 2.0, 5.0, math.hypot(8, 1)), id="nx1"),
+]
+COMPLEMENT_EDGES_MID = [
+    pytest.param(37, 29, (0.0, math.hypot(37, 29)), id="one-band"),
+    pytest.param(37, 29, (0.0, 1.0, 100.0, 200.0), id="unreached-outer-band"),
+    pytest.param(29, 37, (0.0, 1.0, 30.0, math.hypot(29, 37)), id="inner-bands-reach-every-row"),
+    pytest.param(37, 29, (0.0, 1.0, 30.0, math.hypot(37, 29)), id="inner-bands-reach-every-column"),
+    pytest.param(1, 60, (0.0, 1.0, 30.0, math.hypot(1, 60)), id="1xn"),
+    pytest.param(60, 1, (0.0, 1.0, 30.0, math.hypot(60, 1)), id="nx1"),
+]
+
+
+def _edge_grids(rows, cols):
+    """Per I in (1, 2, 5, 20): a random map and the same map missing category 1."""
+    rng = np.random.default_rng(rows * 100 + cols)
+    for cats in (1, 2, 5, 20):
+        values = rng.integers(1, cats + 1, size=rows * cols)
+        for v in (values, np.maximum(values, min(2, cats))):
+            yield _grid(rows, cols, cats, v)
+
+
+@pytest.mark.parametrize("rows,cols,breaks", COMPLEMENT_EDGES_SMALL)
+@pytest.mark.parametrize("ordered", [False, True])
+def test_complement_edges_equal_bruteforce(rows, cols, breaks, ordered):
+    cls = DistanceClassification(breaks)
+    for grid in _edge_grids(rows, cols):
+        scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
+        _assert_same_tally(
+            enumerate_pairs(grid, cls, scheme), enumerate_pairs_bruteforce(grid, cls, scheme)
+        )
+
+
+@pytest.mark.parametrize("rows,cols,breaks", COMPLEMENT_EDGES_MID)
+@pytest.mark.parametrize("ordered", [False, True])
+def test_complement_edges_equal_the_displacement_oracle(rows, cols, breaks, ordered):
+    cls = DistanceClassification(breaks)
+    for grid in _edge_grids(rows, cols):
+        scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
+        _assert_same_tally(
+            enumerate_pairs(grid, cls, scheme), enumerate_pairs_displacement(grid, cls, scheme)
+        )
+
+
+def test_one_band_tally_runs_no_fft(monkeypatch):
+    def no_fft(*args, **kwargs):
+        raise AssertionError("a one-band tally ran an FFT")
+
+    grid = _grid(6, 7, 3, np.random.default_rng(3).integers(1, 4, size=42))
+    cls = DistanceClassification((0.0, window_diagonal(grid)))
+    scheme = CooccurrenceScheme(3, ordered=True)
+    for name in ("fft", "rfft"):
+        monkeypatch.setattr(np.fft, name, no_fft)
+    geometry = BandGeometry(6, 7, cls)
+    assert geometry.spectra == ()
+    _assert_same_tally(
+        enumerate_pairs(grid, cls, scheme, geometry=geometry),
+        enumerate_pairs_bruteforce(grid, cls, scheme),
+    )
 
 
 def test_geometry_must_fit_the_grid_and_bands():
