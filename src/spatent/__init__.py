@@ -35,7 +35,6 @@ from .decomp import (
     BandDecomposition,
     EntropyDecomposition,
     decompose,
-    decompose_distributions,
     spatial_mutual_information,
 )
 from .errors import (
@@ -109,7 +108,6 @@ __all__ = [
     "conditional_pmfs",
     "count_categories",
     "decompose",
-    "decompose_distributions",
     "draw_counts",
     "enumerate_pairs",
     "enumerate_pairs_bruteforce",

@@ -18,6 +18,7 @@ after another in plan order, each written as soon as it finishes.  A
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -41,18 +42,11 @@ from .cooccur import (
     BandGeometry,
     CooccurrenceScheme,
     DistanceClassification,
-    conditional_pmfs,
     enumerate_pairs,
     enumerate_pairs_bruteforce,
     fold_counts,
 )
-from .decomp import (
-    MI_AGREEMENT_TOL,
-    decompose_counts,
-    decompose_distributions,
-    decompose_sample,
-    identity_residuals,
-)
+from .decomp import MI_AGREEMENT_TOL, decompose_counts, identity_residuals
 from .errors import ConsistencyError
 from .lattice import (
     UNIFORM_PARTITION,
@@ -343,7 +337,8 @@ def _cmd_decompose(args) -> int:
     grid = read_grid(args.grid)
     cls = args.bands or DistanceClassification.default_for(grid)
     scheme = CooccurrenceScheme(grid.num_categories, ordered=args.ordered)
-    dec = decompose_sample(enumerate_pairs(grid, cls, scheme))
+    sample = enumerate_pairs(grid, cls, scheme)
+    dec = decompose_counts(sample.category_counts, cls.labels)
     text = dec.to_csv_row() if args.format == "csv" else dec.to_json() + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="ascii")
@@ -367,13 +362,10 @@ def _cmd_experiment(args) -> int:
         pixels = args.rows * args.cols
         bad = [f"{kind}:{cats}" for kind, cats in args.scenarios if pixels % cats]
         if bad:
-            log.error(
-                "the equal-split replicate needs the category count to divide "
-                "%d pixels; impossible for %s (use --skip-uniform)",
-                pixels,
-                ",".join(bad),
+            raise ValueError(
+                f"the equal-split replicate needs the category count to divide "
+                f"{pixels} pixels; impossible for {','.join(bad)} (use --skip-uniform)"
             )
-            return 2
     # the plan is checked before any replicate runs: each entry by simgen's
     # rules, the bands by the tally geometry that every replicate shares
     specs = {
@@ -513,13 +505,12 @@ def _verify_grid(grid) -> list:
         ("pair-total", sample.total_pairs == expected, f"count={sample.total_pairs}")
     )
 
-    dists = conditional_pmfs(sample)
     try:
-        dec = decompose_distributions(dists, sample.pair_counts)
+        dec = decompose_counts(sample.category_counts, cls.labels)
     except ConsistencyError as exc:
         checks.append(("decomposition", False, str(exc)))
     else:
-        for name, residual in identity_residuals(dists, dec).items():
+        for name, residual in identity_residuals(sample.category_counts, dec).items():
             checks.append((name, residual <= MI_AGREEMENT_TOL, f"residual={residual:.3e}"))
 
     if n <= 64:
@@ -562,17 +553,11 @@ def _cmd_verify(args) -> int:
 # parser wiring
 
 def _add_order_flags(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group()
-    group.add_argument(
+    p.add_argument(
         "--ordered",
-        dest="ordered",
         action="store_true",
         help="distinguish pair orientation (read from the scan-order first pixel)",
     )
-    group.add_argument(
-        "--unordered", dest="ordered", action="store_false", help="ignore orientation"
-    )
-    p.set_defaults(ordered=False)
 
 
 def _add_measure_flags(p: argparse.ArgumentParser) -> None:
@@ -608,7 +593,9 @@ def _add_measure_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``spatent`` parser, built once per process: parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="spatent",
         description="Spatial entropy measures for categorical lattice data.",

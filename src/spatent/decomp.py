@@ -12,6 +12,11 @@ distance).  Both terms split further band by band: H(Z | w_k) is the
 partial residual entropy and PI(Z, w_k) = KL(p(Z | w_k) || p(Z)) the
 partial information of band k, with MI = sum_k p(w_k) PI(Z, w_k).
 
+Every term comes from one table, the pair-category counts per distance
+band of a tally (``PairSample.category_counts``): ``decompose_counts``
+reads its relative frequencies as plain arrays, and ``decompose`` tallies a
+grid and calls it.
+
 Every decomposition is checked against six identities before it is
 returned (``identity_residuals``): the estimated pmfs sum to 1, the band
 conditionals mix back into p(Z), the entropy split holds, the mutual
@@ -26,17 +31,10 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cooccur import (
-    CooccurrenceScheme,
-    DistanceClassification,
-    PairDistributions,
-    PairSample,
-    enumerate_pairs,
-)
+from .cooccur import CooccurrenceScheme, DistanceClassification, enumerate_pairs
 from .errors import ConsistencyError
 from .lattice import CategoricalGrid
 from .prob import JointPmf, _kl, _plogp, mutual_information
@@ -125,20 +123,32 @@ class EntropyDecomposition:
         return buf.getvalue()
 
 
-def _laws_of(dists: PairDistributions) -> tuple:
-    """(p_w, p_z, conds, joint) arrays of ``dists``; an empty band's conditional is zero."""
-    p_z = dists.p_z.probs
-    conds = np.array([np.zeros_like(p_z) if c is None else c.probs for c in dists.conditionals])
-    return dists.p_w.probs, p_z, conds, dists.joint.probs
+def _laws(counts: np.ndarray) -> tuple:
+    """(p_w, p_z, conds, joint): the relative frequencies of a pair-count table.
 
-
-def _decompose(p_w, p_z, conds, joint, labels, pair_counts) -> EntropyDecomposition:
-    """Every term from the estimated laws, returned only if all ``_residuals`` hold.
-
-    ``p_w`` (nb,), ``p_z`` (nz,), ``conds`` (nb, nz) with a zero row for
-    each band of zero weight, and ``joint`` the C-contiguous (nz, nb) pair
+    ``counts`` is (nb, nz); ``conds`` (nb, nz) holds a zero row for each
+    band of zero weight, and ``joint`` is the C-contiguous (nz, nb) pair
     category x band table.
     """
+    q = counts.sum(axis=1)
+    total = int(q.sum())
+    if total == 0:
+        raise ValueError("sample contains no pairs")
+    conds = counts / np.maximum(q, 1)[:, None]  # an empty band's row stays zero
+    joint = np.ascontiguousarray(counts.T) / total
+    return q / total, counts.sum(axis=0) / total, conds, joint
+
+
+def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
+    """Decomposition of a (num_bands, num_z_categories) int64 pair-count table.
+
+    ``labels`` names the bands.  The laws are relative frequencies: p(w_k)
+    = Q_k / Q, p(Z) the pooled counts over Q, p(Z | w_k) band k's counts
+    over Q_k.  Raises ConsistencyError, naming the worst identity, when any
+    of ``identity_residuals`` exceeds MI_AGREEMENT_TOL.
+    """
+    p_w, p_z, conds, joint = _laws(counts)
+    pair_counts = counts.sum(axis=1)
     h_z = _plogp(p_z)
     bands = tuple(
         BandDecomposition(
@@ -187,38 +197,8 @@ def _residuals(p_w, p_z, conds, joint, dec: EntropyDecomposition) -> dict[str, f
     }
 
 
-def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
-    """Decomposition of a (num_bands, num_z_categories) int64 pair-count table.
-
-    ``labels`` names the bands.  The laws are relative frequencies: p(w_k)
-    = Q_k / Q, p(Z) the pooled counts over Q, p(Z | w_k) band k's counts
-    over Q_k.  Raises ConsistencyError, naming the worst identity, when any
-    of ``identity_residuals`` exceeds MI_AGREEMENT_TOL.
-    """
-    q = counts.sum(axis=1)
-    total = int(q.sum())
-    if total == 0:
-        raise ValueError("sample contains no pairs")
-    conds = counts / np.maximum(q, 1)[:, None]  # an empty band's row stays zero
-    joint = np.ascontiguousarray(counts.T) / total
-    return _decompose(q / total, counts.sum(axis=0) / total, conds, joint, labels, q)
-
-
-def decompose_distributions(
-    dists: PairDistributions, pair_counts: Sequence[int]
-) -> EntropyDecomposition:
-    """Decomposition from already-estimated pair distributions.
-
-    ``pair_counts`` supplies the per-band pair counts Q_k for the report;
-    frequencies alone carry no sample size.  Checked as ``decompose_counts``.
-    """
-    return _decompose(*_laws_of(dists), dists.p_w.labels, pair_counts)
-
-
-def identity_residuals(
-    dists: PairDistributions, dec: EntropyDecomposition
-) -> dict[str, float]:
-    """Absolute residual of every identity linking ``dec`` to ``dists``.
+def identity_residuals(counts: np.ndarray, dec: EntropyDecomposition) -> dict[str, float]:
+    """Absolute residual of every identity linking ``dec`` to the laws of ``counts``.
 
     pmf-mass              p(W), p(Z) and every p(Z | w_k) sum to 1
     mixture-consistency   sum_k p(w_k) p(Z | w_k) = p(Z), worst label
@@ -230,7 +210,7 @@ def identity_residuals(
     The dual route needs no empty-band case: H(Z, W) - H(W) is H(Z | W)
     with zero-mass bands contributing nothing.
     """
-    return _residuals(*_laws_of(dists), dec)
+    return _residuals(*_laws(counts), dec)
 
 
 def decompose(
@@ -247,9 +227,5 @@ def decompose(
     if classification is None:
         classification = DistanceClassification.default_for(grid)
     scheme = CooccurrenceScheme(grid.num_categories, ordered=False)
-    return decompose_sample(enumerate_pairs(grid, classification, scheme))
-
-
-def decompose_sample(sample: PairSample) -> EntropyDecomposition:
-    """Decomposition of a pair tally over its own bands and pair coding."""
-    return decompose_counts(sample.category_counts, sample.classification.labels)
+    sample = enumerate_pairs(grid, classification, scheme)
+    return decompose_counts(sample.category_counts, classification.labels)

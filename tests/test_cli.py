@@ -33,7 +33,7 @@ from spatent import (
 )
 from spatent import ConsistencyError, cli
 from spatent.cli import main
-from spatent.decomp import decompose_sample
+from spatent.decomp import decompose_counts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -181,6 +181,7 @@ def test_measure_to_file(tmp_path):
         ("measure {g7} --areas 1 --target-category 3", "target category 3 out of range"),
         ("generate --scenario multicluster --rows 4 --out {out}", "at least 5 rows"),
         ("experiment --rows 6 --cols 6 --skip-uniform --out {out}", "more areas than pixels"),
+        ("experiment --rows 7 --cols 7 --out {out}", "random:20 (use --skip-uniform)"),
     ],
     ids=[
         "measure-missing-file",
@@ -190,6 +191,7 @@ def test_measure_to_file(tmp_path):
         "measure-target-category-out-of-range",
         "generate-multicluster-too-small",
         "experiment-too-many-areas",
+        "experiment-no-equal-split",
     ],
 )
 def test_input_errors_exit_2_in_one_line(tmp_path, caplog, capsys, argv, message):
@@ -209,7 +211,7 @@ def test_consistency_errors_still_propagate(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ConsistencyError("routes disagree")
 
-    monkeypatch.setattr(cli, "decompose_sample", broken)
+    monkeypatch.setattr(cli, "decompose_counts", broken)
     with pytest.raises(ConsistencyError, match="routes disagree"):
         main(["decompose", str(_chessboard_path(tmp_path))])
 
@@ -265,9 +267,10 @@ def test_measure_rows_equal_the_direct_measures(case, leibovici, ordered):
     )
     bands = cls or DistanceClassification.default_for(grid)
     scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
-    dec = (
-        decompose_sample(enumerate_pairs(grid, bands, scheme)) if ordered else decompose(grid, bands)
-    )
+    if ordered:
+        dec = decompose_counts(enumerate_pairs(grid, bands, scheme).category_counts, bands.labels)
+    else:
+        dec = decompose(grid, bands)
     assert table.pop(("shannon_x", "")) == shannon(grid.category_pmf())
     assert table.pop(("shannon_z", "")) == dec.marginal
     assert table.pop(("oneill", "")) == oneill_entropy(grid)
@@ -351,6 +354,21 @@ def test_decompose_ordered_flag(tmp_path, capsys):
     assert ordered["bands"][0]["residual_partial"] == pytest.approx(
         math.log(2), abs=1e-12
     )
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    path = _chessboard_path(tmp_path)
+    assert main(["decompose", str(path), "--ordered"]) == 0
+    capsys.readouterr()
+    assert main(["decompose", str(path)]) == 0
+    after_ordered = capsys.readouterr().out
+    fresh = subprocess.run(
+        [sys.executable, "-m", "spatent.cli", "decompose", str(path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert after_ordered == fresh
 
 
 # --------------------------------------------------------------------------
@@ -562,8 +580,13 @@ def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
             "--bands 0,1,2 --rows 6 --cols 6 --scenarios random:2 --measures decomposition",
             "distance 3 of displacement (3, 0) has no band",
         ),
+        (
+            "--scenarios random:2 --rows 5 --cols 5 --measures decomposition",
+            "the equal-split replicate needs the category count to divide 25 pixels; "
+            "impossible for random:2 (use --skip-uniform)",
+        ),
     ],
-    ids=["multicluster-too-small", "uncovered-bands"],
+    ids=["multicluster-too-small", "uncovered-bands", "no-equal-split"],
 )
 def test_experiment_checks_the_plan_before_any_replicate(
     tmp_path, monkeypatch, caplog, argv, message
@@ -574,7 +597,7 @@ def test_experiment_checks_the_plan_before_any_replicate(
     with caplog.at_level(logging.ERROR, logger="spatent"):
         assert main(["experiment", *argv.split(), "--out", str(out)]) == 2
     assert drawn == []
-    assert not (out / "results_long.csv").exists()
+    assert not out.exists()
     assert [r.getMessage() for r in caplog.records] == [f"error: {message}"]
 
 

@@ -17,9 +17,7 @@ from spatent import (
     DistanceClassification,
     JointPmf,
     Pmf,
-    conditional_pmfs,
     decompose,
-    decompose_distributions,
     enumerate_pairs,
     kl_divergence,
     mutual_information,
@@ -28,7 +26,7 @@ from spatent import (
     as_pmf,
 )
 from spatent import cli, decomp
-from spatent.decomp import decompose_counts, decompose_sample, identity_residuals
+from spatent.decomp import decompose_counts, identity_residuals
 
 
 def _grid(rows, cols, cats, values):
@@ -148,27 +146,27 @@ IDENTITIES = (
 
 def test_identity_residuals_name_the_broken_identity(tmp_path, monkeypatch, capsys):
     g = _grid(6, 6, 3, np.random.default_rng(4).integers(1, 4, size=36))
-    sample = enumerate_pairs(g, DistanceClassification.default_for(g), CooccurrenceScheme(3))
-    dists = conditional_pmfs(sample)
-    dec = decompose_distributions(dists, sample.pair_counts)
-    residuals = identity_residuals(dists, dec)
+    bands = DistanceClassification.default_for(g)
+    counts = enumerate_pairs(g, bands, CooccurrenceScheme(3)).category_counts
+    dec = decompose_counts(counts, bands.labels)
+    residuals = identity_residuals(counts, dec)
     assert tuple(residuals) == IDENTITIES
     assert max(residuals.values()) < 1e-10
 
     shifted = dataclasses.replace(dec, residual_global=dec.residual_global + 1e-6)
-    broken = {name for name, r in identity_residuals(dists, shifted).items() if r > 1e-10}
+    broken = {name for name, r in identity_residuals(counts, shifted).items() if r > 1e-10}
     assert broken == {"entropy-split", "residual-aggregation"}
 
+    # a count table always mixes back and sums to 1: break its laws instead
     def with_conditional(k, cond):
-        conds = dists.conditionals[:k] + (cond,) + dists.conditionals[k + 1 :]
-        changed = dataclasses.replace(dists, conditionals=conds)
-        return {name for name, r in identity_residuals(changed, dec).items() if r > 1e-10}
+        p_w, p_z, conds, joint = decomp._laws(counts)
+        conds[k] = cond
+        return {n for n, r in decomp._residuals(p_w, p_z, conds, joint, dec).items() if r > 1e-10}
 
-    first = dists.conditionals[0]
-    assert with_conditional(0, Pmf.uniform(first.labels)) == {"mixture-consistency"}
-    last = dists.conditionals[-1]  # a Pmf admits mass errors up to 1e-9
-    heavy = dataclasses.replace(last, probs=last.probs * (1 + 5e-10))
-    assert "pmf-mass" in with_conditional(len(dists.conditionals) - 1, heavy)
+    nz = counts.shape[1]
+    assert with_conditional(0, np.full(nz, 1.0 / nz)) == {"mixture-consistency"}
+    last = counts[-1] / counts[-1].sum()  # a mass error small enough for a Pmf to admit
+    assert "pmf-mass" in with_conditional(len(counts) - 1, last * (1 + 5e-10))
 
     exact = decomp.mutual_information
     monkeypatch.setattr(decomp, "mutual_information", lambda joint: exact(joint) + 1e-6)
@@ -347,7 +345,7 @@ def test_array_core_equals_the_pmf_route(num_x, ordered):
 
 @pytest.mark.parametrize("ordered", [False, True])
 @pytest.mark.parametrize("num_x", [2, 5, 20])
-def test_every_entry_point_shares_the_core(num_x, ordered):
+def test_every_entry_point_shares_the_core(num_x, ordered, monkeypatch):
     rng = np.random.default_rng(num_x)
     # missing categories leave zero codes; the (2.5, 2.6] band holds no pair
     values = rng.integers(1, num_x + 1, size=23 * 17)
@@ -355,12 +353,25 @@ def test_every_entry_point_shares_the_core(num_x, ordered):
     g = _grid(23, 17, num_x, values)
     bands = DistanceClassification((0.0, 1.0, 2.5, 2.6, 7.0, math.hypot(23, 17)))
     sample = enumerate_pairs(g, bands, CooccurrenceScheme(num_x, ordered=ordered))
-    dec = decompose_sample(sample)
+    dec = decompose_counts(sample.category_counts, bands.labels)
     assert dec.band("w3").empty
     assert _terms(dec) == _pmf_route(sample.category_counts, bands.labels)
-    dists = conditional_pmfs(sample)
-    assert decompose_distributions(dists, sample.pair_counts) == dec
-    assert max(identity_residuals(dists, dec).values()) <= decomp.MI_AGREEMENT_TOL
+    assert max(identity_residuals(sample.category_counts, dec).values()) <= decomp.MI_AGREEMENT_TOL
+    if not ordered:
+        assert decompose(g, bands) == dec
+
+    # verify decomposes the grid's default unordered tally, as decompose does
+    seen = []
+
+    def recording(counts, labels):
+        seen.append(decompose_counts(counts, labels))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "decompose_counts", recording)
+    checks = cli._verify_grid(g)
+    assert seen == [decompose(g)]
+    assert [name for name, passed, _ in checks if not passed] == []
+    assert [name for name, _, _ in checks][1:] == list(IDENTITIES)
 
 
 def test_core_rejects_an_empty_table():
