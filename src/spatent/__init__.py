@@ -23,9 +23,7 @@ from .classic import (
 from .cooccur import (
     CooccurrenceScheme,
     DistanceClassification,
-    PairDistributions,
     PairSample,
-    conditional_pmfs,
     count_categories,
     enumerate_pairs,
     enumerate_pairs_bruteforce,
@@ -34,6 +32,8 @@ from .cooccur import (
 from .decomp import (
     BandDecomposition,
     EntropyDecomposition,
+    PairDistributions,
+    conditional_pmfs,
     decompose,
     spatial_mutual_information,
 )
@@ -48,7 +48,6 @@ from .lattice import (
     UNIFORM_PARTITION,
     AreaPartition,
     CategoricalGrid,
-    max_centroid_distance,
     partition_window,
     pixel_distance,
     read_grid,
@@ -62,11 +61,9 @@ from .prob import (
     Pmf,
     as_pmf,
     conditional_entropy,
-    joint_entropy,
     kl_divergence,
     mutual_information,
     shannon,
-    shannon_normalized,
 )
 from .simgen import (
     SCENARIOS,
@@ -113,11 +110,9 @@ __all__ = [
     "enumerate_pairs_bruteforce",
     "estimate_area_probs",
     "generate",
-    "joint_entropy",
     "karlstrom_entropy",
     "kl_divergence",
     "leibovici_entropy",
-    "max_centroid_distance",
     "mutual_information",
     "oneill_entropy",
     "parresol_edwards_entropy",
@@ -128,7 +123,6 @@ __all__ = [
     "relative_contagion",
     "replicate_seed",
     "shannon",
-    "shannon_normalized",
     "spatial_mutual_information",
     "tabulate_within",
     "write_grid",

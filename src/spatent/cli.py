@@ -366,8 +366,9 @@ def _cmd_experiment(args) -> int:
                 f"the equal-split replicate needs the category count to divide "
                 f"{pixels} pixels; impossible for {','.join(bad)} (use --skip-uniform)"
             )
-    # the plan is checked before any replicate runs: each entry by simgen's
-    # rules, the bands by the tally geometry that every replicate shares
+    # the plan is checked before any replicate runs or any output is made:
+    # each entry by simgen's rules, the bands and the grid size by the tally
+    # geometry that every replicate shares, the areas by the partition
     specs = {
         (kind, cats): ScenarioSpec(kind, args.rows, args.cols, cats)
         for kind, cats in args.scenarios
@@ -380,18 +381,18 @@ def _cmd_experiment(args) -> int:
     if {"shannon_z", "decomposition", *CONTIGUITY_INDICES}.intersection(args.measures):
         tallied, d = _pair_bands(dummy, args.measures, cls, args.leibovici_distance)
         geometry = BandGeometry(args.rows, args.cols, tallied.refined((1.0, d)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     partition = None
     karl = ()
     area_measures = {"batty", "karlstrom"}.intersection(args.measures)
     if area_measures and any(cats == 2 for _, cats in args.scenarios):
         seed = np.random.SeedSequence((int(args.seed),), spawn_key=(1,))
         partition = partition_window(dummy, args.areas, seed)
-        write_partition(partition, out / "partition.txt")
         if "karlstrom" in args.measures:
             karl = _karlstrom_neighbourhoods(partition, args.karlstrom_distances)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if partition is not None:
+        write_partition(partition, out / "partition.txt")
 
     failed = 0
     written = 0

@@ -49,15 +49,14 @@ and the column transforms are finished one column block at a time, each
 category's block once, then each band's block in turn as its GEMM
 consumes it.
 
-The sums are rounded to int64 and checked (``_exact_counts``): each must
-lie within 0.25 of its integer and round to a count >= 0, and each band's
-counts must add up to its closed-form pair total sum (R - dr)(C - |dc|).
-The outermost band's differences must be >= 0 and add up to its total too
-(``_complement_counts``).  A miss raises ConsistencyError.  So every table
-derived from a tally holds valid frequencies, and the decomposition and
-the contiguity indices read them without building a validated pmf.  Band
-assignment uses the float rule of ``DistanceClassification.band_index``
-exactly.
+The inner sums and the outermost band's differences are stacked and
+checked once (``_exact_counts``): each must lie within 0.25 of its integer
+and round to a count >= 0, and each band's counts must add up to its
+closed-form pair total sum (R - dr)(C - |dc|).  A miss raises
+ConsistencyError.  So every table derived from a tally holds valid
+frequencies, and the decomposition and the contiguity indices read them
+without building a validated pmf.  Band assignment uses the float rule of
+``DistanceClassification.band_index`` exactly.
 
 ``enumerate_pairs_bruteforce`` is the independent O(N^2) reference
 implementation used to verify the FFT route on small grids, in the test
@@ -77,7 +76,7 @@ import numpy as np
 
 from .errors import ConsistencyError, CoverageError
 from .lattice import CategoricalGrid, window_diagonal
-from .prob import JointPmf, Pmf
+from .prob import Pmf
 
 _UINT63_MAX = 2**63 - 1
 # an FFT pair sum further than this from its integer is a numerical fault
@@ -329,6 +328,8 @@ class BandGeometry:
     def __init__(self, rows: int, cols: int, classification: DistanceClassification):
         if rows < 1 or cols < 1:
             raise ValueError("grid dimensions must be positive")
+        if rows * cols < 2:
+            raise ValueError("need at least two pixels to form a pair")
         self.rows, self.cols, self.classification = rows, cols, classification
         half, self.totals = _band_map(rows, cols, classification)
         self.totals.flags.writeable = False
@@ -407,8 +408,6 @@ def enumerate_pairs(
     """
     if scheme.num_x_categories < grid.num_categories:
         raise ValueError("scheme has fewer categories than the grid")
-    if grid.size < 2:
-        raise ValueError("need at least two pixels to form a pair")
     rows, cols = grid.rows, grid.cols
     if geometry is None:
         geometry = BandGeometry(rows, cols, classification)
@@ -422,11 +421,10 @@ def enumerate_pairs(
     nb = classification.num_bands
     m0 = grid.matrix - 1
     present = np.flatnonzero(np.bincount(m0.ravel()))
-    counts = np.empty((nb, len(present), len(present)), dtype=np.int64)
-    counts[:-1] = _exact_counts(_inner_band_sums(m0, present, geometry), geometry.totals[:-1])
-    counts[-1] = _complement_counts(
-        _ordered_pair_counts(m0.ravel(), present), counts[:-1], geometry.totals[-1]
-    )
+    inner = _inner_band_sums(m0, present, geometry)
+    # the outermost band is every pair minus the inner bands; one check covers all
+    outer = _ordered_pair_counts(m0.ravel(), present) - np.rint(inner).sum(axis=0)
+    counts = _exact_counts(np.concatenate((inner, outer[None])), geometry.totals)
 
     i = scheme.num_x_categories
     table = np.zeros((nb, i, i), dtype=np.int64)
@@ -496,22 +494,6 @@ def _ordered_pair_counts(flat, present):
     return every
 
 
-def _complement_counts(every, inner, total):
-    """The outermost band's counts: every pair minus the inner bands', checked.
-
-    A negative count, or counts that do not add up to the band's closed-form
-    pair total, raises ConsistencyError.
-    """
-    outer = every - inner.sum(axis=0)
-    if np.any(outer < 0):
-        raise ConsistencyError(f"outermost band count {outer.min()} is negative")
-    if outer.sum() != total:
-        raise ConsistencyError(
-            f"outermost band counts add up to {outer.sum()}, not the geometry's {total}"
-        )
-    return outer
-
-
 def enumerate_pairs_bruteforce(
     grid: CategoricalGrid,
     classification: DistanceClassification,
@@ -561,38 +543,3 @@ def tabulate_within(
     if not near.any():
         raise ValueError(f"no pixel pairs at distance <= {d}")
     return Pmf.from_counts(scheme.category_labels(), near)
-
-
-@dataclass(frozen=True)
-class PairDistributions:
-    """Estimated distributions of one PairSample.
-
-    ``p_w``: band weights Q_k / Q.  ``conditionals[k]``: pair-category pmf
-    within band k, or None for an empty band.  ``p_z``: the pooled marginal,
-    i.e. the Q-weighted mixture of the conditionals.  ``joint``: pair
-    category x band, whose marginals reproduce p_z and p_w.
-    """
-
-    p_w: Pmf
-    conditionals: tuple
-    p_z: Pmf
-    joint: JointPmf
-
-
-def conditional_pmfs(sample: PairSample) -> PairDistributions:
-    """Relative-frequency estimates of the band and pair-category laws."""
-    q = sample.pair_counts
-    total = sample.total_pairs
-    if total == 0:
-        raise ValueError("sample contains no pairs")
-    band_labels = sample.classification.labels
-    z_labels = sample.scheme.category_labels()
-
-    p_w = Pmf(band_labels, q / total)
-    p_z = Pmf(z_labels, sample.category_counts.sum(axis=0) / total)
-    conditionals = tuple(
-        Pmf(z_labels, sample.category_counts[k] / q[k]) if q[k] > 0 else None
-        for k in range(len(band_labels))
-    )
-    joint = JointPmf(z_labels, band_labels, sample.category_counts.T / total)
-    return PairDistributions(p_w, conditionals, p_z, joint)

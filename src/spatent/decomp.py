@@ -13,9 +13,11 @@ partial residual entropy and PI(Z, w_k) = KL(p(Z | w_k) || p(Z)) the
 partial information of band k, with MI = sum_k p(w_k) PI(Z, w_k).
 
 Every term comes from one table, the pair-category counts per distance
-band of a tally (``PairSample.category_counts``): ``decompose_counts``
-reads its relative frequencies as plain arrays, and ``decompose`` tallies a
-grid and calls it.
+band of a tally (``PairSample.category_counts``), and this module is the
+only place that turns it into laws: p(W), p(Z), the band conditionals and
+the joint table, all relative frequencies.  ``decompose_counts`` reads them
+as plain arrays, ``decompose`` tallies a grid and calls it, and
+``conditional_pmfs`` returns the same arrays as ``Pmf``/``JointPmf``.
 
 Every decomposition is checked against six identities before it is
 returned (``identity_residuals``): the estimated pmfs sum to 1, the band
@@ -34,10 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccur import CooccurrenceScheme, DistanceClassification, enumerate_pairs
+from .cooccur import CooccurrenceScheme, DistanceClassification, PairSample, enumerate_pairs
 from .errors import ConsistencyError
 from .lattice import CategoricalGrid
-from .prob import JointPmf, _kl, _plogp, mutual_information
+from .prob import JointPmf, Pmf, _kl, _plogp, mutual_information
 
 MI_AGREEMENT_TOL = 1e-10
 
@@ -137,6 +139,34 @@ def _laws(counts: np.ndarray) -> tuple:
     conds = counts / np.maximum(q, 1)[:, None]  # an empty band's row stays zero
     joint = np.ascontiguousarray(counts.T) / total
     return q / total, counts.sum(axis=0) / total, conds, joint
+
+
+@dataclass(frozen=True)
+class PairDistributions:
+    """Estimated distributions of one PairSample.
+
+    ``p_w``: band weights Q_k / Q.  ``conditionals[k]``: pair-category pmf
+    within band k, or None for an empty band.  ``p_z``: the pooled marginal,
+    i.e. the Q-weighted mixture of the conditionals.  ``joint``: pair
+    category x band, whose marginals reproduce p_z and p_w.
+    """
+
+    p_w: Pmf
+    conditionals: tuple
+    p_z: Pmf
+    joint: JointPmf
+
+
+def conditional_pmfs(sample: PairSample) -> PairDistributions:
+    """The laws of a tally's count table (``_laws``), as validated pmfs."""
+    p_w, p_z, conds, joint = _laws(sample.category_counts)
+    bands, z_labels = sample.classification.labels, sample.scheme.category_labels()
+    return PairDistributions(
+        Pmf(bands, p_w),
+        tuple(Pmf(z_labels, c) if w > 0.0 else None for w, c in zip(p_w, conds)),
+        Pmf(z_labels, p_z),
+        JointPmf(z_labels, bands, joint),
+    )
 
 
 def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:

@@ -91,11 +91,6 @@ def pixel_distance(u: int, v: int, grid: CategoricalGrid) -> float:
     return math.hypot(ru - rv, cu - cv)
 
 
-def max_centroid_distance(grid: CategoricalGrid) -> float:
-    """Largest centroid-to-centroid distance in the grid (the corner pair)."""
-    return math.hypot(grid.rows - 1, grid.cols - 1)
-
-
 def window_diagonal(grid: CategoricalGrid) -> float:
     """Diagonal length of the observation window itself."""
     return math.hypot(grid.rows, grid.cols)

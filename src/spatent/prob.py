@@ -3,7 +3,8 @@
 Everything downstream (classical spatial indices and the distance-band
 entropy decomposition) reduces to a handful of operations on finite pmfs:
 Shannon entropy, Kullback-Leibler divergence, and the bivariate quantities
-(joint entropy, conditional entropy, mutual information).
+conditional entropy and mutual information (the joint entropy is
+``shannon`` of the flattened joint table).
 
 Conventions, applied uniformly:
 
@@ -81,12 +82,6 @@ class Pmf:
             raise InvalidDistributionError("Pmf.from_counts: nothing observed")
         return cls(tuple(labels), c / total)
 
-    @classmethod
-    def uniform(cls, labels) -> "Pmf":
-        labels = tuple(labels)
-        n = len(labels)
-        return cls(labels, np.full(n, 1.0 / n))
-
     def __len__(self) -> int:
         return len(self.labels)
 
@@ -111,23 +106,6 @@ def shannon(p) -> float:
     lies in [0, log(len(p))].
     """
     return _plogp(as_pmf(p).probs)
-
-
-def shannon_normalized(p) -> float:
-    """Entropy divided by its maximum log(len(p)); result in [0, 1].
-
-    A single-label pmf has maximum 0; that degenerate case returns 0.0 and
-    emits a DegenerateDistributionWarning instead of dividing by zero.
-    """
-    pmf = as_pmf(p)
-    if len(pmf) < 2:
-        warnings.warn(
-            "normalized entropy of a single-label pmf is defined as 0",
-            DegenerateDistributionWarning,
-            stacklevel=2,
-        )
-        return 0.0
-    return shannon(pmf) / float(np.log(len(pmf)))
 
 
 def kl_divergence(p, q) -> float:
@@ -178,11 +156,6 @@ class JointPmf:
         object.__setattr__(self, "row_labels", row_labels)
         object.__setattr__(self, "col_labels", col_labels)
         object.__setattr__(self, "probs", _validated_probs(p, "JointPmf").reshape(p.shape))
-
-
-def joint_entropy(joint: JointPmf) -> float:
-    """Entropy of the joint distribution, H(X,Y) = -sum p(x,y) log p(x,y)."""
-    return _plogp(joint.probs.ravel())
 
 
 def conditional_entropy(joint: JointPmf, conditioning: str = "cols") -> float:

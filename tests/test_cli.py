@@ -23,7 +23,6 @@ from spatent import (
     decompose,
     enumerate_pairs,
     leibovici_entropy,
-    max_centroid_distance,
     oneill_entropy,
     parresol_edwards_entropy,
     read_grid,
@@ -234,7 +233,7 @@ def grids_with_bands(draw):
     if draw(st.booleans()):
         return grid, None
     lo = draw(st.floats(min_value=0.0, max_value=0.99))
-    hi = max_centroid_distance(grid) + draw(st.floats(min_value=0.0, max_value=5.0))
+    hi = math.hypot(grid.rows - 1, grid.cols - 1) + draw(st.floats(min_value=0.0, max_value=5.0))
     inner = draw(
         st.lists(st.floats(min_value=lo, max_value=hi, exclude_min=True, exclude_max=True),
                  max_size=6, unique=True)
@@ -585,8 +584,24 @@ def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
             "the equal-split replicate needs the category count to divide 25 pixels; "
             "impossible for random:2 (use --skip-uniform)",
         ),
+        (
+            "--scenarios random:2 --rows 10 --cols 10 --areas 50",
+            "num_areas must be a perfect square, got 50",
+        ),
+        ("--scenarios random:2 --rows 6 --cols 6", "more areas than pixels"),
+        (
+            "--scenarios random:2 --rows 1 --cols 1 --skip-uniform --measures decomposition",
+            "need at least two pixels to form a pair",
+        ),
     ],
-    ids=["multicluster-too-small", "uncovered-bands", "no-equal-split"],
+    ids=[
+        "multicluster-too-small",
+        "uncovered-bands",
+        "no-equal-split",
+        "areas-not-square",
+        "more-areas-than-pixels",
+        "one-pixel",
+    ],
 )
 def test_experiment_checks_the_plan_before_any_replicate(
     tmp_path, monkeypatch, caplog, argv, message

@@ -20,13 +20,11 @@ from spatent import (
     count_categories,
     enumerate_pairs,
     enumerate_pairs_bruteforce,
-    max_centroid_distance,
     tabulate_within,
     window_diagonal,
 )
 from spatent.cooccur import (
     BandGeometry,
-    _complement_counts,
     _exact_counts,
     _fast_length,
     fold_counts,
@@ -121,7 +119,7 @@ def test_default_classification_for_50x50():
     assert cls.breaks == (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 30.0, pytest.approx(math.hypot(50, 50)))
     assert cls.num_bands == 7
     assert cls.labels == ("w1", "w2", "w3", "w4", "w5", "w6", "w7")
-    assert cls.breaks[0] < 1 and cls.breaks[-1] >= max_centroid_distance(g)
+    assert cls.breaks[0] < 1 and cls.breaks[-1] >= math.hypot(g.rows - 1, g.cols - 1)
 
 
 def test_default_classification_drops_unreachable_breaks():
@@ -381,15 +379,22 @@ def test_exact_counts_accepts_zero_bands():
 
 
 def test_complement_guard_rejects_negative_and_off_total_counts():
+    # the outermost band, every pair minus the inner bands, is stacked after
+    # the inner sums and checked with them, as enumerate_pairs does
     every = np.array([[3, 2], [1, 0]])
-    inner = np.array([[[1, 2], [0, 0]], [[1, 0], [0, 0]]])
-    np.testing.assert_array_equal(_complement_counts(every, inner, 2), [[1, 0], [1, 0]])
-    # the outer total holds (2 - 1 + 1 = 2), so only the sign check can catch it
-    shifted = inner + np.array([[[-1, 1], [0, 0]], [[0, 0], [0, 0]]])
-    with pytest.raises(ConsistencyError, match="count -1 is negative"):
-        _complement_counts(every, shifted, 2)
-    with pytest.raises(ConsistencyError, match="add up to 2, not the geometry's 3"):
-        _complement_counts(every, inner, 3)
+
+    def stacked(inner):
+        return np.concatenate((inner, (every - np.rint(inner).sum(axis=0))[None]))
+
+    inner = np.array([[[1.0, 2.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+    totals = np.array([3, 1, 2])
+    np.testing.assert_array_equal(_exact_counts(stacked(inner), totals)[-1], [[1, 0], [1, 0]])
+    # every band total holds (outer: 2 - 1 + 1 = 2), so only the sign check can catch it
+    shifted = inner + np.array([[[-1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]])
+    with pytest.raises(ConsistencyError, match="negative count -1"):
+        _exact_counts(stacked(shifted), totals)
+    with pytest.raises(ConsistencyError, match="disagree with the geometry"):
+        _exact_counts(stacked(inner), np.array([3, 1, 3]))
 
 
 def test_pair_sample_rejects_negative_counts():

@@ -11,7 +11,6 @@ from spatent import (
     UNIFORM_PARTITION,
     AreaPartition,
     CategoricalGrid,
-    max_centroid_distance,
     partition_window,
     pixel_distance,
     read_grid,
@@ -63,9 +62,7 @@ def test_distance_symmetry_and_extremes():
     g = _grid(4, 6, 1, np.ones(24))
     assert pixel_distance(3, 17, g) == pixel_distance(17, 3, g)
     assert pixel_distance(5, 5, g) == 0.0
-    assert max_centroid_distance(g) == pytest.approx(math.hypot(3, 5), abs=1e-15)
     assert window_diagonal(g) == pytest.approx(math.hypot(4, 6), abs=1e-15)
-    assert max_centroid_distance(g) < window_diagonal(g)
 
 
 @given(

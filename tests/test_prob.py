@@ -15,16 +15,13 @@ from spatent import (
     Pmf,
     as_pmf,
     conditional_entropy,
-    joint_entropy,
     kl_divergence,
     mutual_information,
     shannon,
-    shannon_normalized,
 )
 
 # independently computed with mpmath at 50 digits, frozen here
 H_QUARTER = 0.5623351446188083  # -(0.25 ln 0.25 + 0.75 ln 0.75)
-H_QUARTER_NORM = 0.8112781244591328  # H_QUARTER / ln 2
 KL_QUARTER_UNIFORM = 0.13081203594113694  # KL((.25,.75) || (.5,.5))
 
 
@@ -40,15 +37,6 @@ def test_shannon_uniform_is_log_n():
 def test_shannon_degenerate_is_exact_zero():
     assert shannon([1.0, 0.0, 0.0]) == 0.0
     assert math.copysign(1.0, shannon([1.0])) == 1.0  # no negative zero
-
-
-def test_shannon_normalized_frozen_value():
-    assert shannon_normalized([0.25, 0.75]) == pytest.approx(H_QUARTER_NORM, abs=1e-15)
-
-
-def test_shannon_normalized_single_label_warns():
-    with pytest.warns(DegenerateDistributionWarning):
-        assert shannon_normalized([1.0]) == 0.0
 
 
 def test_invalid_distributions_rejected():
@@ -68,7 +56,7 @@ def test_mass_tolerance_boundary():
 
 def test_kl_frozen_value():
     p = Pmf((1, 2), np.array([0.25, 0.75]))
-    q = Pmf.uniform((1, 2))
+    q = Pmf((1, 2), np.array([0.5, 0.5]))
     assert kl_divergence(p, q) == pytest.approx(KL_QUARTER_UNIFORM, abs=1e-15)
 
 
@@ -115,7 +103,7 @@ MI_JOINT = 0.19274475702175743
 
 
 def test_joint_entropy_frozen():
-    assert joint_entropy(JOINT) == pytest.approx(H_JOINT, abs=1e-15)
+    assert shannon(JOINT.probs.ravel()) == pytest.approx(H_JOINT, abs=1e-15)
 
 
 def test_conditional_entropy_frozen():
@@ -186,7 +174,7 @@ def test_chain_rule_identity(joint):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegenerateDistributionWarning)
         h_cond = conditional_entropy(joint, conditioning="cols")
-    lhs = joint_entropy(joint)
+    lhs = shannon(joint.probs.ravel())
     rhs = shannon(joint.probs.sum(axis=0)) + h_cond
     assert abs(lhs - rhs) < 1e-10
 
@@ -217,5 +205,5 @@ def test_entropy_bounds(counts):
 @settings(max_examples=200, deadline=None)
 def test_kl_nonnegative(counts):
     p = Pmf.from_counts(range(len(counts)), counts)
-    q = Pmf.uniform(p.labels)
+    q = Pmf(p.labels, np.full(len(p), 1.0 / len(p)))
     assert kl_divergence(p, q) >= -1e-12
