@@ -39,15 +39,14 @@ O(I * N) for the prefix counts, against O(N^2) pair visits.  A one-band
 classification runs no FFT.
 
 Everything that depends only on the grid shape and the bands is a
-``BandGeometry``: the band of every displacement (a narrow integer map; no
-float distance plane outlives band assignment), the closed-form band
-totals, the plane size, and each inner G_k after its row transform, kept
-only for the rows dr = 0 .. (largest dr in band k) and scaled by w.  A
-batch of same-shape grids shares one.  Memory stays near I * N complex
-values: only the R non-zero rows of each category are row-transformed,
-and the column transforms are finished one column block at a time, each
-category's block once, then each band's block in turn as its GEMM
-consumes it.
+``BandGeometry``: the band of each displacement the inner bands reach (a
+narrow integer map), the closed-form band totals, the plane size, and each
+inner G_k after its row transform, kept only for the rows dr = 0 ..
+(largest dr in band k) and scaled by w.  A batch of same-shape grids
+shares one.  Memory stays near I * N complex values: only the R non-zero
+rows of each category are row-transformed, and the column transforms are
+finished one column block at a time, each category's block once, then each
+band's block in turn as its GEMM consumes it.
 
 The inner sums and the outermost band's differences are stacked and
 checked once (``_exact_counts``): each must lie within 0.25 of its integer
@@ -282,47 +281,69 @@ def _fast_length(n: int) -> int:
 
 
 def _band_map(rows, cols, classification):
-    """Band of every displacement, as a narrow integer map, and each band's pair total.
+    """Band of each displacement the inner bands reach, and every band's pair total.
 
-    Entry [|dc|, dr] of the (cols, rows) map holds the 0-based band of
-    displacement (dr, dc), or -1 at the zero displacement, which links no
-    pixels; a linking displacement whose distance has no band raises
-    CoverageError.  A band's pair total is the sum of (rows - dr) * (cols -
-    |dc|) over its displacements.  Distance is even in dc, so it is computed
-    once per (|dc|, dr); distances and band edges follow
-    ``DistanceClassification.band_index`` exactly.
+    The float rule of ``DistanceClassification.band_index`` is even in dc
+    and monotone in dr^2 + dc^2, so the inner bands reach only dr, |dc| <=
+    floor(breaks[-2]).  Entry [|dc|, dr] of that block, clipped to (cols,
+    rows), holds the 0-based band of displacement (dr, dc), or -1 at the
+    zero displacement, which links no pixels (the block's only entry with
+    one band).  An inner band's pair total sums (rows - dr) * (cols - |dc|)
+    over its displacements; the outermost band's is every pair minus theirs.
+    Linking distances run from 1 to sqrt((rows-1)^2 + (cols-1)^2), so these
+    two decide coverage; a miss raises ``_coverage_error``.
     """
     nb = classification.num_bands
     breaks = np.asarray(classification.breaks)
-    dc = np.arange(cols)[:, None]
-    dr = np.arange(rows)
+    if not (breaks[0] < 1.0 and math.sqrt(float((rows - 1) ** 2 + (cols - 1) ** 2)) <= breaks[-1]):
+        raise _coverage_error(rows, cols, breaks)
+    reach = math.floor(breaks[-2]) + 1  # 1 with one band, as breaks[0] < 1
+    dc = np.arange(min(cols, reach))[:, None]
+    dr = np.arange(min(rows, reach))
     dist = np.sqrt((dc * dc + dr * dr).astype(np.float64))
-    outside = (dist <= breaks[0]) | (dist > breaks[-1])
-    outside[0, 0] = False  # the zero displacement pairs no pixels
-    if np.any(outside):
-        j, i = np.argwhere(outside)[0]
-        raise CoverageError(f"distance {dist[j, i]:.6g} of displacement ({i}, {j}) has no band")
     half = (np.searchsorted(breaks, dist, side="left") - 1).astype(np.min_scalar_type(-nb))
-    del dist, outside  # no float plane outlives band assignment
+    del dist  # no float plane outlives band assignment
     # (dr, dc) and (dr, -dc) both link pixels when dr > 0; at dr = 0 only dc > 0 does
     links = (rows - dr) * (cols - dc) * (np.where(dc > 0, 2, 1) - (dr == 0))
     totals = np.bincount(half.ravel() + 1, weights=links.ravel(), minlength=nb + 1)
-    return half, totals[1:].astype(np.int64)
+    inner = totals[1:nb].astype(np.int64)
+    return half, np.append(inner, rows * cols * (rows * cols - 1) // 2 - inner.sum())
+
+
+def _coverage_error(rows, cols, breaks):
+    """CoverageError naming the first linking displacement, in (|dc|, dr) order, with no band.
+
+    Distance grows with dr in each column |dc|, so the column's nearest
+    linking displacement (dr = 0, or 1 at dc = 0) and its farthest (dr =
+    rows - 1) find the first column holding one, in O(rows + cols).
+    """
+    dc, dr = np.arange(cols), np.arange(rows)
+    nearest = np.sqrt((dc * dc + (dc == 0)).astype(np.float64))
+    farthest = np.sqrt((dc * dc + (rows - 1) ** 2).astype(np.float64))
+    holds = (nearest <= breaks[0]) | (farthest > breaks[-1])
+    holds[0] &= rows > 1  # column 0 links no pixels of a one-row grid
+    j = int(np.argmax(holds))
+    dist = np.sqrt((j * j + dr * dr).astype(np.float64))
+    outside = (dist <= breaks[0]) | (dist > breaks[-1])
+    outside[0] &= j > 0  # the zero displacement pairs no pixels
+    i = int(np.argmax(outside))
+    return CoverageError(f"distance {dist[i]:.6g} of displacement ({i}, {j}) has no band")
 
 
 class BandGeometry:
     """Everything of a tally that depends only on the grid shape and the bands.
 
     ``totals[k]`` is band k's closed-form pair total.  Only the inner bands
-    0 .. nb-2 are tallied by FFT; the outermost band is every pair minus
-    theirs.  ``spectra[k]``, one per inner band, is band k's displacement
-    mask after stage one of the 2-D transform: the row rfft of the mask's
-    rows dr = 0 .. (the largest dr in band k), scaled by the Parseval
-    weight, or None for a band no displacement reaches.  The p1 x p2 plane
-    is sized by the largest |dr| and |dc| of the inner bands, Dr and Dc:
-    p1 >= rows + Dr and p2 >= cols + Dc keep every correlation these masks
-    read free of wrap-around.  One geometry serves every grid of its shape
-    tallied over its classification.
+    0 .. nb-2 are tallied by FFT, and only the box of displacements they
+    can reach is mapped; the outermost band is every pair minus theirs.
+    ``spectra[k]``, one per inner band, is band k's displacement mask after
+    stage one of the 2-D transform: the row rfft of the mask's rows dr = 0
+    .. (the largest dr in band k), scaled by the Parseval weight, or None
+    for a band no displacement reaches.  The p1 x p2 plane is sized by the
+    largest |dr| and |dc| of the inner bands, Dr and Dc: p1 >= rows + Dr and
+    p2 >= cols + Dc keep every correlation these masks read free of
+    wrap-around.  One geometry serves every grid of its shape tallied over
+    its classification.
     """
 
     def __init__(self, rows: int, cols: int, classification: DistanceClassification):

@@ -1,7 +1,9 @@
 """Pair enumeration: schemes, distance bands, counts, oracle equivalence."""
 
+import bisect
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -192,6 +194,18 @@ def test_coverage_enforcement():
             enumerate_pairs(g, DistanceClassification(breaks), CooccurrenceScheme(2))
     with pytest.raises(CoverageError):
         enumerate_pairs_bruteforce(g, DistanceClassification((0.0, 1.0)), CooccurrenceScheme(2))
+    # the first offender in (|dc|, dr) order, also where it lies beyond the inner bands' reach
+    for rows, cols, breaks, message in (
+        (6, 6, (0.0, 5.0), "distance 5.09902 of displacement (5, 1) has no band"),
+        (6, 6, (1.0, 10.0), "distance 1 of displacement (1, 0) has no band"),
+        (40, 40, (0.0, 1.0, 30.0, 50.0), "distance 50.448 of displacement (39, 32) has no band"),
+        (1, 8, (1.0, 10.0), "distance 1 of displacement (0, 1) has no band"),
+        (1, 8, (0.0, 5.0), "distance 6 of displacement (0, 6) has no band"),
+    ):
+        grid = _grid(rows, cols, 1, np.ones(rows * cols))
+        with pytest.raises(CoverageError) as raised:
+            enumerate_pairs(grid, DistanceClassification(breaks), CooccurrenceScheme(1))
+        assert str(raised.value) == message
     sample = enumerate_pairs(g, DistanceClassification((0.0, 1.0, 5.0)), CooccurrenceScheme(2))
     assert sample.cumulative((1.0,)).sum() == 24  # contiguous
 
@@ -686,3 +700,125 @@ def test_tally_peak_allocation_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4_303_232
+
+
+# --------------------------------------------------------------------------
+# closed-form anchors: band totals and whole tables at sizes no oracle reaches
+
+def _band_runs(rows, cols, breaks):
+    """Per signed column dc, the cut points dr where each break is passed.
+
+    Band k holds the linking displacements (dr, dc) with cut[k] <= dr <
+    cut[k + 1].  Within a column math.sqrt(dr^2 + dc^2) grows with dr, so
+    bisect finds each cut; no distance plane or band map is built.
+    """
+    for dc in range(-(cols - 1), cols):
+        drs = range(0 if dc > 0 else 1, rows)  # at dr = 0 only dc > 0 reaches a later pixel
+        key = lambda dr: math.sqrt(dr * dr + dc * dc)
+        cut = [drs.start + bisect.bisect_right(drs, b, key=key) for b in breaks]
+        assert cut[0] == drs.start and cut[-1] == rows, "a linking distance has no band"
+        yield dc, cut
+
+
+def _closed_form_totals(rows, cols, breaks):
+    """Per band, the sum of (rows - dr) * (cols - |dc|) over its displacements."""
+    below = np.concatenate(([0], np.cumsum(np.arange(rows, 0, -1))))  # sum of rows - dr, dr < m
+    totals = np.zeros(len(breaks) - 1, dtype=np.int64)
+    for dc, cut in _band_runs(rows, cols, breaks):
+        totals += np.diff(below[cut]) * (cols - abs(dc))
+    return totals
+
+
+@pytest.mark.parametrize(
+    "rows,cols,breaks",
+    [
+        (50, 50, None),
+        (200, 200, None),
+        (1000, 1000, None),
+        (37, 29, None),
+        (1, 8, None),
+        (8, 1, None),
+        (37, 29, (0.0, 1.0, 30.0, math.hypot(37, 29))),
+        (37, 29, (0.0, 1.0, 29.999999, math.hypot(37, 29))),
+        (29, 37, (0.0, 2.0, 30.0, math.hypot(29, 37))),
+        (5, 5, (0.0, 1.0, 100.0, 200.0)),
+        (37, 29, (0.0, math.hypot(37, 29))),
+        (8, 1, (0.0, 7.0)),
+    ],
+    ids=[
+        "50x50", "200x200", "1000x1000", "37x29", "1x8", "8x1", "reach-exactly-30",
+        "reach-below-30", "29x37-reach-30", "past-the-farthest-pair", "one-band", "one-band-nx1",
+    ],
+)
+def test_geometry_totals_equal_an_independent_sum(rows, cols, breaks):
+    if breaks is None:
+        breaks = DistanceClassification.default_for(_grid(rows, cols, 1, np.ones(rows * cols))).breaks
+    geometry = BandGeometry(rows, cols, DistanceClassification(breaks))
+    np.testing.assert_array_equal(geometry.totals, _closed_form_totals(rows, cols, breaks))
+    assert geometry.totals.sum() == math.comb(rows * cols, 2)
+
+
+def _label_pairs(labels, shift):
+    """(L, L) counts of (labels[t], labels[t + shift]) over every t with both in range."""
+    n, k = labels.size, int(labels.max()) + 1
+    if shift >= 0:
+        a, b = labels[: n - shift], labels[shift:]
+    else:
+        a, b = labels[-shift:], labels[: n + shift]
+    return np.bincount(a * k + b, minlength=k * k).reshape(k, k)
+
+
+def _product_grid_tally(h, v, table, breaks):
+    """Ordered (bands, I * I) counts of the grid x[r, c] = table[h[r], v[c]], in closed form.
+
+    The pairs at displacement (dr, dc) are the row-label pairs at dr times
+    the column-label pairs at dc: for stripes, (rows - dr) times the
+    column-pair counts at dc.  No pixel pair is visited, no FFT runs and no
+    band is a complement.
+    """
+    row_pairs = np.array([_label_pairs(h, dr) for dr in range(h.size)])
+    below = np.concatenate((np.zeros_like(row_pairs[:1]), np.cumsum(row_pairs, axis=0)))
+    k = int(v.max()) + 1
+    labels = np.zeros((len(breaks) - 1, *row_pairs.shape[1:], k, k), dtype=np.int64)
+    for dc, cut in _band_runs(h.size, v.size, breaks):
+        labels += np.multiply.outer(np.diff(below[cut], axis=0), _label_pairs(v, dc))
+    i = int(table.max())
+    category = np.eye(i, dtype=np.int64)[table - 1]  # [h, v, a]: 1 where table[h, v] = a + 1
+    ordered = np.einsum("kgjvw,gva,jwb->kab", labels, category, category)
+    return ordered.reshape(len(breaks) - 1, i * i)
+
+
+def _stripes(width, cats, vertical, rows, cols):
+    """Row labels, column labels and table of stripes ``width`` wide cycling over ``cats``."""
+    if not vertical:
+        h, v, table = _stripes(width, cats, True, cols, rows)
+        return v, h, table.T
+    stripe = np.arange(cols) // width % cats
+    return np.zeros(rows, dtype=np.int64), stripe, np.arange(1, cats + 1)[None]
+
+
+def _checkerboard(rows, cols):
+    return np.arange(rows) % 2, np.arange(cols) % 2, np.array([[1, 2], [2, 1]])
+
+
+CLOSED_FORM_GRIDS = [
+    pytest.param(partial(_stripes, 7, 3, True), True, id="vertical-7-over-3"),
+    pytest.param(partial(_stripes, 7, 3, False), False, id="horizontal-7-over-3"),
+    pytest.param(partial(_stripes, 1, 2, True), False, id="vertical-1-over-2"),
+    pytest.param(partial(_stripes, 1, 2, False), True, id="horizontal-1-over-2"),
+    pytest.param(_checkerboard, True, id="checkerboard"),
+]
+
+
+@pytest.mark.parametrize("make,ordered", CLOSED_FORM_GRIDS)
+@pytest.mark.parametrize("rows,cols", [(1000, 1000), (230, 97)])
+def test_tally_equals_the_closed_form_of_a_product_grid(make, ordered, rows, cols):
+    h, v, table = make(rows, cols)
+    grid = _grid(rows, cols, int(table.max()), table[h[:, None], v].ravel())
+    cls = DistanceClassification.default_for(grid)
+    expected = _product_grid_tally(h, v, table, cls.breaks)
+    # at 1000 x 1000 each grid is tallied once, in one of the two codings
+    for scheme_ordered in (ordered,) if rows == 1000 else (True, False):
+        scheme = CooccurrenceScheme(grid.num_categories, ordered=scheme_ordered)
+        want = expected if scheme_ordered else fold_counts(expected, grid.num_categories)
+        np.testing.assert_array_equal(enumerate_pairs(grid, cls, scheme).category_counts, want)
