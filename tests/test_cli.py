@@ -30,7 +30,7 @@ from spatent import (
     shannon,
     write_grid,
 )
-from spatent import ConsistencyError, cli
+from spatent import ConsistencyError, cli, cooccur
 from spatent.cli import main
 from spatent.decomp import decompose_counts
 
@@ -642,6 +642,27 @@ def test_experiment_shares_one_geometry_across_replicates(tmp_path, monkeypatch)
     # the default bands of a 10x10 grid, split further at the Leibovici distance
     assert geometry.classification.breaks == (0.0, 1.0, 2.0, 3.5, 5.0, 10.0, math.hypot(10, 10))
     assert all(cls == geometry.classification for cls, _ in seen)
+
+
+def test_experiment_finishes_the_band_spectra_once(tmp_path, monkeypatch):
+    geometries, finished = set(), []
+
+    def recording(grid, classification, scheme, *, geometry=None):
+        geometries.add(geometry)
+        return enumerate_pairs(grid, classification, scheme, geometry=geometry)
+
+    def counting(block, p1):
+        finished.append(block)
+        return finish_band(block, p1)
+
+    finish_band = cooccur._finish_band
+    monkeypatch.setattr(cli, "enumerate_pairs", recording)
+    monkeypatch.setattr(cooccur, "_finish_band", counting)
+    assert main(EXP_ARGS.format(workers=1, out=tmp_path / "finished").split()) == 0
+    (geometry,) = geometries
+    # once per band, over the whole stage-one spectrum, for all six tallies
+    assert [id(b) for b in finished] == [id(s) for s in geometry.spectra if s is not None]
+    assert len(finished) == 4  # the inner bands of (0, 1, 2, 5, 10, 10 sqrt 2]
 
 
 def test_experiment_isolates_a_failed_replicate(tmp_path, monkeypatch, caplog):

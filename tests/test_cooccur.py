@@ -20,6 +20,7 @@ from spatent import (
     PairSample,
     conditional_pmfs,
     count_categories,
+    decompose,
     enumerate_pairs,
     enumerate_pairs_bruteforce,
     tabulate_within,
@@ -684,6 +685,67 @@ def test_geometry_must_fit_the_grid_and_bands():
     )
     with pytest.raises(CoverageError, match="has no band"):
         BandGeometry(6, 6, DistanceClassification((0, 1, 2)))
+
+
+def _three_grids(rows, cols, cats, seed, blocks=False):
+    """Three random maps of one shape, each sorted into blocks when asked."""
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        values = rng.integers(1, cats + 1, size=rows * cols)
+        yield _grid(rows, cols, cats, np.sort(values) if blocks else values)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,cats,blocks,breaks",
+    [
+        (200, 200, 2, False, None),
+        (200, 200, 2, True, None),
+        (50, 50, 5, False, None),
+        (50, 50, 20, False, None),
+        (50, 50, 5, False, (0.0, math.hypot(50, 50))),
+        (1, 60, 3, False, None),
+    ],
+    ids=["200x200-I2", "200x200-I2-blocks", "50x50-I5", "50x50-I20", "one-band", "1x60"],
+)
+@pytest.mark.parametrize("ordered", [False, True])
+def test_shared_geometry_equals_the_one_shot_tally(rows, cols, cats, blocks, breaks, ordered):
+    grids = list(_three_grids(rows, cols, cats, rows + cats, blocks))
+    if breaks is None:
+        breaks = DistanceClassification.default_for(grids[0]).breaks
+    cls = DistanceClassification(breaks)
+    scheme = CooccurrenceScheme(cats, ordered=ordered)
+    geometry = BandGeometry(rows, cols, cls)
+    stage_one = [None if s is None else s.tobytes() for s in geometry.spectra]
+    for grid in grids:
+        _assert_same_tally(
+            enumerate_pairs(grid, cls, scheme, geometry=geometry),
+            enumerate_pairs(grid, cls, scheme),
+        )
+    assert len(geometry.finished) == len(geometry.spectra)
+    for s, g in zip(geometry.spectra, geometry.finished):
+        assert (s is None) == (g is None)
+        if g is not None:
+            assert g.shape == (geometry.p2 // 2 + 1, geometry.p1)
+            assert not g.flags.writeable
+    assert [None if s is None else s.tobytes() for s in geometry.spectra] == stage_one
+
+
+def test_one_shot_tally_never_finishes_the_band_spectra(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a one-shot tally built the finished band spectra")
+
+    monkeypatch.setattr(BandGeometry, "finished", property(refuse))
+    grid = next(_three_grids(40, 30, 3, 7))
+    cls = DistanceClassification.default_for(grid)
+    for ordered in (False, True):
+        scheme = CooccurrenceScheme(3, ordered=ordered)
+        _assert_same_tally(
+            enumerate_pairs(grid, cls, scheme), enumerate_pairs_displacement(grid, cls, scheme)
+        )
+        tabulate_within(grid, 2.5, scheme)
+    decompose(grid)
+    with pytest.raises(AssertionError, match="one-shot tally built"):
+        enumerate_pairs(grid, cls, scheme, geometry=BandGeometry(40, 30, cls))
 
 
 def test_tally_peak_allocation_stays_bounded():
