@@ -126,24 +126,6 @@ class CooccurrenceScheme:
             return tuple(product(rng, repeat=2))
         return tuple(combinations_with_replacement(rng, 2))
 
-    def pair_code_table(self) -> np.ndarray:
-        """(I, I) lookup: 0-based categories of a pair -> 0-based pair code.
-
-        The table is what makes vectorized tallying possible.
-        """
-        i = self.num_x_categories
-        lut = np.empty((i, i), dtype=np.int64)
-        if self.ordered:
-            lut[:] = np.arange(i * i).reshape(i, i)
-        else:
-            code = 0
-            for a in range(i):
-                for b in range(a, i):
-                    lut[a, b] = code
-                    lut[b, a] = code
-                    code += 1
-        return lut
-
 
 @dataclass(frozen=True)
 class DistanceClassification:

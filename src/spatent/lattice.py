@@ -132,14 +132,10 @@ class AreaPartition:
 
     @cached_property
     def _centroids(self) -> np.ndarray:
-        n = self.rows * self.cols
-        r = np.arange(n) // self.cols + 0.5
-        c = np.arange(n) % self.cols + 0.5
-        out = np.zeros((self.num_areas, 2))
-        for g in range(self.num_areas):
-            mask = self.assignment == g + 1
-            out[g, 0] = r[mask].mean()
-            out[g, 1] = c[mask].mean()
+        r, c = np.divmod(np.arange(self.rows * self.cols), self.cols)
+        # pixel centroids are half-integers, so both weighted sums are exact
+        sums = [np.bincount(self.assignment, x + 0.5, self.num_areas + 1)[1:] for x in (r, c)]
+        out = np.stack(sums, axis=1) / self.sizes[:, None]
         out.flags.writeable = False
         return out
 
@@ -203,20 +199,27 @@ def _parse_naturals(data: bytes, what: str) -> np.ndarray:
 
     Signs, underscores and non-ASCII digits, which Python's ``int()``
     accepts, raise ValueError like every other byte outside the two sets.
+    One pass finds each number's first digit, then extends only the numbers
+    whose next byte is still a digit, at most 18 digits deep.
     """
     if data.translate(None, _DIGITS + _WHITESPACE):
         raise ValueError(f"{what}: only ASCII digits and whitespace are allowed")
-    buf = np.frombuffer(data, dtype=np.uint8)
-    # every whitespace byte sorts below "0": token edges are digit/non-digit flips
-    edges = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False, append=False))
-    starts, widths = edges[0::2], edges[1::2] - edges[0::2]
-    longest = int(widths.max(initial=0))
-    if longest > _MAX_DIGITS:
+    # one whitespace byte per side, so every number has a non-digit on both sides
+    buf = np.frombuffer(b" " + data + b" ", dtype=np.uint8)
+    digit = buf >= ord("0")  # every whitespace byte sorts below "0"
+    at = np.flatnonzero(digit[1:] > digit[:-1]) + 1  # each number's first digit
+    values = (buf[at] - ord("0")).astype(np.int64)
+    live = None  # which numbers ``at`` still follows; None means all of them
+    for _ in range(_MAX_DIGITS - 1):
+        at += 1
+        more = np.flatnonzero(digit[at])
+        if not more.size:
+            return values
+        at = at[more]
+        live = more if live is None else live[more]
+        values[live] = values[live] * 10 + (buf[at] - ord("0"))
+    if digit[at + 1].any():
         raise ValueError(f"{what}: number longer than {_MAX_DIGITS} digits")
-    values = np.zeros(starts.size, dtype=np.int64)
-    for j in range(longest):
-        more = widths > j
-        values[more] = values[more] * 10 + (buf[starts[more] + j] - ord("0"))
     return values
 
 

@@ -27,11 +27,27 @@ def _displacements(rows: int, cols: int):
             yield dr, dc
 
 
+def pair_code_table(scheme) -> np.ndarray:
+    """(I, I) lookup: 0-based categories of a pair -> 0-based pair code of ``scheme``."""
+    i = scheme.num_x_categories
+    lut = np.empty((i, i), dtype=np.int64)
+    if scheme.ordered:
+        lut[:] = np.arange(i * i).reshape(i, i)
+    else:
+        code = 0
+        for a in range(i):
+            for b in range(a, i):
+                lut[a, b] = code
+                lut[b, a] = code
+                code += 1
+    return lut
+
+
 def enumerate_pairs_displacement(grid, classification, scheme, *, require_coverage=True):
     """Same contract as ``spatent.enumerate_pairs``, by the displacement route."""
     m0 = grid.matrix - 1
     rows, cols = m0.shape
-    lut = scheme.pair_code_table()
+    lut = pair_code_table(scheme)
     breaks = list(classification.breaks)
     num_codes = scheme.num_z_categories
     counts = np.zeros((classification.num_bands, num_codes), dtype=np.int64)

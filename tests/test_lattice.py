@@ -1,10 +1,11 @@
 """Grid and partition geometry, validation, file round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spatent import (
@@ -19,6 +20,7 @@ from spatent import (
     write_grid,
     write_partition,
 )
+from spatent.lattice import _parse_naturals
 
 
 def _grid(rows, cols, cats, values):
@@ -144,6 +146,41 @@ def test_partition_centroids_weighted_by_pixels():
     np.testing.assert_allclose(cents[1], (1.0, 2.5))
 
 
+def _masked_mean_centroids(part):
+    """One mask per area: the mean row and column centroid of its pixels."""
+    r, c = np.divmod(np.arange(part.rows * part.cols), part.cols)
+    rows = []
+    for g in range(1, part.num_areas + 1):
+        mask = part.assignment == g
+        rows.append([(r[mask] + 0.5).mean(), (c[mask] + 0.5).mean()])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,num_areas",
+    [(1, 1, 1), (1, 9, 1), (7, 3, 9), (13, 17, 16), (50, 50, 100), (64, 40, 400)],
+)
+def test_partition_centroids_equal_the_masked_means(rows, cols, num_areas):
+    grid = _grid(rows, cols, 1, np.ones(rows * cols))
+    g0 = math.isqrt(num_areas)
+    uniform = [UNIFORM_PARTITION] if rows % g0 == cols % g0 == 0 else []
+    for seed in [0, 1, 2, *uniform]:
+        part = partition_window(grid, num_areas, seed)
+        cents = part.centroids()
+        assert cents.shape == (num_areas, 2)
+        assert np.array_equal(cents, _masked_mean_centroids(part))
+
+
+def test_irregular_partition_centroids_equal_the_masked_means(tmp_path):
+    # scattered areas of unequal size, every label used, read back from a file
+    rng = np.random.default_rng(11)
+    labels = np.concatenate([np.arange(1, 31), rng.integers(1, 31, 37 * 23 - 30)])
+    path = tmp_path / "p.txt"
+    write_partition(AreaPartition(37, 23, 30, rng.permutation(labels)), path)
+    part = read_partition(path, 37, 23)
+    assert np.array_equal(part.centroids(), _masked_mean_centroids(part))
+
+
 # --------------------------------------------------------------------------
 # file round trips
 
@@ -209,6 +246,114 @@ def test_partition_read_rejects_malformed_text(tmp_path, text):
     path.write_bytes(text)
     with pytest.raises(ValueError):
         read_partition(path, 2, 2)
+
+
+# every whitespace byte the readers accept, and the two-byte Windows line break
+_GAPS = st.lists(
+    st.sampled_from([b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\r\n"]), min_size=1, max_size=3
+).map(b"".join)
+# 1 to 18 digits, leading zeros included
+_NUMBERS = st.integers(1, 18).flatmap(
+    lambda w: st.text("0123456789", min_size=w, max_size=w)
+).map(str.encode)
+
+
+@st.composite
+def _bodies(draw, tokens=None):
+    """Tokens between whitespace runs, each end bare or padded; possibly no token at all."""
+    if tokens is None:
+        tokens = draw(st.lists(_NUMBERS, max_size=40))
+    parts = [draw(st.just(b"") | _GAPS)]
+    for token in tokens:
+        parts += [token, draw(_GAPS)]
+    if draw(st.booleans()):
+        parts[-1] = b""
+    return b"".join(parts)
+
+
+@st.composite
+def _area_bodies(draw):
+    """Area ids 1..G, every one used, each written with 1 to 18 digits."""
+    drawn = draw(st.lists(st.integers(1, 6), min_size=1, max_size=40))
+    ids = np.unique(drawn, return_inverse=True)[1] + 1
+    tokens = [b"0" * draw(st.integers(0, 17)) + str(g).encode() for g in ids]
+    return ids, draw(_bodies(tokens))
+
+
+def _reference(body: bytes, what: str) -> np.ndarray:
+    """An independent reader: the same byte check, then ``int`` on each whitespace-split token."""
+    if body.translate(None, b"0123456789 \t\n\r\x0b\x0c"):
+        raise ValueError(f"{what}: only ASCII digits and whitespace are allowed")
+    return np.array([int(t) for t in body.split()], dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bodies())
+@example(b"")
+@example(b" \t\r\n\x0b\x0c")
+@example(b"9" * 18)
+@example(b"\r" + b"0" * 17 + b"7\r\r\n1\r")
+def test_parse_naturals_equals_int_on_split_tokens(body):
+    values = _parse_naturals(body, "body")
+    assert values.dtype == np.int64 and values.shape == (len(body.split()),)
+    assert np.array_equal(values, _reference(body, "body"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_area_bodies(), st.sampled_from([b"\n", b"\r", b"\r\n"]))
+def test_file_readers_equal_int_on_split_tokens(tmp_path_factory, drawn, newline):
+    ids, body = drawn
+    expected = _reference(body, "body")
+    assert np.array_equal(expected, ids)
+    n, g = ids.size, ids.max()
+    path = tmp_path_factory.mktemp("read") / "f.txt"
+    path.write_bytes(f"1 {n} {g}".encode() + newline + body)
+    grid = read_grid(path)
+    assert (grid.rows, grid.cols, grid.num_categories) == (1, n, g)
+    assert np.array_equal(grid.values, expected)
+    path.write_bytes(str(g).encode() + newline + body)
+    part = read_partition(path, 1, n)
+    assert part.num_areas == g
+    assert np.array_equal(part.assignment, expected)
+
+
+def test_parse_naturals_error_texts():
+    assert _parse_naturals(b"1 " + b"9" * 18 + b"\n", "body").tolist() == [1, 10**18 - 1]
+    with pytest.raises(ValueError, match=r"^body: number longer than 18 digits$"):
+        _parse_naturals(b"1 " + b"0" * 18 + b"1\n", "body")
+    with pytest.raises(ValueError, match=r"^body: only ASCII digits and whitespace are allowed$"):
+        _parse_naturals(b"1 2\x00", "body")
+
+
+def test_file_reader_error_texts(tmp_path):
+    path = tmp_path / "g.grid"
+    path.write_bytes(b"1 2 2\n1 " + b"1" * 19 + b"\n")
+    with pytest.raises(ValueError) as err:
+        read_grid(path)
+    assert str(err.value) == f"{path}: number longer than 18 digits"
+    path.write_bytes(b"1 2 2\n1 2;\n")
+    with pytest.raises(ValueError) as err:
+        read_grid(path)
+    assert str(err.value) == f"{path}: only ASCII digits and whitespace are allowed"
+    path.write_bytes(b"2 x\n1 2\n")
+    with pytest.raises(ValueError) as err:
+        read_partition(path, 1, 2)
+    assert str(err.value) == f"{path}: header: only ASCII digits and whitespace are allowed"
+
+
+def test_read_grid_peak_allocation_stays_bounded(tmp_path):
+    # the reader's temporaries stay below 4.5 int64 copies of the grid (it needs ~2.9)
+    grid = _grid(500, 500, 2, np.random.default_rng(5).integers(1, 3, 250_000))
+    path = tmp_path / "g.grid"
+    write_grid(grid, path)
+    tracemalloc.start()
+    try:
+        back = read_grid(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.values, grid.values)
+    assert peak <= 4.5 * back.values.nbytes
 
 
 def test_partition_roundtrip(tmp_path):
