@@ -27,7 +27,6 @@ from .cooccur import (
     count_categories,
     enumerate_pairs,
     enumerate_pairs_bruteforce,
-    tabulate_within,
 )
 from .decomp import (
     BandDecomposition,
@@ -124,7 +123,6 @@ __all__ = [
     "replicate_seed",
     "shannon",
     "spatial_mutual_information",
-    "tabulate_within",
     "write_grid",
     "write_partition",
 ]

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccur import CooccurrenceScheme, DistanceClassification, tabulate_within
+from .cooccur import DistanceClassification, fold_counts, pairs_within
 from .errors import ConsistencyError
-from .lattice import AreaPartition, CategoricalGrid
+from .lattice import AreaPartition, CategoricalGrid, window_diagonal
 from .prob import _plogp
 
 
@@ -147,7 +147,7 @@ def karlstrom_entropy(ap: AreaProbabilities, nb: AreaNeighbourhood) -> float:
         # impossible while each area neighbours itself; guards foreign weights
         raise ConsistencyError("smoothed probability vanished on the support")
     p = ap.probs[mask]
-    return float(-(p * np.log(smoothed[mask])).sum())
+    return 0.0 - float((p * np.log(smoothed[mask])).sum())  # no -0.0
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def contiguity_index(name: str, probs: np.ndarray) -> float:
     if name in ("oneill", "leibovici"):
         return h
     if name == "parresol":
-        return -h
+        return 0.0 - h  # folds -0.0 into 0.0
     if name == "rc":
         if probs.size < 2:
             raise ValueError("contagion needs at least two categories")
@@ -185,8 +185,13 @@ def checked_leibovici_distance(max_distance: float) -> float:
     return DistanceClassification.single_band(max_distance).breaks[-1]
 
 
-def _ordered(grid: CategoricalGrid) -> CooccurrenceScheme:
-    return CooccurrenceScheme(grid.num_categories, ordered=True)
+def _near_law(grid: CategoricalGrid, max_distance: float, ordered: bool = True) -> np.ndarray:
+    """Pair-category law of the pairs at distance (0, max_distance], from one ordered tally."""
+    whole = DistanceClassification((0.0, window_diagonal(grid)))
+    near = pairs_within(grid, whole, (max_distance,))[-1]
+    if not ordered:
+        near = fold_counts(near, grid.num_categories)
+    return near / near.sum()
 
 
 def oneill_entropy(grid: CategoricalGrid) -> float:
@@ -195,7 +200,7 @@ def oneill_entropy(grid: CategoricalGrid) -> float:
     Contiguous means centroid distance in (0, 1], i.e. rook adjacency; the
     range is [0, 2 log(I)].
     """
-    return contiguity_index("oneill", tabulate_within(grid, 1.0, _ordered(grid)).probs)
+    return contiguity_index("oneill", _near_law(grid, 1.0))
 
 
 def leibovici_entropy(grid: CategoricalGrid, max_distance: float) -> float:
@@ -203,8 +208,7 @@ def leibovici_entropy(grid: CategoricalGrid, max_distance: float) -> float:
 
     At max_distance = 1 it coincides with O'Neill's entropy by construction.
     """
-    d = checked_leibovici_distance(max_distance)
-    return contiguity_index("leibovici", tabulate_within(grid, d, _ordered(grid)).probs)
+    return contiguity_index("leibovici", _near_law(grid, checked_leibovici_distance(max_distance)))
 
 
 def relative_contagion(grid: CategoricalGrid, *, ordered: bool = True) -> float:
@@ -214,10 +218,9 @@ def relative_contagion(grid: CategoricalGrid, *, ordered: bool = True) -> float:
     categories are uniform.  The unordered variant normalizes by the
     unordered category count (I^2 + I) / 2.
     """
-    scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
-    return contiguity_index("rc", tabulate_within(grid, 1.0, scheme).probs)
+    return contiguity_index("rc", _near_law(grid, 1.0, ordered))
 
 
 def parresol_edwards_entropy(grid: CategoricalGrid) -> float:
     """Parresol-Edwards form: the negated O'Neill entropy."""
-    return contiguity_index("parresol", tabulate_within(grid, 1.0, _ordered(grid)).probs)
+    return contiguity_index("parresol", _near_law(grid, 1.0))

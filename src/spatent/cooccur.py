@@ -9,10 +9,10 @@ with the distance class of the pixel pair.  This module owns
 * the enumeration of all N(N-1)/2 unordered pixel pairs of a grid.
 
 One ordered tally over fine enough bands holds every other tally of the same
-grid: ``PairSample.cumulative`` runs one sum over its bands, so the pairs
-between any two of its breaks are a difference of two rows, and
-``fold_counts`` adds (a, b) to (b, a) for the unordered coding.  Both are
-exact integer sums.
+grid, and every pair measure reads one through ``pairs_within``: its running
+sum over the bands makes the pairs between two breaks a difference of two
+rows, and ``fold_counts`` adds (a, b) to (b, a) for the unordered coding.
+Both are exact integer sums.
 
 Enumeration never materializes the pair list.  For categories a and b, the
 number of ordered pairs (a at x, b at x + d) at displacement d is the
@@ -76,7 +76,6 @@ import numpy as np
 
 from .errors import ConsistencyError, CoverageError
 from .lattice import CategoricalGrid, window_diagonal
-from .prob import Pmf
 
 _UINT63_MAX = 2**63 - 1
 # an FFT pair sum further than this from its integer is a numerical fault
@@ -219,20 +218,6 @@ class PairSample:
     def total_pairs(self) -> int:
         return int(self.pair_counts.sum())
 
-    def cumulative(self, breaks) -> np.ndarray:
-        """Pair-category counts of the pairs at distance <= each break, one row each.
-
-        Every break must be a break of this tally.  Rows come from one
-        running sum over the bands, so the pairs between two breaks are the
-        difference of their rows, and the first break's row is all zero.
-        """
-        position = {b: i for i, b in enumerate(self.classification.breaks)}
-        missing = [b for b in breaks if b not in position]
-        if missing:
-            raise ValueError(f"breaks {missing} are not breaks of this tally")
-        cumulative = np.zeros((len(position), self.scheme.num_z_categories), dtype=np.int64)
-        np.cumsum(self.category_counts, axis=0, out=cumulative[1:])
-        return cumulative[[position[b] for b in breaks]]
 
 def fold_counts(counts: np.ndarray, num_x_categories: int) -> np.ndarray:
     """Unordered pair-category counts from ordered ones, along the last axis.
@@ -462,6 +447,28 @@ def enumerate_pairs(
     return PairSample(scheme, classification, geometry.totals, table)
 
 
+def pairs_within(
+    grid: CategoricalGrid, classification: DistanceClassification, distances=(), *, geometry=None
+) -> np.ndarray:
+    """Ordered pair-category counts of the pairs at distance <= each break, then <= each distance.
+
+    One int64 row per break of ``classification``, then one per distance
+    clamped to [breaks[0], breaks[-1]], from one running sum over one
+    ordered tally split further at ``distances``: the first row is all
+    zero, the pairs between two breaks are the difference of their rows,
+    and ``fold_counts`` folds any row.  ``geometry`` is as for
+    ``enumerate_pairs``, built over the split bands.
+    """
+    lo, hi = classification.breaks[0], classification.breaks[-1]
+    ends = classification.breaks + tuple(min(max(float(d), lo), hi) for d in distances)
+    fine = classification.refined(distances)
+    scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
+    tally = enumerate_pairs(grid, fine, scheme, geometry=geometry)
+    within = np.zeros((len(fine.breaks), scheme.num_z_categories), dtype=np.int64)
+    np.cumsum(tally.category_counts, axis=0, out=within[1:])
+    return within[np.searchsorted(fine.breaks, ends)]
+
+
 def _inner_band_sums(m0, present, geometry, batch):
     """FFT pair sums of the inner bands: (nb - 1, ni, ni) floats, per present category pair.
 
@@ -561,18 +568,3 @@ def enumerate_pairs_bruteforce(
             pair_counts[k] += 1
     return PairSample(scheme, classification, pair_counts, counts)
 
-
-def tabulate_within(
-    grid: CategoricalGrid, max_distance: float, scheme: CooccurrenceScheme
-) -> Pmf:
-    """Pmf of pair categories over all pairs at distance in (0, max_distance].
-
-    One tally over (0, window diagonal], split at ``max_distance``: its
-    first band holds exactly those pairs.
-    """
-    d = DistanceClassification.single_band(max_distance).breaks[-1]
-    whole = DistanceClassification((0.0, window_diagonal(grid)))
-    near = enumerate_pairs(grid, whole.refined((d,)), scheme).category_counts[0]
-    if not near.any():
-        raise ValueError(f"no pixel pairs at distance <= {d}")
-    return Pmf.from_counts(scheme.category_labels(), near)

@@ -13,7 +13,7 @@ partial residual entropy and PI(Z, w_k) = KL(p(Z | w_k) || p(Z)) the
 partial information of band k, with MI = sum_k p(w_k) PI(Z, w_k).
 
 Every term comes from one table, the pair-category counts per distance
-band of a tally (``PairSample.category_counts``), and this module is the
+band (row differences of ``cooccur.pairs_within``), and this module is the
 only place that turns it into laws: p(W), p(Z), the band conditionals and
 the joint table, all relative frequencies.  ``decompose_counts`` reads them
 as plain arrays, ``decompose`` tallies a grid and calls it, and
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cooccur import CooccurrenceScheme, DistanceClassification, PairSample, enumerate_pairs
+from .cooccur import DistanceClassification, PairSample, fold_counts, pairs_within
 from .errors import ConsistencyError
 from .lattice import CategoricalGrid
 from .prob import JointPmf, Pmf, _kl, _plogp, mutual_information
@@ -246,16 +246,19 @@ def identity_residuals(counts: np.ndarray, dec: EntropyDecomposition) -> dict[st
 def decompose(
     grid: CategoricalGrid,
     classification: DistanceClassification | None = None,
+    *,
+    ordered: bool = False,
 ) -> EntropyDecomposition:
-    """Decompose the unordered pair entropy of a grid over distance bands.
+    """Decompose the pair entropy of a grid over distance bands.
 
     Uses the default distance classification for the grid when none is
-    given.  The unordered pair coding is the canonical choice here: an
-    ordered coding would count the same unordered pixel pair twice in
-    opposite orientations.
+    given.  The unordered pair coding is the default: an ordered coding
+    (``ordered=True``) tells the pair (a, b), read from the row-major-first
+    pixel, from (b, a).
     """
     if classification is None:
         classification = DistanceClassification.default_for(grid)
-    scheme = CooccurrenceScheme(grid.num_categories, ordered=False)
-    sample = enumerate_pairs(grid, classification, scheme)
-    return decompose_counts(sample.category_counts, classification.labels)
+    counts = np.diff(pairs_within(grid, classification), axis=0)
+    if not ordered:
+        counts = fold_counts(counts, grid.num_categories)
+    return decompose_counts(counts, classification.labels)

@@ -181,11 +181,11 @@ def partition_window(grid: CategoricalGrid, num_areas: int, seed) -> AreaPartiti
 
 def write_grid(grid: CategoricalGrid, path) -> None:
     """Write 'rows cols num_categories' then one line of codes per grid row."""
-    m = grid.matrix
+    # one decimal string per code, indexed by the matrix, not one str() per pixel
+    codes = np.array([str(v) for v in range(grid.num_categories + 1)], dtype=object)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{grid.rows} {grid.cols} {grid.num_categories}\n")
-        for r in range(grid.rows):
-            fh.write(" ".join(str(int(x)) for x in m[r]) + "\n")
+        fh.writelines(" ".join(row) + "\n" for row in codes[grid.matrix])
 
 
 _DIGITS = b"0123456789"
@@ -243,9 +243,10 @@ def read_grid(path) -> CategoricalGrid:
 
 def write_partition(partition: AreaPartition, path) -> None:
     """Write the area count, then all pixel area ids row-major on one line."""
+    ids = np.array([str(v) for v in range(partition.num_areas + 1)], dtype=object)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{partition.num_areas}\n")
-        fh.write(" ".join(str(int(g)) for g in partition.assignment) + "\n")
+        fh.write(" ".join(ids[partition.assignment]) + "\n")
 
 
 def read_partition(path, rows: int, cols: int) -> AreaPartition:

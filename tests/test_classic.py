@@ -197,8 +197,9 @@ def test_leibovici_chessboard_distance_two_frozen():
 
 
 def test_leibovici_needs_reachable_distance():
-    with pytest.raises(ValueError):
-        leibovici_entropy(_chessboard(4), 0.5)
+    for bad in (0.5, 0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            leibovici_entropy(_chessboard(4), bad)
 
 
 def test_relative_contagion_chessboard():

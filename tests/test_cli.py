@@ -1,5 +1,6 @@
 """End-to-end command line coverage on tiny inputs."""
 
+import dataclasses
 import hashlib
 import json
 import logging
@@ -30,7 +31,7 @@ from spatent import (
     shannon,
     write_grid,
 )
-from spatent import ConsistencyError, cli, cooccur
+from spatent import ConsistencyError, cli, cooccur, decomp
 from spatent.cli import main
 from spatent.decomp import decompose_counts
 
@@ -179,6 +180,10 @@ def test_measure_to_file(tmp_path):
         ("measure {g7}", "more areas than pixels"),
         ("measure {g7} --areas 1 --target-category 3", "target category 3 out of range"),
         ("generate --scenario multicluster --rows 4 --out {out}", "at least 5 rows"),
+        (
+            "generate --scenario random --categories 3 --rows 2 --cols 2 --uniform-pmf --out {out}",
+            "uniform mix needs the category count to divide the pixel count",
+        ),
         ("experiment --rows 6 --cols 6 --skip-uniform --out {out}", "more areas than pixels"),
         ("experiment --rows 7 --cols 7 --out {out}", "random:20 (use --skip-uniform)"),
     ],
@@ -189,6 +194,7 @@ def test_measure_to_file(tmp_path):
         "measure-too-many-areas",
         "measure-target-category-out-of-range",
         "generate-multicluster-too-small",
+        "generate-uniform-pmf-no-equal-split",
         "experiment-too-many-areas",
         "experiment-no-equal-split",
     ],
@@ -204,13 +210,15 @@ def test_input_errors_exit_2_in_one_line(tmp_path, caplog, capsys, argv, message
     assert message in record.getMessage()
     assert record.exc_info is None
     assert "Traceback" not in capsys.readouterr().err
+    # a bad generate or experiment spec makes no output directory
+    assert not paths["out"].exists()
 
 
 def test_consistency_errors_still_propagate(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ConsistencyError("routes disagree")
 
-    monkeypatch.setattr(cli, "decompose_counts", broken)
+    monkeypatch.setattr(decomp, "decompose_counts", broken)
     with pytest.raises(ConsistencyError, match="routes disagree"):
         main(["decompose", str(_chessboard_path(tmp_path))])
 
@@ -302,6 +310,40 @@ def test_measure_rows_keep_their_errors():
         cli._measure_rows(CategoricalGrid(4, 4, 1, np.ones(16)), ("rc",))
 
 
+def test_every_pair_path_makes_one_ordered_tally(monkeypatch):
+    schemes = []
+
+    def recording(grid, classification, scheme, *, geometry=None):
+        schemes.append(scheme)
+        return enumerate_pairs(grid, classification, scheme, geometry=geometry)
+
+    monkeypatch.setattr(cooccur, "enumerate_pairs", recording)
+    grid = CategoricalGrid(6, 6, 3, (np.arange(36) % 3) + 1)
+    paths = {
+        "decompose": lambda: decompose(grid),
+        "decompose-ordered": lambda: decompose(grid, ordered=True),
+        "oneill": lambda: oneill_entropy(grid),
+        "leibovici": lambda: leibovici_entropy(grid, 2.5),
+        "rc": lambda: relative_contagion(grid),
+        "rc-unordered": lambda: relative_contagion(grid, ordered=False),
+        "parresol": lambda: parresol_edwards_entropy(grid),
+        "measure": lambda: cli._measure_rows(grid, cli.MEASURES[:2] + cli.MEASURES[4:]),
+        "verify": lambda: cli._verify_grid(grid),
+    }
+    for name, path in paths.items():
+        schemes.clear()
+        path()
+        assert schemes == [CooccurrenceScheme(3, ordered=True)], name
+
+
+def test_measure_prints_no_negative_zero(tmp_path, capsys):
+    path = _write(tmp_path, "one.grid", 4, 4, 1, np.ones(16))
+    argv = ["measure", str(path), "--areas", "1", "--measures", "oneill,parresol,karlstrom"]
+    assert main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows == [f"karlstrom,d{d},0" for d in (0, 2, 5, 10)] + ["oneill,,0", "parresol,,0"]
+
+
 def test_measure_rows_tally_once_and_only_for_pair_measures(monkeypatch):
     calls = []
 
@@ -309,7 +351,7 @@ def test_measure_rows_tally_once_and_only_for_pair_measures(monkeypatch):
         calls.append(args[1])
         return enumerate_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "enumerate_pairs", counting)
+    monkeypatch.setattr(cooccur, "enumerate_pairs", counting)
     grid = CategoricalGrid(6, 6, 2, (np.arange(36) % 2) + 1)
     cli._measure_rows(grid, ("shannon_x",))
     assert calls == []
@@ -381,6 +423,26 @@ def test_verify_passes_on_valid_grid(tmp_path, capsys):
     assert "all identities hold" in out
     assert "bruteforce-oracle" in out  # 64 pixels: the slow path runs too
     assert "FAIL" not in out
+
+
+def test_verify_compares_the_ordered_table(tmp_path, monkeypatch, capsys):
+    # left half 1, right half 2: the 4 mixed rook pairs all read (1, 2), none (2, 1)
+    path = _write(tmp_path, "halves.grid", 4, 4, 2, np.tile([1, 1, 2, 2], 4))
+
+    def swapped(grid, classification, scheme, *, geometry=None):
+        sample = enumerate_pairs(grid, classification, scheme, geometry=geometry)
+        counts = sample.category_counts.copy()
+        if scheme.ordered:  # swap (1, 2) and (2, 1) in the first band
+            counts[0, [1, 2]] = counts[0, [2, 1]]
+        return dataclasses.replace(sample, category_counts=counts)
+
+    monkeypatch.setattr(cooccur, "enumerate_pairs", swapped)
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    # the folded decomposition cannot see the swap; the oracle can
+    assert [line.split()[2] for line in out.splitlines() if line.startswith("FAIL")] == [
+        "bruteforce-oracle"
+    ]
 
 
 def test_verify_flags_corrupt_file(tmp_path, capsys):
@@ -560,7 +622,7 @@ def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
         calls.append(args[0])
         return enumerate_pairs(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "enumerate_pairs", counting)
+    monkeypatch.setattr(cooccur, "enumerate_pairs", counting)
     out = _run_experiment(tmp_path, "once", 1)
     # two scenarios, two replicates each plus the flagged equal-split one
     assert len(calls) == 6
@@ -632,7 +694,7 @@ def test_experiment_shares_one_geometry_across_replicates(tmp_path, monkeypatch)
         seen.append((classification, geometry))
         return enumerate_pairs(grid, classification, scheme, geometry=geometry)
 
-    monkeypatch.setattr(cli, "enumerate_pairs", recording)
+    monkeypatch.setattr(cooccur, "enumerate_pairs", recording)
     out = tmp_path / "shared"
     argv = EXP_ARGS.format(workers=1, out=out) + " --leibovici-distance 3.5"
     assert main(argv.split()) == 0
@@ -656,7 +718,7 @@ def test_experiment_finishes_the_band_spectra_once(tmp_path, monkeypatch):
         return finish_band(block, p1)
 
     finish_band = cooccur._finish_band
-    monkeypatch.setattr(cli, "enumerate_pairs", recording)
+    monkeypatch.setattr(cooccur, "enumerate_pairs", recording)
     monkeypatch.setattr(cooccur, "_finish_band", counting)
     assert main(EXP_ARGS.format(workers=1, out=tmp_path / "finished").split()) == 0
     (geometry,) = geometries

@@ -23,7 +23,6 @@ from spatent import (
     decompose,
     enumerate_pairs,
     enumerate_pairs_bruteforce,
-    tabulate_within,
     window_diagonal,
 )
 from spatent.cooccur import (
@@ -31,6 +30,7 @@ from spatent.cooccur import (
     _exact_counts,
     _fast_length,
     fold_counts,
+    pairs_within,
 )
 
 
@@ -207,8 +207,7 @@ def test_coverage_enforcement():
         with pytest.raises(CoverageError) as raised:
             enumerate_pairs(grid, DistanceClassification(breaks), CooccurrenceScheme(1))
         assert str(raised.value) == message
-    sample = enumerate_pairs(g, DistanceClassification((0.0, 1.0, 5.0)), CooccurrenceScheme(2))
-    assert sample.cumulative((1.0,)).sum() == 24  # contiguous
+    assert pairs_within(g, DistanceClassification((0.0, 1.0, 5.0)))[1].sum() == 24  # contiguous
 
 
 def test_scheme_must_cover_grid_categories():
@@ -219,14 +218,15 @@ def test_scheme_must_cover_grid_categories():
 
 def test_tabulate_within_distance_one():
     g = _chessboard(3)
-    pmf = tabulate_within(g, 1.0, CooccurrenceScheme(2))
-    # 12 contiguous pairs on a 3x3 board, all mixed
-    assert pmf.probs[pmf.labels.index((1, 2))] == 1.0
-    with pytest.raises(ValueError, match=r"no pixel pairs at distance <= 0\.5"):
-        tabulate_within(g, 0.5, CooccurrenceScheme(2))
-    for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            tabulate_within(g, bad, CooccurrenceScheme(2))
+    whole = DistanceClassification((0.0, window_diagonal(g)))
+    # 12 contiguous pairs on a 3x3 board, all mixed: 6 read (1, 2) and 6 read (2, 1)
+    within = pairs_within(g, whole, (1.0, 0.5, 0.0, -1.0, math.inf))
+    np.testing.assert_array_equal(within[2], [0, 6, 6, 0])
+    np.testing.assert_array_equal(fold_counts(within[2], 2), [0, 12, 0])
+    # distances are clamped to the classification: none below it, all 36 pairs above it
+    assert not within[3:6].any()
+    np.testing.assert_array_equal(within[6], within[1])
+    assert within[6].sum() == 36
 
 
 @pytest.mark.parametrize("ordered", [False, True])
@@ -240,9 +240,13 @@ def test_tabulate_within_equals_a_single_band_tally(rows, cols, cats, distance, 
     ref = enumerate_pairs_displacement(
         g, DistanceClassification.single_band(distance), scheme, require_coverage=False
     )
-    pmf = tabulate_within(g, distance, scheme)
-    assert pmf.labels == scheme.category_labels()
-    np.testing.assert_array_equal(pmf.probs, ref.category_counts[0] / ref.total_pairs)
+    whole = DistanceClassification((0.0, window_diagonal(g)))
+    near = pairs_within(g, whole, (distance,))[-1]
+    if not ordered:
+        near = fold_counts(near, cats)
+    assert near.size == len(scheme.category_labels())
+    np.testing.assert_array_equal(near, ref.category_counts[0])
+    assert near.sum() == ref.total_pairs
 
 
 # --------------------------------------------------------------------------
@@ -484,14 +488,14 @@ def test_coarsened_and_folded_tally_equals_direct_tallies(case):
     i = grid.num_categories
     ordered, unordered = CooccurrenceScheme(i, ordered=True), CooccurrenceScheme(i)
     tally = enumerate_pairs(grid, fine, ordered)
-    coarsened = np.diff(tally.cumulative(coarse.breaks), axis=0)
+    coarsened = np.diff(pairs_within(grid, fine, coarse.breaks)[len(fine.breaks):], axis=0)
     _assert_same_counts(coarsened, enumerate_pairs(grid, coarse, ordered))
     _assert_same_counts(fold_counts(coarsened, i), enumerate_pairs(grid, coarse, unordered))
     _assert_same_counts(fold_counts(tally.category_counts, i), enumerate_pairs(grid, fine, unordered))
     # a sub-range keeps only its own pairs: the oracle skips the others
     sub = DistanceClassification(fine.breaks[:2])
     _assert_same_counts(
-        np.diff(tally.cumulative(sub.breaks), axis=0),
+        np.diff(pairs_within(grid, fine, sub.breaks)[len(fine.breaks):], axis=0),
         enumerate_pairs_displacement(grid, sub, ordered, require_coverage=False),
     )
 
@@ -503,11 +507,16 @@ def _assert_same_counts(counts, sample):
 
 def test_coarsen_needs_breaks_of_the_tally():
     g = _chessboard(4)
-    tally = enumerate_pairs(g, DistanceClassification((0, 1, 2, 5)), CooccurrenceScheme(2))
+    cls = DistanceClassification((0, 1, 2, 5))
     # nothing up to the first break, the 24 rook pairs up to 1, all 120 up to 5
-    np.testing.assert_array_equal(tally.cumulative((0, 1, 5)), [[0, 0, 0], [0, 24, 0], [28, 64, 28]])
-    with pytest.raises(ValueError, match=r"breaks \[1\.5\] are not breaks of this tally"):
-        tally.cumulative((0, 1.5, 5))
+    within = fold_counts(pairs_within(g, cls, (0, 1, 5)), 2)
+    np.testing.assert_array_equal(within[[4, 5, 6]], [[0, 0, 0], [0, 24, 0], [28, 64, 28]])
+    np.testing.assert_array_equal(within[:4:3], within[[4, 6]])
+    # a distance that is no break splits the tally there
+    split = enumerate_pairs(g, DistanceClassification((0, 1.5, 5)), CooccurrenceScheme(2))
+    np.testing.assert_array_equal(
+        fold_counts(pairs_within(g, cls, (1.5,))[-1], 2), split.category_counts[0]
+    )
 
 
 def test_refined_adds_only_inner_breaks():
@@ -742,7 +751,7 @@ def test_one_shot_tally_never_finishes_the_band_spectra(monkeypatch):
         _assert_same_tally(
             enumerate_pairs(grid, cls, scheme), enumerate_pairs_displacement(grid, cls, scheme)
         )
-        tabulate_within(grid, 2.5, scheme)
+    pairs_within(grid, cls, (2.5,))
     decompose(grid)
     with pytest.raises(AssertionError, match="one-shot tally built"):
         enumerate_pairs(grid, cls, scheme, geometry=BandGeometry(40, 30, cls))

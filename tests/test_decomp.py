@@ -374,6 +374,18 @@ def test_every_entry_point_shares_the_core(num_x, ordered, monkeypatch):
     assert [name for name, _, _ in checks][1:] == list(IDENTITIES)
 
 
+@pytest.mark.parametrize("num_x", [1, 2, 5, 20])
+def test_ordered_decompose_equals_the_core_on_an_ordered_tally(num_x):
+    rng = np.random.default_rng(num_x + 40)
+    for rows, cols in ((1, 9), (7, 1), (12, 17)):
+        g = _grid(rows, cols, num_x, rng.integers(1, num_x + 1, size=rows * cols))
+        for bands in (None, DistanceClassification((0.0, 1.0, 2.5, math.hypot(rows, cols)))):
+            cls = bands or DistanceClassification.default_for(g)
+            sample = enumerate_pairs(g, cls, CooccurrenceScheme(num_x, ordered=True))
+            want = decompose_counts(sample.category_counts, cls.labels)
+            assert decompose(g, bands, ordered=True) == want
+
+
 def test_core_rejects_an_empty_table():
     with pytest.raises(ValueError, match="no pairs"):
         decompose_counts(np.zeros((2, 3), dtype=np.int64), ("w1", "w2"))

@@ -365,3 +365,30 @@ def test_partition_roundtrip(tmp_path):
     assert back.num_areas == 4
     np.testing.assert_array_equal(back.assignment, part.assignment)
     np.testing.assert_array_equal(back.sizes, part.sizes)
+
+
+def _per_value_text(header, rows):
+    """A file of the writers' format, each value formatted on its own by ``str(int(x))``."""
+    return (header + "".join(" ".join(str(int(x)) for x in row) + "\n" for row in rows)).encode()
+
+
+@pytest.mark.parametrize("cats", [1, 2, 20])
+@pytest.mark.parametrize("rows,cols", [(1, 7), (6, 1), (13, 17)])
+def test_write_grid_equals_a_per_value_writer(tmp_path, rows, cols, cats):
+    values = np.random.default_rng(rows * cols + cats).integers(1, cats + 1, size=rows * cols)
+    path = tmp_path / "g.grid"
+    write_grid(_grid(rows, cols, cats, values), path)
+    want = _per_value_text(f"{rows} {cols} {cats}\n", values.reshape(rows, cols))
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("num_areas", [1, 9, 10, 12345, 99999])
+def test_write_partition_equals_a_per_value_writer(tmp_path, num_areas):
+    # every area id once, then some twice: ids of 1 to 5 digits
+    rng = np.random.default_rng(num_areas)
+    rows, cols = 2, num_areas // 2 + 3
+    extra = rng.integers(1, num_areas + 1, size=rows * cols - num_areas)
+    labels = rng.permutation(np.concatenate((np.arange(1, num_areas + 1), extra)))
+    path = tmp_path / "p.txt"
+    write_partition(AreaPartition(rows, cols, num_areas, labels), path)
+    assert path.read_bytes() == _per_value_text(f"{num_areas}\n", [labels])

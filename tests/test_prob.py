@@ -9,16 +9,22 @@ from hypothesis import strategies as st
 
 from spatent import (
     AbsoluteContinuityError,
+    AreaNeighbourhood,
+    AreaProbabilities,
+    CategoricalGrid,
     DegenerateDistributionWarning,
     InvalidDistributionError,
     JointPmf,
     Pmf,
     as_pmf,
     conditional_entropy,
+    karlstrom_entropy,
     kl_divergence,
     mutual_information,
+    parresol_edwards_entropy,
     shannon,
 )
+from spatent.classic import contiguity_index
 
 # independently computed with mpmath at 50 digits, frozen here
 H_QUARTER = 0.5623351446188083  # -(0.25 ln 0.25 + 0.75 ln 0.75)
@@ -37,6 +43,22 @@ def test_shannon_uniform_is_log_n():
 def test_shannon_degenerate_is_exact_zero():
     assert shannon([1.0, 0.0, 0.0]) == 0.0
     assert math.copysign(1.0, shannon([1.0])) == 1.0  # no negative zero
+
+
+def test_negated_entropies_give_no_negative_zero():
+    one = CategoricalGrid(3, 3, 1, np.ones(9, dtype=np.int64))
+    assert math.copysign(1.0, parresol_edwards_entropy(one)) == 1.0
+    assert math.copysign(1.0, contiguity_index("parresol", np.array([1.0]))) == 1.0
+    # every area its own neighbour: the smoothed probability of the one area is 1
+    ap = AreaProbabilities(np.array([1.0]), np.array([9.0]))
+    assert math.copysign(1.0, karlstrom_entropy(ap, AreaNeighbourhood(np.eye(1)))) == 1.0
+    # the other values keep their sign and bits: -h and -(sum p log ptilde)
+    h = contiguity_index("oneill", np.array([0.25, 0.75]))
+    assert contiguity_index("parresol", np.array([0.25, 0.75])) == -h
+    ap = AreaProbabilities(np.array([0.25, 0.75]), np.array([1.0, 1.0]))
+    smoothed = np.array([[0.5, 0.5], [0.5, 0.5]]) @ ap.probs
+    expected = -float((ap.probs * np.log(smoothed)).sum())
+    assert karlstrom_entropy(ap, AreaNeighbourhood(np.full((2, 2), 0.5))) == expected
 
 
 def test_invalid_distributions_rejected():
