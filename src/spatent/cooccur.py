@@ -24,30 +24,37 @@ on a zero-padded p1 x p2 plane (2^a 3^b 5^c lengths of at least (R + Dr)
 x (C + Dc)) no correlation they read wraps around, and Parseval turns the
 band sum into one spectral inner product,
 
-    sum over band k of corr_ab(d) = (1/P) Re sum_f w_f conj(F_a) F_b conj(G_k),
+    sum over band k of corr_ab(d) = (1/P) Re sum_f w_f F_a conj(F_b) G_k,
 
 with F_a the spectrum of category a, G_k that of band k's 0/1 displacement
-mask and w_f the Hermitian weight of the half spectrum.  One real GEMM per
-band yields the whole I x I table; no inverse transform is needed.  The
-outermost band, which ends at the window diagonal and holds most pairs of
-a large grid, is the exact integer difference of every ordered pair (a
-before b in row-major order, an O(N) prefix count per category) and the
-inner bands.  With P = p1 * p2 (80 x 80 for a 50 x 50 grid and 240 x 240
-for 200 x 200 with the default bands, at most ~4N) and nb bands, cost is
-O((I + nb) * P log P) for the transforms, nb - 1 GEMMs of O(I^2 * P) and
-O(I * N) for the prefix counts, against O(N^2) pair visits.  A one-band
-classification runs no FFT.
+mask and w_f the Hermitian weight of the half spectrum (the real part of a
+sum is that of its conjugate, so the conjugate falls on F, once per
+category, and not on every band).  One real GEMM per band yields the whole
+I x I table; no inverse transform is needed.  The present categories'
+indicators add up to the window, the all-ones R x C image, whose transform
+W is the outer product of two 1-D transforms of ones; so only the first
+I - 1 present categories are transformed, and the last one's spectrum is
+W - sum F_a.  The outermost band, which ends at the window diagonal and
+holds most pairs of a large grid, is the exact integer difference of every
+ordered pair (a before b in row-major order, an O(N) prefix count per
+category) and the inner bands.  With P = p1 * p2 (80 x 80 for a 50 x 50
+grid and 240 x 240 for 200 x 200 with the default bands, at most ~4N) and
+nb bands, cost is O((I - 1 + nb) * P log P) for the transforms, nb - 1
+GEMMs of O(I^2 * P) and O(I * N) for the prefix counts, against O(N^2)
+pair visits.  A one-band classification runs no FFT.
 
 Everything that depends only on the grid shape and the bands is a
 ``BandGeometry``: the band of each displacement the inner bands reach (a
 narrow integer map), the closed-form band totals, the plane size, and each
 inner G_k after its row transform, kept only for the rows dr = 0 ..
-(largest dr in band k) and scaled by w.  A batch of same-shape grids shares
-one, which also keeps each finished conj(G_k) once a tally first needs it;
-a one-shot tally finishes each band's column block as it goes.  Memory
-stays near I * N complex values: only the R non-zero rows of each category
-are row-transformed, and the column transforms run one column block at a
-time, each category's block once, then multiplied by each band's block.
+(largest dr in band k) and scaled by w, and the two 1-D factors of W.  A
+batch of same-shape grids shares one, which also keeps each finished G_k
+once a tally first needs it; a one-shot tally finishes each band's column
+block as it goes.  Memory stays near (I - 1) * N complex values: only the
+R non-zero rows of each transformed category are row-transformed, and the
+column transforms run one column block at a time, each category's block
+once, then multiplied by each band's block, in buffers allocated once per
+tally.
 
 The inner sums and the outermost band's differences are stacked and
 checked once (``_exact_counts``): each must lie within 0.25 of its integer
@@ -68,6 +75,7 @@ the reference on mid-size grids.  The routes must never be merged.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
@@ -225,11 +233,20 @@ def fold_counts(counts: np.ndarray, num_x_categories: int) -> np.ndarray:
     Unordered code (a, b), a <= b, counts ordered codes (a, b) and (b, a),
     once on the diagonal; the codes come in ``category_labels`` order.
     """
-    i = num_x_categories
+    ab, ba, off = _fold_index(num_x_categories)
+    return counts[..., ab] + counts[..., ba] * off
+
+
+@functools.cache
+def _fold_index(i: int) -> tuple:
+    """Read-only gathers of ``fold_counts`` for I = i: codes (a, b) and (b, a), and a != b."""
     # the pairs a <= b in row-major order; row a starts at code a (2i - a + 1) / 2
     a = np.repeat(np.arange(i), np.arange(i, 0, -1))
     b = np.arange(a.size) - a * (2 * i - a + 1) // 2 + a
-    return counts[..., a * i + b] + counts[..., b * i + a] * (a != b)
+    index = (a * i + b, b * i + a, a != b)
+    for x in index:
+        x.flags.writeable = False
+    return index
 
 
 def _fast_length(n: int) -> int:
@@ -311,10 +328,12 @@ class BandGeometry:
     largest |dr| and |dc| of the inner bands, Dr and Dc: p1 >= rows + Dr and
     p2 >= cols + Dc keep every correlation these masks read free of
     wrap-around.  One geometry serves every grid of its shape tallied over
-    its classification.  ``finished`` is built for a batch the first time a
-    tally is given this geometry: (nb - 1) * (p2//2 + 1) * p1 * 16 bytes,
-    about 0.3 MiB at 50 x 50, 2.7 MiB at 200 x 200 and 53 MiB at 1000 x 1000
-    with the default bands.
+    its classification.  ``window`` holds the two 1-D factors of the
+    window's 2-D transform, W = window[0] * window[1] over (p2//2 + 1, p1),
+    or None when no inner band is reached.  ``finished``, each inner band's
+    G_k, is built for a batch the first time a tally is given this geometry:
+    (nb - 1) * (p2//2 + 1) * p1 * 16 bytes, about 0.3 MiB at 50 x 50,
+    2.7 MiB at 200 x 200 and 53 MiB at 1000 x 1000 with the default bands.
     """
 
     def __init__(self, rows: int, cols: int, classification: DistanceClassification):
@@ -354,23 +373,34 @@ class BandGeometry:
             s.flags.writeable = False
             spectra.append(s)
         self.spectra = tuple(spectra)
+        self.window = None
+        if any(s is not None for s in spectra):
+            # the window's 2-D transform is the outer product of these two
+            self.window = (
+                np.fft.rfft(np.ones(cols), n=self.p2)[:, None],
+                np.fft.fft(np.ones(rows), n=self.p1),
+            )
+            for w in self.window:
+                w.flags.writeable = False
         self._finished = None
 
     @property
     def finished(self) -> tuple:
-        """Per inner band, conj(G_k), read-only (p2//2 + 1, p1), or None; built on first use."""
+        """Per inner band, G_k, read-only (p2//2 + 1, p1), or None; built on first use."""
         if self._finished is None:
-            p1 = self.p1
-            self._finished = tuple(s if s is None else _finish_band(s, p1) for s in self.spectra)
+            finished = []
+            for s in self.spectra:
+                if s is not None:
+                    s = _finish_band(s, self.p1)
+                    s.flags.writeable = False
+                finished.append(s)
+            self._finished = tuple(finished)
         return self._finished
 
 
-def _finish_band(block, p1):
-    """conj(G_k), read-only, over a column block of band k's stage-one spectrum."""
-    g = np.fft.fft(block, n=p1, axis=1)
-    np.conjugate(g, out=g)
-    g.flags.writeable = False
-    return g
+def _finish_band(block, p1, out=None):
+    """G_k over a column block of band k's stage-one spectrum, written into ``out`` when given."""
+    return np.fft.fft(block, n=p1, axis=1, out=out)
 
 
 def _exact_counts(sums: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -472,7 +502,10 @@ def pairs_within(
 def _inner_band_sums(m0, present, geometry, batch):
     """FFT pair sums of the inner bands: (nb - 1, ni, ni) floats, per present category pair.
 
-    A ``batch`` reads its geometry's ``finished`` bands; a one-shot tally finishes them here.
+    Only the first ni - 1 present categories are transformed: every pixel
+    lies in a present category, so the last one's spectrum is the window's
+    minus theirs.  A ``batch`` reads its geometry's ``finished`` bands; a
+    one-shot tally finishes each band's column block here, into one buffer.
     """
     ni = len(present)
     sums = np.zeros((len(geometry.spectra), ni, ni))
@@ -484,22 +517,34 @@ def _inner_band_sums(m0, present, geometry, batch):
     rows = m0.shape[0]
     # stage one of each 2-D transform: row rfft of the `rows` non-zero rows,
     # stored column-major so that stage two runs along contiguous memory
-    spectra = np.empty((ni, h2, rows), dtype=np.complex128)
-    for i, a in enumerate(present):
+    spectra = np.empty((ni - 1, h2, rows), dtype=np.complex128)
+    for i, a in enumerate(present[:-1]):
         np.fft.rfft(m0.T == a, n=geometry.p2, axis=0, out=spectra[i])
 
-    # stage two, one column block at a time: each category block is finished
-    # once, then multiplied by every band's block into one reused buffer, each
-    # band feeding one real GEMM on (re, im) pairs
-    step = max(1, _BLOCK_BYTES // (16 * ni * p1))
-    product = np.empty(ni * min(step, h2) * p1, dtype=np.complex128)
+    # stage two, one column block at a time: the category block is finished
+    # and conjugated once, then multiplied by every band's block, each band
+    # feeding one real GEMM on (re, im) pairs; all blocks share three buffers
+    step = min(h2, max(1, _BLOCK_BYTES // (16 * ni * p1)))
+    cats, product = (np.empty(ni * step * p1, dtype=np.complex128) for _ in range(2))
+    band = None if batch else np.empty(step * p1, dtype=np.complex128)
+    row_w, col_w = geometry.window
     for j in range(0, h2, step):
         cut = slice(j, j + step)
-        f = np.fft.fft(spectra[:, cut], n=p1, axis=2)
-        fr = f.reshape(ni, -1).view(np.float64)
+        width = min(step, h2 - j)
+        f = cats[: ni * width * p1].reshape(ni, width, p1)
         t = product[: f.size].reshape(f.shape)
+        np.fft.fft(spectra[:, cut], n=p1, axis=2, out=f[:-1])
+        # every pixel lies in a present category: the last one's block is W minus the others'
+        np.sum(f[:-1], axis=0, out=f[-1])
+        np.multiply(row_w[cut], col_w, out=t[0])
+        np.subtract(t[0], f[-1], out=f[-1])
+        np.conjugate(f, out=f)
+        fr = f.reshape(ni, -1).view(np.float64)
         for k, s in bands:
-            g = finished[k][cut] if batch else _finish_band(s[cut], p1)
+            if batch:
+                g = finished[k][cut]
+            else:
+                g = _finish_band(s[cut], p1, out=band[: width * p1].reshape(width, p1))
             np.multiply(f, g, out=t)
             sums[k] += fr @ t.reshape(ni, -1).view(np.float64).T
     return sums

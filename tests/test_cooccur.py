@@ -29,6 +29,8 @@ from spatent.cooccur import (
     BandGeometry,
     _exact_counts,
     _fast_length,
+    _fold_index,
+    _inner_band_sums,
     fold_counts,
     pairs_within,
 )
@@ -433,6 +435,21 @@ def test_fold_counts_follows_the_unordered_codes(num_x):
     np.testing.assert_array_equal(fold_counts(counts, num_x), expected)
 
 
+@pytest.mark.parametrize("num_x", [1, 2, 5, 20])
+def test_fold_counts_equals_the_gather_it_caches(num_x):
+    i = num_x
+    counts = np.random.default_rng(num_x).integers(0, 2**40, size=(7, i * i))
+    a = np.repeat(np.arange(i), np.arange(i, 0, -1))
+    b = np.arange(a.size) - a * (2 * i - a + 1) // 2 + a
+    expected = counts[..., a * i + b] + counts[..., b * i + a] * (a != b)
+    for _ in range(2):  # built once, then read from the cache
+        got = fold_counts(counts, i)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+    assert _fold_index(i) is _fold_index(i)
+    assert not any(x.flags.writeable for x in _fold_index(i))
+
+
 @given(small_grids(max_cats=4))
 @settings(max_examples=40, deadline=None)
 def test_mixture_consistency_is_exact(grid):
@@ -771,6 +788,82 @@ def test_tally_peak_allocation_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 4_303_232
+
+
+# --------------------------------------------------------------------------
+# the window route: the last present category's spectrum is the window's
+# minus the other categories'
+
+def _window_edge_grids(rows, cols, cats):
+    """Maps whose last present category is rare, absent or alone, then a random one."""
+    n = rows * cols
+    rng = np.random.default_rng(n + cats)
+    below = rng.integers(1, cats, size=n) if cats > 1 else np.ones(n, dtype=np.int64)
+    yield _grid(rows, cols, cats, below)  # the highest code is absent
+    for pixel in (0, n - 1):  # the last present category is one pixel
+        single = below.copy()
+        single[pixel] = cats
+        yield _grid(rows, cols, cats, single)
+    yield _grid(rows, cols, cats, np.full(n, cats))  # no category is transformed
+    yield _grid(rows, cols, cats, rng.integers(1, cats + 1, size=n))
+
+
+def _window_route_cases(rows, cols, cats):
+    """Each edge grid with its bands, both orders, without and with a shared geometry."""
+    for grid in _window_edge_grids(rows, cols, cats):
+        cls = DistanceClassification.default_for(grid)
+        for ordered in (False, True):
+            scheme = CooccurrenceScheme(cats, ordered=ordered)
+            for geometry in (None, BandGeometry(rows, cols, cls)):
+                yield grid, cls, scheme, enumerate_pairs(grid, cls, scheme, geometry=geometry)
+
+
+@pytest.mark.parametrize("rows,cols", [(8, 8), (5, 7), (1, 60), (60, 1)])
+@pytest.mark.parametrize("cats", [1, 2, 3])
+def test_window_route_edges_equal_bruteforce(rows, cols, cats):
+    for grid, cls, scheme, tally in _window_route_cases(rows, cols, cats):
+        _assert_same_tally(tally, enumerate_pairs_bruteforce(grid, cls, scheme))
+        _assert_same_tally(tally, enumerate_pairs_displacement(grid, cls, scheme))
+
+
+@pytest.mark.parametrize("rows,cols,cats", [(50, 50, 20), (37, 29, 3)])
+def test_window_route_edges_equal_the_displacement_oracle(rows, cols, cats):
+    for grid, cls, scheme, tally in _window_route_cases(rows, cols, cats):
+        _assert_same_tally(tally, enumerate_pairs_displacement(grid, cls, scheme))
+
+
+@pytest.mark.parametrize("present", [1, 3, 5])
+def test_tally_transforms_one_category_fewer_than_it_finds(present, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return rfft(*args, **kwargs)
+
+    rfft = np.fft.rfft
+    grid = _grid(20, 30, 5, np.random.default_rng(present).integers(1, present + 1, size=600))
+    cls = DistanceClassification.default_for(grid)
+    geometry = BandGeometry(20, 30, cls)
+    monkeypatch.setattr(np.fft, "rfft", counting)
+    for ordered in (False, True):
+        calls.clear()
+        scheme = CooccurrenceScheme(5, ordered=ordered)
+        _assert_same_tally(
+            enumerate_pairs(grid, cls, scheme, geometry=geometry),
+            enumerate_pairs_displacement(grid, cls, scheme),
+        )
+        assert calls == [(30, 20)] * (present - 1)
+
+
+def test_window_route_keeps_its_rounding_headroom_at_1000x1000():
+    values = np.ones(1000 * 1000, dtype=np.int64)
+    values[500_333] = 2  # the last present category is one pixel
+    grid = _grid(1000, 1000, 2, values)
+    cls = DistanceClassification.default_for(grid)
+    geometry = BandGeometry(1000, 1000, cls)
+    m0 = grid.matrix - 1
+    sums = _inner_band_sums(m0, np.array([0, 1]), geometry, False)
+    assert np.max(np.abs(sums - np.rint(sums))) <= 1e-5
 
 
 # --------------------------------------------------------------------------
