@@ -166,15 +166,19 @@ def contiguity_index(name: str, probs: np.ndarray) -> float:
     entropy H, Parresol-Edwards is -H, and the relative contagion is
     1 - H / log(number of pair categories).
     """
-    h = _plogp(probs)
+    return _index_of_entropy(name, _plogp(probs), probs.size)
+
+
+def _index_of_entropy(name: str, h: float, num_codes: int) -> float:
+    """``contiguity_index`` from the entropy h of a law over ``num_codes`` pair categories."""
     if name in ("oneill", "leibovici"):
         return h
     if name == "parresol":
         return 0.0 - h  # folds -0.0 into 0.0
     if name == "rc":
-        if probs.size < 2:
+        if num_codes < 2:
             raise ValueError("contagion needs at least two categories")
-        return 1.0 - h / math.log(probs.size)
+        return 1.0 - h / math.log(num_codes)
     raise ValueError(f"unknown contiguity index {name!r}")
 
 

@@ -31,10 +31,10 @@ import numpy as np
 from . import __version__
 from .classic import (
     CONTIGUITY_INDICES,
+    _index_of_entropy,
     batty_entropy,
     build_area_neighbourhood,
     checked_leibovici_distance,
-    contiguity_index,
     estimate_area_probs,
     karlstrom_entropy,
 )
@@ -56,7 +56,7 @@ from .lattice import (
     write_grid,
     write_partition,
 )
-from .prob import shannon
+from .prob import _plogp
 from .simgen import SCENARIOS, ScenarioSpec, check_categories, generate, replicate_seed
 
 log = logging.getLogger("spatent")
@@ -196,6 +196,7 @@ def _measure_rows(
     karlstrom_nb=(),
     leibovici_distance: float = 2.0,
     geometry=None,
+    pair_bands=None,
 ):
     """(measure, band, value) rows for one grid, in canonical measure order.
 
@@ -205,18 +206,20 @@ def _measure_rows(
     bands back (folded to unordered codes unless ``ordered``), the
     contiguity indices pool the leading bands.  ``classification`` must
     cover the grid when the decomposition or shannon_z is requested.
-    ``geometry``, when given, is the ``BandGeometry`` of that tally.
+    ``geometry``, when given, is the ``BandGeometry`` of that tally, and
+    ``pair_bands`` the ``_pair_bands`` result of these arguments, which
+    depends on the grid's shape only.
 
     Batty and Karlstrom rows are NaN when the target category is absent from
     the grid (the area probabilities are then undefined).
     """
     rows = []
     dec = None
-    pairs = {}
+    contiguity = {}
     wants_dec = "shannon_z" in measures or "decomposition" in measures
-    contiguity = [m for m in CONTIGUITY_INDICES if m in measures]
-    if wants_dec or contiguity:
-        cls, d = _pair_bands(grid, measures, classification, leibovici_distance)
+    wanted = [m for m in CONTIGUITY_INDICES if m in measures]
+    if wants_dec or wanted:
+        cls, d = pair_bands or _pair_bands(grid, measures, classification, leibovici_distance)
         # pairs up to each decomposition break, then up to 1 and up to d
         within = pairs_within(grid, cls, (1.0, d), geometry=geometry)
         if wants_dec:
@@ -224,24 +227,31 @@ def _measure_rows(
             if not ordered:
                 counts = fold_counts(counts, grid.num_categories)
             dec = decompose_counts(counts, cls.labels)
-        if contiguity:
-            near, far = within[-2] / within[-2].sum(), within[-1] / within[-1].sum()
-            pairs = {m: far if m == "leibovici" else near for m in contiguity}
+        # one entropy per pair law: O'Neill, rc and Parresol-Edwards share the
+        # rook law's, Leibovici takes the law up to d
+        entropies = {}
+        for m in wanted:
+            far = m == "leibovici"
+            if far not in entropies:
+                law = within[-1 if far else -2]
+                entropies[far] = (_plogp(law / law.sum()), law.size)
+            contiguity[m] = _index_of_entropy(m, *entropies[far])
 
     area_probs = None
+    x_counts = grid.category_counts()
     if "batty" in measures or "karlstrom" in measures:
         if partition is None:
             raise ValueError("batty and karlstrom need an area partition")
         if not 1 <= target_category <= grid.num_categories:
             raise ValueError(f"target category {target_category} out of range")
-        if np.count_nonzero(grid.values == target_category):
+        if x_counts[target_category - 1]:
             area_probs = estimate_area_probs(grid, partition, target_category)
 
     for m in MEASURES:
         if m not in measures:
             continue
         if m == "shannon_x":
-            rows.append(("shannon_x", "", shannon(grid.category_pmf())))
+            rows.append(("shannon_x", "", _plogp(x_counts / grid.size)))
         elif m == "shannon_z":
             rows.append(("shannon_z", "", dec.marginal))
         elif m == "batty":
@@ -251,9 +261,9 @@ def _measure_rows(
             for band, nb in karlstrom_nb:
                 value = karlstrom_entropy(area_probs, nb) if area_probs else math.nan
                 rows.append(("karlstrom", band, value))
-        elif m in pairs:
+        elif m in contiguity:
             band = f"d{leibovici_distance:g}" if m == "leibovici" else ""
-            rows.append((m, band, contiguity_index(m, pairs[m])))
+            rows.append((m, band, contiguity[m]))
         elif m == "decomposition":
             rows.append(("mutual_information", "", dec.mutual_information))
             rows.append(("residual_global", "", dec.residual_global))
@@ -266,8 +276,14 @@ def _measure_rows(
 
 
 def _karlstrom_neighbourhoods(partition, distances):
+    labels = [f"d{d:g}" for d in distances]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ValueError(
+                f"--karlstrom-distances gives more than one distance the label {label}"
+            )
     return tuple(
-        (f"d{d:g}", build_area_neighbourhood(partition, d)) for d in distances
+        (label, build_area_neighbourhood(partition, d)) for label, d in zip(labels, distances)
     )
 
 
@@ -351,6 +367,9 @@ def _experiment_tasks(plan, replicates: int, include_uniform: bool):
 
 
 def _cmd_experiment(args) -> int:
+    for entry in args.scenarios:
+        if args.scenarios.count(entry) > 1:
+            raise ValueError(f"--scenarios lists {entry[0]}:{entry[1]} more than once")
     if not args.skip_uniform:
         pixels = args.rows * args.cols
         bad = [f"{kind}:{cats}" for kind, cats in args.scenarios if pixels % cats]
@@ -370,9 +389,10 @@ def _cmd_experiment(args) -> int:
         args.rows, args.cols, 1, np.ones(args.rows * args.cols, dtype=np.int64)
     )
     cls = args.bands or DistanceClassification.default_for(dummy)
-    geometry = None
+    geometry = pair_bands = None
     if {"shannon_z", "decomposition", *CONTIGUITY_INDICES}.intersection(args.measures):
-        tallied, d = _pair_bands(dummy, args.measures, cls, args.leibovici_distance)
+        pair_bands = _pair_bands(dummy, args.measures, cls, args.leibovici_distance)
+        tallied, d = pair_bands
         geometry = BandGeometry(args.rows, args.cols, tallied.refined((1.0, d)))
     partition = None
     karl = ()
@@ -417,6 +437,7 @@ def _cmd_experiment(args) -> int:
                     karlstrom_nb=karl if cats == 2 else (),
                     leibovici_distance=args.leibovici_distance,
                     geometry=geometry,
+                    pair_bands=pair_bands,
                 )
             except Exception as exc:
                 log.error(
@@ -425,14 +446,14 @@ def _cmd_experiment(args) -> int:
                 )
                 failed += 1
                 continue
-            for m, band, value in rows:
-                fh.write(f"{label},{rep},{uflag},{m},{band},{_fmt(value)}\n")
-                written += 1
-                key = (label, m, band)
-                if uflag:
-                    uniform_values[key] = value
-                else:
-                    ensemble.setdefault(key, []).append(value)
+            head = f"{label},{rep},{uflag},"
+            fh.write("".join([f"{head}{m},{band},{_fmt(value)}\n" for m, band, value in rows]))
+            written += len(rows)
+            if uflag:
+                uniform_values.update(((label, m, band), value) for m, band, value in rows)
+            else:
+                for m, band, value in rows:
+                    ensemble.setdefault((label, m, band), []).append(value)
 
     # keys with equally many non-NaN values share one quantile call; each
     # key's array replaces its list of floats, and the quantile partitions

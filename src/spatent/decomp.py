@@ -39,7 +39,7 @@ import numpy as np
 from .cooccur import DistanceClassification, PairSample, fold_counts, pairs_within
 from .errors import ConsistencyError
 from .lattice import CategoricalGrid
-from .prob import JointPmf, Pmf, _kl, _plogp, mutual_information
+from .prob import JointPmf, Pmf, _plogp, mutual_information
 
 MI_AGREEMENT_TOL = 1e-10
 
@@ -178,17 +178,31 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
     of ``identity_residuals`` exceeds MI_AGREEMENT_TOL.
     """
     p_w, p_z, conds, joint = _laws(counts)
-    pair_counts = counts.sum(axis=1)
-    h_z = _plogp(p_z)
+    # the summands of every band's H(Z | w_k) and PI(Z, w_k) over the support
+    # of the table, band after band; each band sums its own run, in support
+    # order, as _plogp and _kl do
+    live = conds > 0.0
+    pos = conds[live]
+    terms = np.empty((2, pos.size))
+    np.log(pos, out=terms[0])
+    np.log(pos / np.broadcast_to(p_z, conds.shape)[live], out=terms[1])
+    terms *= pos
+    ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
+    partials = np.zeros(len(ends))
+    infos = np.zeros(len(ends))
+    start = 0
+    for k, end in enumerate(ends):
+        if end > start:  # a live band: an empty one keeps its zeros
+            h, infos[k] = terms[:, start:end].sum(axis=1)
+            partials[k] = -h + 0.0  # + 0.0 folds -0.0 into 0.0
+        start = end
     bands = tuple(
-        BandDecomposition(
-            label, float(p_w[k]), int(pair_counts[k]), _plogp(conds[k]), _kl(conds[k], p_z)
+        BandDecomposition(label, w, n, h, i, empty=w == 0.0)
+        for label, w, n, h, i in zip(
+            labels, p_w.tolist(), counts.sum(axis=1).tolist(), partials.tolist(), infos.tolist()
         )
-        if p_w[k] > 0.0
-        else BandDecomposition(label, 0.0, int(pair_counts[k]), 0.0, 0.0, empty=True)
-        for k, label in enumerate(labels)
     )
-    partials = np.array([b.residual_partial for b in bands])
+    h_z = _plogp(p_z)
     mi = mutual_information(joint)
     degenerate = h_z == 0.0
     dec = EntropyDecomposition(
@@ -200,7 +214,7 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
         degenerate=degenerate,
     )
 
-    residuals = _residuals(p_w, p_z, conds, joint, dec)
+    residuals = _residuals(p_w, p_z, conds, joint, dec, p_w, partials, infos)
     failed = {name: r for name, r in residuals.items() if not r <= MI_AGREEMENT_TOL}
     if failed:
         worst = max(failed, key=failed.get)
@@ -211,14 +225,12 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
     return dec
 
 
-def _residuals(p_w, p_z, conds, joint, dec: EntropyDecomposition) -> dict[str, float]:
-    weights = np.array([b.p_w for b in dec.bands])
-    infos = np.array([b.info_partial for b in dec.bands])
-    partials = np.array([b.residual_partial for b in dec.bands])
+def _residuals(p_w, p_z, conds, joint, dec, weights, partials, infos) -> dict[str, float]:
+    """``identity_residuals`` from the laws and the band terms of ``dec`` as arrays."""
     h_z_given_w = _plogp(joint.ravel()) - _plogp(p_w)
-    mass = np.concatenate(([p_w.sum(), p_z.sum()], conds[p_w > 0.0].sum(axis=1)))
+    masses = (p_w.sum(), p_z.sum(), *conds[p_w > 0.0].sum(axis=1))
     return {
-        "pmf-mass": float(np.abs(mass - 1.0).max()),
+        "pmf-mass": float(max(abs(m - 1.0) for m in masses)),
         "mixture-consistency": float(np.max(np.abs(p_w @ conds - p_z))),
         "entropy-split": abs(dec.marginal - dec.mutual_information - dec.residual_global),
         "mi-dual-route": abs(dec.mutual_information - (dec.marginal - h_z_given_w)),
@@ -240,7 +252,16 @@ def identity_residuals(counts: np.ndarray, dec: EntropyDecomposition) -> dict[st
     The dual route needs no empty-band case: H(Z, W) - H(W) is H(Z | W)
     with zero-mass bands contributing nothing.
     """
-    return _residuals(*_laws(counts), dec)
+    return _residuals(*_laws(counts), dec, *_band_terms(dec))
+
+
+def _band_terms(dec: EntropyDecomposition) -> np.ndarray:
+    """(weights, partial residuals, partial informations) of ``dec``'s bands, as rows.
+
+    Each row is contiguous, so that np.dot sums it as it sums the arrays
+    that ``decompose_counts`` checks.
+    """
+    return np.array([(b.p_w, b.residual_partial, b.info_partial) for b in dec.bands]).T.copy()
 
 
 def decompose(

@@ -23,6 +23,7 @@ scenarios or replicates never shifts existing output.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,33 +143,32 @@ def arrange_repulsive(spec: ScenarioSpec, counts) -> CategoricalGrid:
     short-range order degrades smoothly with the imbalance.
     """
     rows, cols = spec.rows, spec.cols
-    parity = (np.add.outer(np.arange(rows), np.arange(cols)) % 2).astype(np.int64)
-    m = np.where(parity == 0, 1, 2).astype(np.int64)
-    c1 = int(np.asarray(counts)[0])
-    surplus = c1 - int((parity == 0).sum())
+    m = np.empty((rows, cols), dtype=np.int64)
+    m[0::2, 0::2] = m[1::2, 1::2] = 1
+    m[0::2, 1::2] = m[1::2, 0::2] = 2
+    m = m.ravel()
+    c1 = int(counts[0])
+    surplus = c1 - (spec.size + 1) // 2  # category 1 holds the (size + 1) // 2 even cells
     if surplus != 0:
         rng = spec.rng(1)
-        if surplus > 0:
-            flip_cells = np.argwhere(parity == 1)
-            new_value = 1
-        else:
-            flip_cells = np.argwhere(parity == 0)
-            new_value = 2
-        centre = np.array([[rng.uniform(0.0, rows)], [rng.uniform(0.0, cols)]])
-        r, c = flip_cells.T + 0.5 - centre  # from each cell's centroid; ties stay stable
-        chosen = flip_cells[np.argsort(r * r + c * c, kind="stable")[: abs(surplus)]]
-        m[chosen[:, 0], chosen[:, 1]] = new_value
+        new_value = 1 if surplus > 0 else 2
+        flip_cells = np.flatnonzero(m != new_value)  # the other parity class, row-major
+        centre_r, centre_c = rng.uniform(0.0, rows), rng.uniform(0.0, cols)
+        r, c = np.divmod(flip_cells, cols)
+        r = r + 0.5 - centre_r  # from each cell's centroid; ties stay stable
+        c = c + 0.5 - centre_c
+        m[flip_cells[np.argsort(r * r + c * c, kind="stable")[: abs(surplus)]]] = new_value
 
-        noise = int(round(REPULSIVE_NOISE_RATIO * abs(surplus)))
-        ones = np.argwhere(m == 1)
-        twos = np.argwhere(m == 2)
-        noise = min(noise, len(ones), len(twos))
+        # every cell now holds its count: c1 ones and size - c1 twos
+        noise = min(int(round(REPULSIVE_NOISE_RATIO * abs(surplus))), c1, spec.size - c1)
         if noise > 0:
+            ones = np.flatnonzero(m == 1)
+            twos = np.flatnonzero(m == 2)
             o = ones[rng.choice(len(ones), size=noise, replace=False)]
             t = twos[rng.choice(len(twos), size=noise, replace=False)]
-            m[o[:, 0], o[:, 1]] = 2
-            m[t[:, 0], t[:, 1]] = 1
-    return CategoricalGrid(rows, cols, 2, m.ravel())
+            m[o] = 2
+            m[t] = 1
+    return CategoricalGrid(rows, cols, 2, m)
 
 
 def arrange_multicluster(spec: ScenarioSpec, counts) -> CategoricalGrid:
@@ -194,11 +194,7 @@ def arrange_multicluster(spec: ScenarioSpec, counts) -> CategoricalGrid:
     if rem:
         sizes[rng.choice(NUM_CLUSTERS, size=rem, replace=False)] += 1
 
-    # block b = 5 i + j of the mosaic: rows r_edges[i]..r_edges[i+1], likewise columns
-    r_edges, c_edges = (np.linspace(0, n, 6).astype(np.int64) for n in (rows, cols))
-    bi, bj = np.divmod(np.arange(NUM_CLUSTERS), 5)
-    lo = np.stack([r_edges[bi], c_edges[bj]], axis=1)
-    hi = np.stack([r_edges[bi + 1], c_edges[bj + 1]], axis=1)
+    lo, hi, tile_rows, tile_cols = _mosaic(rows, cols)
     if np.any(sizes > np.prod(hi - lo, axis=1)):
         raise ValueError("cluster does not fit its mosaic block")
     if spec.pmf_source == "uniform":
@@ -209,19 +205,43 @@ def arrange_multicluster(spec: ScenarioSpec, counts) -> CategoricalGrid:
         full = sizes > 0
         centres[full] = rng.uniform(lo[full], hi[full])
 
-    # every pixel's block and squared distance to its block's centre, row-major
-    r, c = np.divmod(np.arange(spec.size), cols)
-    block = (np.searchsorted(r_edges, r, side="right") - 1) * 5
-    block += np.searchsorted(c_edges, c, side="right") - 1
-    d2 = (r + 0.5 - centres[block, 0]) ** 2 + (c + 0.5 - centres[block, 1]) ** 2
+    # squared distance of every pixel to its block's centre, block by block,
+    # each block laid out row-major in one tile of the largest block's shape
+    # (inf past the block's end)
+    centre_r, centre_c = (x.reshape(5, 5, 1, 1) for x in centres.T)
+    dr2 = (tile_rows[:, None, :, None] - centre_r) ** 2
+    dc2 = (tile_cols[None, :, None, :] - centre_c) ** 2
     # nearest-to-centre accretion in every block at once: the sort is stable,
-    # so ties keep row-major order, which within a block is its own row-major order
-    order = np.lexsort((d2, block))
-    ranked = block[order]
-    rank = np.arange(spec.size) - np.searchsorted(ranked, ranked)
-    m = np.full(spec.size, background, dtype=np.int64)
-    m[order[rank < sizes[ranked]]] = cluster_cat
+    # so ties keep the block's row-major order and the padding comes last
+    order = np.argsort((dr2 + dc2).reshape(NUM_CLUSTERS, -1), axis=1, kind="stable")
+    block, rank = np.nonzero(np.arange(order.shape[1]) < sizes[:, None])
+    dr, dc = np.divmod(order[block, rank], tile_cols.shape[1])
+    m = np.full((rows, cols), background, dtype=np.int64)
+    m[lo[block, 0] + dr, lo[block, 1] + dc] = cluster_cat
     return CategoricalGrid(rows, cols, 2, m)
+
+
+@functools.cache
+def _mosaic(rows: int, cols: int) -> tuple:
+    """Read-only 5 x 5 block mosaic of a window: (lo, hi, tile_rows, tile_cols).
+
+    Block b = 5 i + j spans rows lo[b, 0]..hi[b, 0] - 1 and columns
+    lo[b, 1]..hi[b, 1] - 1 of equal-as-possible splits of each side.
+    ``tile_rows[i]`` holds the centroid rows r + 0.5 of block row i, padded
+    with inf to the tallest block; ``tile_cols[j]`` likewise the columns.
+    """
+    edges = [np.linspace(0, n, 6).astype(np.int64) for n in (rows, cols)]
+    bi, bj = np.divmod(np.arange(NUM_CLUSTERS), 5)
+    lo = np.stack([edges[0][bi], edges[1][bj]], axis=1)
+    hi = np.stack([edges[0][bi + 1], edges[1][bj + 1]], axis=1)
+    tiles = []
+    for e in edges:
+        span = np.arange(np.diff(e).max())
+        tiles.append(np.where(span < np.diff(e)[:, None], e[:-1, None] + span + 0.5, np.inf))
+    mosaic = (lo, hi, *tiles)
+    for x in mosaic:
+        x.flags.writeable = False
+    return mosaic
 
 
 _ARRANGERS = {

@@ -186,6 +186,18 @@ def test_measure_to_file(tmp_path):
         ),
         ("experiment --rows 6 --cols 6 --skip-uniform --out {out}", "more areas than pixels"),
         ("experiment --rows 7 --cols 7 --out {out}", "random:20 (use --skip-uniform)"),
+        (
+            "experiment --scenarios compact:2,random:5,compact:02 --out {out}",
+            "--scenarios lists compact:2 more than once",
+        ),
+        (
+            "experiment --karlstrom-distances 0,2,2.0 --out {out}",
+            "--karlstrom-distances gives more than one distance the label d2",
+        ),
+        (
+            "measure {g7} --areas 1 --karlstrom-distances 1,5,1e0",
+            "--karlstrom-distances gives more than one distance the label d1",
+        ),
     ],
     ids=[
         "measure-missing-file",
@@ -197,6 +209,9 @@ def test_measure_to_file(tmp_path):
         "generate-uniform-pmf-no-equal-split",
         "experiment-too-many-areas",
         "experiment-no-equal-split",
+        "experiment-duplicate-scenarios",
+        "experiment-duplicate-karlstrom-labels",
+        "measure-duplicate-karlstrom-labels",
     ],
 )
 def test_input_errors_exit_2_in_one_line(tmp_path, caplog, capsys, argv, message):

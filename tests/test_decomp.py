@@ -17,8 +17,10 @@ from spatent import (
     DistanceClassification,
     JointPmf,
     Pmf,
+    ScenarioSpec,
     decompose,
     enumerate_pairs,
+    generate,
     kl_divergence,
     mutual_information,
     shannon,
@@ -26,6 +28,7 @@ from spatent import (
     as_pmf,
 )
 from spatent import cli, decomp
+from spatent.cooccur import fold_counts, pairs_within
 from spatent.decomp import decompose_counts, identity_residuals
 
 
@@ -161,7 +164,8 @@ def test_identity_residuals_name_the_broken_identity(tmp_path, monkeypatch, caps
     def with_conditional(k, cond):
         p_w, p_z, conds, joint = decomp._laws(counts)
         conds[k] = cond
-        return {n for n, r in decomp._residuals(p_w, p_z, conds, joint, dec).items() if r > 1e-10}
+        residuals = decomp._residuals(p_w, p_z, conds, joint, dec, *decomp._band_terms(dec))
+        return {n for n, r in residuals.items() if r > 1e-10}
 
     nz = counts.shape[1]
     assert with_conditional(0, np.full(nz, 1.0 / nz)) == {"mixture-consistency"}
@@ -333,7 +337,7 @@ def _random_tables(rng, num_x, ordered):
 
 
 @pytest.mark.parametrize("ordered", [False, True])
-@pytest.mark.parametrize("num_x", [2, 5, 20])
+@pytest.mark.parametrize("num_x", [1, 2, 5, 20])
 def test_array_core_equals_the_pmf_route(num_x, ordered):
     rng = np.random.default_rng(num_x * 2 + ordered)
     for counts in _random_tables(rng, num_x, ordered):
@@ -341,6 +345,32 @@ def test_array_core_equals_the_pmf_route(num_x, ordered):
         dec = decompose_counts(counts, labels)
         assert _terms(dec) == _pmf_route(counts, labels)
         assert [b.pair_count for b in dec.bands] == counts.sum(axis=1).tolist()
+        residuals = identity_residuals(counts, dec)
+        assert max(residuals.values()) <= decomp.MI_AGREEMENT_TOL
+        # H(Z)_W is the very dot product that verify re-computes from the bands
+        assert residuals["residual-aggregation"] == 0.0
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_array_core_equals_the_pmf_route_on_experiment_tables(ordered):
+    # the table experiment decomposes: one tally over the bands split at 1 and
+    # at the Leibovici distance 2, the last two rows dropped
+    for i, (kind, num_x) in enumerate(
+        [("compact", 2), ("repulsive", 2), ("multicluster", 2), ("random", 2),
+         ("compact", 5), ("random", 5), ("compact", 20), ("random", 20)]
+    ):
+        spec = ScenarioSpec(kind, 50, 50, num_x, "uniform" if i % 3 == 0 else "dirichlet", (i,))
+        g = generate(spec)
+        cls = DistanceClassification.default_for(g)
+        assert len(cls.refined((1.0, 2.0)).breaks) == 8
+        counts = np.diff(pairs_within(g, cls, (1.0, 2.0))[:-2], axis=0)
+        if not ordered:
+            counts = fold_counts(counts, num_x)
+        dec = decompose_counts(counts, cls.labels)
+        assert _terms(dec) == _pmf_route(counts, cls.labels)
+        residuals = identity_residuals(counts, dec)
+        assert max(residuals.values()) <= decomp.MI_AGREEMENT_TOL
+        assert residuals["residual-aggregation"] == 0.0
 
 
 @pytest.mark.parametrize("ordered", [False, True])

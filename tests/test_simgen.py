@@ -1,5 +1,7 @@
 """Scenario generators: count preservation, determinism, idealized cases."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from spatent import (
     replicate_seed,
     shannon,
 )
+from spatent import simgen
 
 
 def _spec(kind, cats=2, source="dirichlet", seed=(0,), rows=50, cols=50):
@@ -249,6 +252,16 @@ def _multicluster_block_by_block(spec, counts):
     return m.ravel()
 
 
+def test_multicluster_mosaic_is_one_read_only_layout_per_shape():
+    mosaic = simgen._mosaic(23, 37)
+    assert simgen._mosaic(23, 37) is mosaic
+    assert not any(x.flags.writeable for x in mosaic)
+    lo, hi, tile_rows, tile_cols = mosaic
+    # the tiles pad each block's centroid rows and columns to the largest block
+    assert np.prod(hi - lo, axis=1).sum() == 23 * 37
+    assert np.isfinite(tile_rows).sum() == 23 and np.isfinite(tile_cols).sum() == 37
+
+
 def _outcome(arrangement, spec, counts):
     try:
         return arrangement(spec, counts)
@@ -281,3 +294,104 @@ def test_random_arrangement_varies_with_seed():
     a = arrange(_spec("random", 2, seed=(1,)), counts)
     b = arrange(_spec("random", 2, seed=(2,)), counts)
     assert not np.array_equal(a.values, b.values)
+
+
+def _repulsive_cell_by_cell(spec, counts):
+    """The alternating arrangement built one cell at a time: the reference for arrange."""
+    rows, cols = spec.rows, spec.cols
+    m = [[1 + (r + c) % 2 for c in range(cols)] for r in range(rows)]
+    surplus = int(counts[0]) - (rows * cols + 1) // 2  # category 1 holds the even cells
+    if surplus == 0:
+        return np.array(m).ravel()
+    rng = spec.rng(1)
+    # a surplus of category 1 takes odd cells, a shortfall gives even cells away
+    flip_parity, new_value = (1, 1) if surplus > 0 else (0, 2)
+    centre_r, centre_c = rng.uniform(0.0, rows), rng.uniform(0.0, cols)
+    cells = [(r, c) for r in range(rows) for c in range(cols) if (r + c) % 2 == flip_parity]
+    d2 = []
+    for r, c in cells:
+        dr, dc = r + 0.5 - centre_r, c + 0.5 - centre_c
+        d2.append(dr * dr + dc * dc)
+    for i in sorted(range(len(cells)), key=d2.__getitem__)[: abs(surplus)]:
+        r, c = cells[i]
+        m[r][c] = new_value
+    ones = [(r, c) for r in range(rows) for c in range(cols) if m[r][c] == 1]
+    twos = [(r, c) for r in range(rows) for c in range(cols) if m[r][c] == 2]
+    noise = min(round(0.25 * abs(surplus)), len(ones), len(twos))
+    if noise > 0:
+        picked_ones = rng.choice(len(ones), size=noise, replace=False)
+        picked_twos = rng.choice(len(twos), size=noise, replace=False)
+        for i in picked_ones:
+            r, c = ones[i]
+            m[r][c] = 2
+        for i in picked_twos:
+            r, c = twos[i]
+            m[r][c] = 1
+    return np.array(m).ravel()
+
+
+@pytest.mark.parametrize(
+    "rows,cols",
+    [(1, 2), (2, 1), (1, 7), (7, 1), (2, 2), (3, 5), (6, 9), (13, 11), (23, 37), (50, 50)],
+)
+def test_repulsive_matches_the_cell_by_cell_arrangement(rows, cols):
+    size = rows * cols
+    # the exact chessboard count, either category in surplus, and a noise
+    # capped by a one-cell category
+    evens = (size + 1) // 2
+    extremes = [(evens, size - evens), (size, 0), (0, size), (1, size - 1), (size - 1, 1)]
+    surpluses = set()
+    for seed in range(12):
+        for source in ("dirichlet", "uniform"):
+            if source == "uniform" and size % 2:
+                continue
+            spec = _spec("repulsive", 2, source, (seed, 1, 2, seed), rows, cols)
+            for counts in [draw_counts(spec), *extremes]:
+                counts = np.asarray(counts, dtype=np.int64)
+                got = arrange(spec, counts).values
+                np.testing.assert_array_equal(got, _repulsive_cell_by_cell(spec, counts))
+                np.testing.assert_array_equal(np.bincount(got, minlength=3)[1:], counts)
+                surpluses.add(int(np.sign(counts[0] - evens)))
+    assert surpluses == {-1, 0, 1}
+
+
+# sha256 prefixes of generate(spec).values (int64 bytes) over replicates 0-2 of
+# master seed 0, per design entry, shape and pmf source; an equal split of
+# 23 x 37 = 851 pixels exists for no category count of the design
+GENERATION_DIGESTS = {
+    ("compact", 2, 50, 50, "dirichlet"): "0b7fe867bcd0e207",
+    ("compact", 2, 50, 50, "uniform"): "bf236156b1273395",
+    ("compact", 2, 23, 37, "dirichlet"): "570728f336583861",
+    ("repulsive", 2, 50, 50, "dirichlet"): "72c6223b2ed60a79",
+    ("repulsive", 2, 50, 50, "uniform"): "5179ae1d3d91a0c7",
+    ("repulsive", 2, 23, 37, "dirichlet"): "49ff01bce87782af",
+    ("multicluster", 2, 50, 50, "dirichlet"): "8c77a5756f7b2060",
+    ("multicluster", 2, 50, 50, "uniform"): "fd7f9e7495565559",
+    ("multicluster", 2, 23, 37, "dirichlet"): "ee2e61598ada53b5",
+    ("random", 2, 50, 50, "dirichlet"): "c1b573b4fc56c1fd",
+    ("random", 2, 50, 50, "uniform"): "b1fe5de21486ba37",
+    ("random", 2, 23, 37, "dirichlet"): "75758dfda464289b",
+    ("compact", 5, 50, 50, "dirichlet"): "f0034819d72e8cf0",
+    ("compact", 5, 50, 50, "uniform"): "71fee05622233cce",
+    ("compact", 5, 23, 37, "dirichlet"): "873d6c51bdba01a0",
+    ("random", 5, 50, 50, "dirichlet"): "6dd9ec599314a116",
+    ("random", 5, 50, 50, "uniform"): "36f8670951767bce",
+    ("random", 5, 23, 37, "dirichlet"): "7891b525ec315403",
+    ("compact", 20, 50, 50, "dirichlet"): "f283a731b89f24e5",
+    ("compact", 20, 50, 50, "uniform"): "c7e99e7f5af04b74",
+    ("compact", 20, 23, 37, "dirichlet"): "dfc283629d3107df",
+    ("random", 20, 50, 50, "dirichlet"): "2df71006d2e6bf97",
+    ("random", 20, 50, 50, "uniform"): "64fc86ad698ce656",
+    ("random", 20, 23, 37, "dirichlet"): "e0b9dc768752af58",
+}
+
+
+@pytest.mark.parametrize("key", list(GENERATION_DIGESTS), ids=lambda key: "-".join(map(str, key)))
+def test_generation_streams_are_pinned(key):
+    """Every design entry draws the same grids: the RNG streams and their use stay."""
+    kind, cats, rows, cols, source = key
+    digest = hashlib.sha256()
+    for rep in range(3):
+        spec = ScenarioSpec(kind, rows, cols, cats, source, replicate_seed(0, kind, cats, rep))
+        digest.update(np.ascontiguousarray(generate(spec).values, dtype=np.int64).tobytes())
+    assert digest.hexdigest()[:16] == GENERATION_DIGESTS[key]
