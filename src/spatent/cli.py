@@ -82,6 +82,9 @@ DEFAULT_DESIGN = (
 
 DEFAULT_KARLSTROM_DISTANCES = "0,2,5,10"
 
+# the measures read from the decomposition's bands
+_DECOMPOSED = frozenset({"shannon_z", "decomposition"})
+
 _FMT = "%.12g"
 
 
@@ -172,43 +175,42 @@ def _partition_seed_arg(text: str):
 # ---------------------------------------------------------------------------
 # measurement core shared by `measure` and `experiment`
 
-def _pair_bands(grid, measures, classification, leibovici_distance):
-    """(decomposition bands, contiguity distance) of the pair measures of a grid.
+def _pair_bands(grid, measures, bands, leibovici_distance):
+    """The tally plan of a grid: None when no pair measure is requested.
 
-    The decomposition or shannon_z uses ``classification`` when given; any
-    other request gets the grid's default bands.  The contiguity distance
-    is the Leibovici distance when ``leibovici`` is requested, else 1.
+    Else (decomposition bands, contiguity distance): the decomposition or
+    shannon_z uses ``bands`` when given; any other request gets the grid's
+    default bands.  The contiguity distance is the Leibovici distance when
+    ``leibovici`` is requested, else 1.  Both depend on the grid's shape
+    only.
     """
-    wants_dec = "shannon_z" in measures or "decomposition" in measures
-    cls = (classification if wants_dec else None) or DistanceClassification.default_for(grid)
+    if not _DECOMPOSED.union(CONTIGUITY_INDICES).intersection(measures):
+        return None
+    if bands is None or not _DECOMPOSED.intersection(measures):
+        bands = DistanceClassification.default_for(grid)
     d = checked_leibovici_distance(leibovici_distance) if "leibovici" in measures else 1.0
-    return cls, d
+    return bands, d
 
 
 def _measure_rows(
     grid,
     measures,
+    pair_bands,
     *,
-    classification=None,
     ordered: bool = False,
+    geometry=None,
     partition=None,
     target_category: int = 1,
     karlstrom_nb=(),
-    leibovici_distance: float = 2.0,
-    geometry=None,
-    pair_bands=None,
 ):
     """(measure, band, value) rows for one grid, in canonical measure order.
 
-    Every pair-based measure reads one ``pairs_within`` table of the grid over
-    the decomposition's bands, split further at distance 1 and at the
-    Leibovici distance (see ``_pair_bands``): the decomposition takes its
-    bands back (folded to unordered codes unless ``ordered``), the
-    contiguity indices pool the leading bands.  ``classification`` must
-    cover the grid when the decomposition or shannon_z is requested.
-    ``geometry``, when given, is the ``BandGeometry`` of that tally, and
-    ``pair_bands`` the ``_pair_bands`` result of these arguments, which
-    depends on the grid's shape only.
+    ``pair_bands`` is the grid's ``_pair_bands`` plan.  Every pair-based
+    measure reads one ``pairs_within`` table of the grid over the plan's
+    bands, split further at distance 1 and at the plan's distance: the
+    decomposition takes its bands back (folded to unordered codes unless
+    ``ordered``), the contiguity indices pool the leading bands.
+    ``geometry``, when given, is the ``BandGeometry`` of that tally.
 
     Batty and Karlstrom rows are NaN when the target category is absent from
     the grid (the area probabilities are then undefined).
@@ -216,13 +218,11 @@ def _measure_rows(
     rows = []
     dec = None
     contiguity = {}
-    wants_dec = "shannon_z" in measures or "decomposition" in measures
-    wanted = [m for m in CONTIGUITY_INDICES if m in measures]
-    if wants_dec or wanted:
-        cls, d = pair_bands or _pair_bands(grid, measures, classification, leibovici_distance)
+    if pair_bands is not None:
+        cls, d = pair_bands
         # pairs up to each decomposition break, then up to 1 and up to d
         within = pairs_within(grid, cls, (1.0, d), geometry=geometry)
-        if wants_dec:
+        if _DECOMPOSED.intersection(measures):
             counts = np.diff(within[:-2], axis=0)
             if not ordered:
                 counts = fold_counts(counts, grid.num_categories)
@@ -230,7 +230,7 @@ def _measure_rows(
         # one entropy per pair law: O'Neill, rc and Parresol-Edwards share the
         # rook law's, Leibovici takes the law up to d
         entropies = {}
-        for m in wanted:
+        for m in [m for m in CONTIGUITY_INDICES if m in measures]:
             far = m == "leibovici"
             if far not in entropies:
                 law = within[-1 if far else -2]
@@ -262,7 +262,7 @@ def _measure_rows(
                 value = karlstrom_entropy(area_probs, nb) if area_probs else math.nan
                 rows.append(("karlstrom", band, value))
         elif m in contiguity:
-            band = f"d{leibovici_distance:g}" if m == "leibovici" else ""
+            band = f"d{d:g}" if m == "leibovici" else ""
             rows.append((m, band, contiguity[m]))
         elif m == "decomposition":
             rows.append(("mutual_information", "", dec.mutual_information))
@@ -273,6 +273,19 @@ def _measure_rows(
                 rows.append(("residual_partial", b.label, b.residual_partial))
                 rows.append(("info_partial", b.label, b.info_partial))
     return rows
+
+
+def _write_text(text: str, path) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text, encoding="ascii")
+    else:
+        sys.stdout.write(text)
+
+
+def _write_json(doc, path) -> None:
+    """Write ``doc`` as ASCII JSON, indented by 2, with a trailing newline."""
+    _write_text(json.dumps(doc, indent=2) + "\n", path)
 
 
 def _karlstrom_neighbourhoods(partition, distances):
@@ -312,9 +325,7 @@ def _cmd_generate(args) -> int:
         "master_seed": args.seed,
         "grids": entries,
     }
-    with open(out / "manifest.json", "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_json(manifest, out / "manifest.json")
     print(f"wrote {len(entries)} grid(s) and manifest.json to {out}")
     return 0
 
@@ -330,29 +341,20 @@ def _cmd_measure(args) -> int:
     rows = _measure_rows(
         grid,
         args.measures,
-        classification=args.bands,
+        _pair_bands(grid, args.measures, args.bands, args.leibovici_distance),
         ordered=args.ordered,
         partition=partition,
         target_category=args.target_category,
         karlstrom_nb=karl,
-        leibovici_distance=args.leibovici_distance,
     )
-    text = "measure,band,value\n"
-    text += "".join(f"{m},{b},{_fmt(v)}\n" for m, b, v in rows)
-    if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+    text = "measure,band,value\n" + "".join(f"{m},{b},{_fmt(v)}\n" for m, b, v in rows)
+    _write_text(text, args.out)
     return 0
 
 
 def _cmd_decompose(args) -> int:
     dec = decompose(read_grid(args.grid), args.bands, ordered=args.ordered)
-    text = dec.to_csv_row() if args.format == "csv" else dec.to_json() + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="ascii")
-    else:
-        sys.stdout.write(text)
+    _write_text(dec.to_csv_row() if args.format == "csv" else dec.to_json() + "\n", args.out)
     return 0
 
 
@@ -388,12 +390,11 @@ def _cmd_experiment(args) -> int:
     dummy = CategoricalGrid(
         args.rows, args.cols, 1, np.ones(args.rows * args.cols, dtype=np.int64)
     )
-    cls = args.bands or DistanceClassification.default_for(dummy)
-    geometry = pair_bands = None
-    if {"shannon_z", "decomposition", *CONTIGUITY_INDICES}.intersection(args.measures):
-        pair_bands = _pair_bands(dummy, args.measures, cls, args.leibovici_distance)
-        tallied, d = pair_bands
-        geometry = BandGeometry(args.rows, args.cols, tallied.refined((1.0, d)))
+    pair_bands = _pair_bands(dummy, args.measures, args.bands, args.leibovici_distance)
+    geometry = None
+    if pair_bands is not None:
+        bands, d = pair_bands
+        geometry = BandGeometry(args.rows, args.cols, bands.refined((1.0, d)))
     partition = None
     karl = ()
     area_measures = {"batty", "karlstrom"}.intersection(args.measures)
@@ -431,13 +432,10 @@ def _cmd_experiment(args) -> int:
                 rows = _measure_rows(
                     generate(spec),
                     selected,
-                    classification=cls,
-                    partition=partition if cats == 2 else None,
-                    target_category=1,
-                    karlstrom_nb=karl if cats == 2 else (),
-                    leibovici_distance=args.leibovici_distance,
+                    pair_bands,
                     geometry=geometry,
-                    pair_bands=pair_bands,
+                    partition=partition if cats == 2 else None,
+                    karlstrom_nb=karl if cats == 2 else (),
                 )
             except Exception as exc:
                 log.error(
@@ -487,13 +485,11 @@ def _cmd_experiment(args) -> int:
         "master_seed": args.seed,
         "measures": list(args.measures),
         # the bands only where the decomposition tallies them
-        "bands": list(cls.breaks) if {"shannon_z", "decomposition"} & set(args.measures) else None,
+        "bands": list(pair_bands[0].breaks) if _DECOMPOSED.intersection(args.measures) else None,
         "areas": args.areas if partition is not None else None,
         "uniform_case": not args.skip_uniform,
     }
-    with open(out / "plan.json", "w", encoding="ascii") as fh:
-        json.dump(plan_doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(plan_doc, out / "plan.json")
 
     print(f"wrote {written} rows to {long_path} and quantiles to {summary_path}")
     if failed:

@@ -264,6 +264,49 @@ def grids_with_bands(draw):
     return grid, DistanceClassification((lo, *sorted(inner), hi))
 
 
+def _rows(grid, measures, bands=None, leibovici_distance=2.0, **kwargs):
+    """``_measure_rows`` of a grid, over its ``_pair_bands`` plan."""
+    plan = cli._pair_bands(grid, measures, bands, leibovici_distance)
+    return cli._measure_rows(grid, measures, plan, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "measures,bands,d",
+    [
+        ("shannon_x", None, None),
+        ("shannon_z", "given", 1.0),
+        ("batty", None, None),
+        ("karlstrom", None, None),
+        ("oneill", "default", 1.0),
+        ("leibovici", "default", 3.5),
+        ("rc", "default", 1.0),
+        ("parresol", "default", 1.0),
+        ("decomposition", "given", 1.0),
+        ("shannon_x,batty,karlstrom", None, None),
+        ("oneill,rc,parresol,batty", "default", 1.0),
+        ("leibovici,decomposition", "given", 3.5),
+        ("shannon_z,karlstrom", "given", 1.0),
+        ("all", "given", 3.5),
+    ],
+)
+def test_pair_bands_plan_the_one_tally_of_the_pair_measures(measures, bands, d):
+    measures = cli._measures_arg(measures)
+    grid = CategoricalGrid(6, 6, 2, (np.arange(36) % 2) + 1)
+    default = DistanceClassification.default_for(grid)
+    given = DistanceClassification((0.0, 1.0, 3.0, 9.0))
+    want = {None: None, "default": (default, d), "given": (given, d)}[bands]
+    # no pair measure: no tally; the given bands only for the decomposition
+    assert cli._pair_bands(grid, measures, given, 3.5) == want
+    assert cli._pair_bands(grid, measures, None, 3.5) == (want and (default, d))
+    if "leibovici" in measures:
+        # the band label reads the plan's distance, a float for any number given
+        _, given_int = cli._pair_bands(grid, measures, None, 3)
+        assert type(given_int) is float and given_int == 3.0
+        assert ("leibovici", "d3", leibovici_entropy(grid, 3)) in _rows(
+            grid, tuple(m for m in measures if m not in ("batty", "karlstrom")), None, 3
+        )
+
+
 def _rows_table(rows):
     table = {(m, b): v for m, b, v in rows}
     assert len(table) == len(rows)
@@ -284,9 +327,7 @@ def test_measure_rows_equal_the_direct_measures(case, leibovici, ordered):
     measures = PAIR_MEASURES if grid.num_categories > 1 else tuple(
         m for m in PAIR_MEASURES if m != "rc"
     )
-    table = _rows_table(
-        cli._measure_rows(grid, measures, classification=cls, ordered=ordered, leibovici_distance=d)
-    )
+    table = _rows_table(_rows(grid, measures, cls, d, ordered=ordered))
     bands = cls or DistanceClassification.default_for(grid)
     scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
     if ordered:
@@ -316,13 +357,13 @@ def test_measure_rows_keep_their_errors():
     # bands that leave pairs out fail the decomposition only
     for measures in (("decomposition",), ("shannon_z",)):
         with pytest.raises(CoverageError):
-            cli._measure_rows(grid, measures, classification=short)
-    rows = cli._measure_rows(grid, ("oneill", "leibovici"), classification=short)
+            _rows(grid, measures, short)
+    rows = _rows(grid, ("oneill", "leibovici"), short)
     assert rows == [("oneill", "", oneill_entropy(grid)), ("leibovici", "d2", leibovici_entropy(grid, 2))]
     with pytest.raises(ValueError, match="max_distance must be >= 1 so that some pair exists"):
-        cli._measure_rows(grid, ("leibovici",), leibovici_distance=0.5)
+        cli._pair_bands(grid, ("leibovici",), None, 0.5)
     with pytest.raises(ValueError, match="contagion needs at least two categories"):
-        cli._measure_rows(CategoricalGrid(4, 4, 1, np.ones(16)), ("rc",))
+        _rows(CategoricalGrid(4, 4, 1, np.ones(16)), ("rc",))
 
 
 def test_every_pair_path_makes_one_ordered_tally(monkeypatch):
@@ -342,7 +383,7 @@ def test_every_pair_path_makes_one_ordered_tally(monkeypatch):
         "rc": lambda: relative_contagion(grid),
         "rc-unordered": lambda: relative_contagion(grid, ordered=False),
         "parresol": lambda: parresol_edwards_entropy(grid),
-        "measure": lambda: cli._measure_rows(grid, cli.MEASURES[:2] + cli.MEASURES[4:]),
+        "measure": lambda: _rows(grid, cli.MEASURES[:2] + cli.MEASURES[4:]),
         "verify": lambda: cli._verify_grid(grid),
     }
     for name, path in paths.items():
@@ -368,9 +409,9 @@ def test_measure_rows_tally_once_and_only_for_pair_measures(monkeypatch):
 
     monkeypatch.setattr(cooccur, "enumerate_pairs", counting)
     grid = CategoricalGrid(6, 6, 2, (np.arange(36) % 2) + 1)
-    cli._measure_rows(grid, ("shannon_x",))
+    _rows(grid, ("shannon_x",))
     assert calls == []
-    cli._measure_rows(grid, cli.MEASURES[:2] + cli.MEASURES[4:], leibovici_distance=3.5)
+    _rows(grid, cli.MEASURES[:2] + cli.MEASURES[4:], leibovici_distance=3.5)
     # the default bands, split further at the Leibovici distance
     assert [c.breaks for c in calls] == [(0.0, 1.0, 2.0, 3.5, 5.0, math.hypot(6, 6))]
 
@@ -797,7 +838,7 @@ def test_experiment_summary_groups_keys_by_value_count(tmp_path, monkeypatch):
     # three decimals survive the 12-digit CSV round trip exactly
     drawn = iter(np.random.default_rng(5).random(1000).round(3))
 
-    def fake_rows(grid, selected, **kwargs):
+    def fake_rows(grid, selected, pair_bands, **kwargs):
         rep = next(drawn)
         return [
             ("a", "", next(drawn)),
