@@ -46,7 +46,7 @@ from .cooccur import (
     fold_counts,
     pairs_within,
 )
-from .decomp import MI_AGREEMENT_TOL, decompose, decompose_counts, identity_residuals
+from .decomp import MI_AGREEMENT_TOL, decompose, decompose_counts
 from .errors import ConsistencyError
 from .lattice import (
     UNIFORM_PARTITION,
@@ -502,8 +502,8 @@ def _verify_grid(grid) -> list:
     """(name, passed, detail) for every check on one grid.
 
     The pair total and, up to 64 pixels, the brute-force oracle check the
-    ordered ``pairs_within`` table that every pair measure reads, and
-    ``identity_residuals`` the decomposition of its folded bands.  A
+    ordered ``pairs_within`` table that every pair measure reads, and the
+    decomposition of its folded bands reports its identity ``residuals``.  A
     decomposition that raises on its identities is one failed check.
     """
     checks = []
@@ -520,7 +520,7 @@ def _verify_grid(grid) -> list:
     except ConsistencyError as exc:
         checks.append(("decomposition", False, str(exc)))
     else:
-        for name, residual in identity_residuals(counts, dec).items():
+        for name, residual in dec.residuals.items():
             checks.append((name, residual <= MI_AGREEMENT_TOL, f"residual={residual:.3e}"))
 
     if n <= 64:

@@ -19,8 +19,9 @@ the joint table, all relative frequencies.  ``decompose_counts`` reads them
 as plain arrays, ``decompose`` tallies a grid and calls it, and
 ``conditional_pmfs`` returns the same arrays as ``Pmf``/``JointPmf``.
 
-Every decomposition is checked against six identities before it is
-returned (``identity_residuals``): the estimated pmfs sum to 1, the band
+``decompose_counts`` checks every decomposition against six identities
+once, before it returns it, and the result carries the six residuals
+(``EntropyDecomposition.residuals``): the estimated pmfs sum to 1, the band
 conditionals mix back into p(Z), the entropy split holds, the mutual
 information agrees with H(Z) - (H(Z, W) - H(W)), and the band-weighted
 partial terms sum to MI and to H(Z)_W.  A residual beyond MI_AGREEMENT_TOL
@@ -32,7 +33,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -48,7 +50,8 @@ def spatial_mutual_information(joint: JointPmf) -> float:
     """MI(Z, W) from the pair-category x band joint distribution.
 
     The divergence of the joint from the product of its marginals; its
-    agreement with the entropy route is one of ``identity_residuals``.
+    agreement with the entropy route is the ``mi-dual-route`` residual of
+    ``EntropyDecomposition.residuals``.
     """
     return mutual_information(joint)
 
@@ -71,7 +74,9 @@ class EntropyDecomposition:
 
     ``marginal`` is H(Z); ``residual_global`` and ``mutual_information`` sum
     to it; ``mi_proportional`` is their ratio MI / H(Z) (0, flagged, when
-    H(Z) = 0, recorded by ``degenerate``).
+    H(Z) = 0, recorded by ``degenerate``).  ``residuals`` maps each identity
+    that ``decompose_counts`` checked to its residual (see ``_residuals``);
+    it is left out of ``==``, ``repr`` and the JSON and CSV forms.
     """
 
     marginal: float
@@ -79,6 +84,7 @@ class EntropyDecomposition:
     mutual_information: float
     mi_proportional: float
     bands: tuple
+    residuals: MappingProxyType = field(compare=False, repr=False)
     degenerate: bool = False
 
     def band(self, label: str) -> BandDecomposition:
@@ -87,7 +93,7 @@ class EntropyDecomposition:
                 return b
         raise KeyError(label)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         payload = {
             "marginal": self.marginal,
             "residual_global": self.residual_global,
@@ -104,7 +110,7 @@ class EntropyDecomposition:
                 for b in self.bands
             ],
         }
-        return json.dumps(payload, indent=indent)
+        return json.dumps(payload, indent=2)
 
     def to_csv_row(self) -> str:
         """Flat one-row CSV with a header, wide over bands."""
@@ -130,7 +136,8 @@ def _laws(counts: np.ndarray) -> tuple:
 
     ``counts`` is (nb, nz); ``conds`` (nb, nz) holds a zero row for each
     band of zero weight, and ``joint`` is the C-contiguous (nz, nb) pair
-    category x band table.
+    category x band table.  ``decompose_counts`` takes the terms and the
+    identity residuals of a decomposition from these same arrays.
     """
     q = counts.sum(axis=1)
     total = int(q.sum())
@@ -174,8 +181,9 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
 
     ``labels`` names the bands.  The laws are relative frequencies: p(w_k)
     = Q_k / Q, p(Z) the pooled counts over Q, p(Z | w_k) band k's counts
-    over Q_k.  Raises ConsistencyError, naming the worst identity, when any
-    of ``identity_residuals`` exceeds MI_AGREEMENT_TOL.
+    over Q_k.  The result carries its six identity ``residuals``; raises
+    ConsistencyError, naming the worst identity, when any exceeds
+    MI_AGREEMENT_TOL.
     """
     p_w, p_z, conds, joint = _laws(counts)
     # the summands of every band's H(Z | w_k) and PI(Z, w_k) over the support
@@ -196,25 +204,10 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
             h, infos[k] = terms[:, start:end].sum(axis=1)
             partials[k] = -h + 0.0  # + 0.0 folds -0.0 into 0.0
         start = end
-    bands = tuple(
-        BandDecomposition(label, w, n, h, i, empty=w == 0.0)
-        for label, w, n, h, i in zip(
-            labels, p_w.tolist(), counts.sum(axis=1).tolist(), partials.tolist(), infos.tolist()
-        )
-    )
     h_z = _plogp(p_z)
     mi = mutual_information(joint)
-    degenerate = h_z == 0.0
-    dec = EntropyDecomposition(
-        marginal=h_z,
-        residual_global=float(np.dot(p_w, partials)),
-        mutual_information=mi,
-        mi_proportional=0.0 if degenerate else mi / h_z,
-        bands=bands,
-        degenerate=degenerate,
-    )
-
-    residuals = _residuals(p_w, p_z, conds, joint, dec, p_w, partials, infos)
+    h_zw = float(np.dot(p_w, partials))
+    residuals = _residuals(p_w, p_z, conds, joint, h_z, mi, h_zw, partials, infos)
     failed = {name: r for name, r in residuals.items() if not r <= MI_AGREEMENT_TOL}
     if failed:
         worst = max(failed, key=failed.get)
@@ -222,25 +215,27 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
             f"decomposition identity {worst} misses by {failed[worst]:.3e} "
             f"(tolerance {MI_AGREEMENT_TOL:g}); failing: {', '.join(failed)}"
         )
-    return dec
+
+    bands = tuple(
+        BandDecomposition(label, w, n, h, i, empty=w == 0.0)
+        for label, w, n, h, i in zip(
+            labels, p_w.tolist(), counts.sum(axis=1).tolist(), partials.tolist(), infos.tolist()
+        )
+    )
+    degenerate = h_z == 0.0
+    return EntropyDecomposition(
+        marginal=h_z,
+        residual_global=h_zw,
+        mutual_information=mi,
+        mi_proportional=0.0 if degenerate else mi / h_z,
+        bands=bands,
+        residuals=MappingProxyType(residuals),
+        degenerate=degenerate,
+    )
 
 
-def _residuals(p_w, p_z, conds, joint, dec, weights, partials, infos) -> dict[str, float]:
-    """``identity_residuals`` from the laws and the band terms of ``dec`` as arrays."""
-    h_z_given_w = _plogp(joint.ravel()) - _plogp(p_w)
-    masses = (p_w.sum(), p_z.sum(), *conds[p_w > 0.0].sum(axis=1))
-    return {
-        "pmf-mass": float(max(abs(m - 1.0) for m in masses)),
-        "mixture-consistency": float(np.max(np.abs(p_w @ conds - p_z))),
-        "entropy-split": abs(dec.marginal - dec.mutual_information - dec.residual_global),
-        "mi-dual-route": abs(dec.mutual_information - (dec.marginal - h_z_given_w)),
-        "mi-aggregation": abs(dec.mutual_information - float(np.dot(weights, infos))),
-        "residual-aggregation": abs(dec.residual_global - float(np.dot(weights, partials))),
-    }
-
-
-def identity_residuals(counts: np.ndarray, dec: EntropyDecomposition) -> dict[str, float]:
-    """Absolute residual of every identity linking ``dec`` to the laws of ``counts``.
+def _residuals(p_w, p_z, conds, joint, h_z, mi, h_zw, partials, infos) -> dict[str, float]:
+    """Absolute residual of every identity linking H(Z), MI and H(Z)_W to the laws.
 
     pmf-mass              p(W), p(Z) and every p(Z | w_k) sum to 1
     mixture-consistency   sum_k p(w_k) p(Z | w_k) = p(Z), worst label
@@ -249,19 +244,20 @@ def identity_residuals(counts: np.ndarray, dec: EntropyDecomposition) -> dict[st
     mi-aggregation        MI(Z, W) = sum_k p(w_k) PI(Z, w_k)
     residual-aggregation  H(Z)_W = sum_k p(w_k) H(Z | w_k)
 
+    ``partials`` and ``infos`` are the bands' H(Z | w_k) and PI(Z, w_k).
     The dual route needs no empty-band case: H(Z, W) - H(W) is H(Z | W)
     with zero-mass bands contributing nothing.
     """
-    return _residuals(*_laws(counts), dec, *_band_terms(dec))
-
-
-def _band_terms(dec: EntropyDecomposition) -> np.ndarray:
-    """(weights, partial residuals, partial informations) of ``dec``'s bands, as rows.
-
-    Each row is contiguous, so that np.dot sums it as it sums the arrays
-    that ``decompose_counts`` checks.
-    """
-    return np.array([(b.p_w, b.residual_partial, b.info_partial) for b in dec.bands]).T.copy()
+    h_z_given_w = _plogp(joint.ravel()) - _plogp(p_w)
+    masses = (p_w.sum(), p_z.sum(), *conds[p_w > 0.0].sum(axis=1))
+    return {
+        "pmf-mass": float(max(abs(m - 1.0) for m in masses)),
+        "mixture-consistency": float(np.max(np.abs(p_w @ conds - p_z))),
+        "entropy-split": abs(h_z - mi - h_zw),
+        "mi-dual-route": abs(mi - (h_z - h_z_given_w)),
+        "mi-aggregation": abs(mi - float(np.dot(p_w, infos))),
+        "residual-aggregation": abs(h_zw - float(np.dot(p_w, partials))),
+    }
 
 
 def decompose(

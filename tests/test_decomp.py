@@ -1,6 +1,5 @@
 """Distance-band entropy decomposition: worked examples and identities."""
 
-import dataclasses
 import json
 import math
 import warnings
@@ -29,7 +28,7 @@ from spatent import (
 )
 from spatent import cli, decomp
 from spatent.cooccur import fold_counts, pairs_within
-from spatent.decomp import decompose_counts, identity_residuals
+from spatent.decomp import decompose_counts
 
 
 def _grid(rows, cols, cats, values):
@@ -152,25 +151,32 @@ def test_identity_residuals_name_the_broken_identity(tmp_path, monkeypatch, caps
     bands = DistanceClassification.default_for(g)
     counts = enumerate_pairs(g, bands, CooccurrenceScheme(3)).category_counts
     dec = decompose_counts(counts, bands.labels)
-    residuals = identity_residuals(counts, dec)
-    assert tuple(residuals) == IDENTITIES
-    assert max(residuals.values()) < 1e-10
+    assert tuple(dec.residuals) == IDENTITIES
+    assert max(dec.residuals.values()) < 1e-10
 
-    shifted = dataclasses.replace(dec, residual_global=dec.residual_global + 1e-6)
-    broken = {name for name, r in identity_residuals(counts, shifted).items() if r > 1e-10}
-    assert broken == {"entropy-split", "residual-aggregation"}
-
-    # a count table always mixes back and sums to 1: break its laws instead
-    def with_conditional(k, cond):
+    # re-check dec's numbers on the laws of its table, one of them broken
+    def broken(k=None, cond=None, residual_shift=0.0):
         p_w, p_z, conds, joint = decomp._laws(counts)
-        conds[k] = cond
-        residuals = decomp._residuals(p_w, p_z, conds, joint, dec, *decomp._band_terms(dec))
+        if k is not None:
+            conds[k] = cond
+        partials, infos = (
+            np.array([getattr(b, key) for b in dec.bands])
+            for key in ("residual_partial", "info_partial")
+        )
+        residuals = decomp._residuals(
+            p_w, p_z, conds, joint, dec.marginal, dec.mutual_information,
+            dec.residual_global + residual_shift, partials, infos,
+        )
         return {n for n, r in residuals.items() if r > 1e-10}
 
+    assert broken() == set()
+    assert broken(residual_shift=1e-6) == {"entropy-split", "residual-aggregation"}
+
+    # a count table always mixes back and sums to 1: break its laws instead
     nz = counts.shape[1]
-    assert with_conditional(0, np.full(nz, 1.0 / nz)) == {"mixture-consistency"}
+    assert broken(0, np.full(nz, 1.0 / nz)) == {"mixture-consistency"}
     last = counts[-1] / counts[-1].sum()  # a mass error small enough for a Pmf to admit
-    assert "pmf-mass" in with_conditional(len(counts) - 1, last * (1 + 5e-10))
+    assert "pmf-mass" in broken(len(counts) - 1, last * (1 + 5e-10))
 
     exact = decomp.mutual_information
     monkeypatch.setattr(decomp, "mutual_information", lambda joint: exact(joint) + 1e-6)
@@ -180,6 +186,37 @@ def test_identity_residuals_name_the_broken_identity(tmp_path, monkeypatch, caps
     write_grid(g, path)
     assert cli.main(["verify", str(path)]) == 1
     assert f"FAIL {path} decomposition" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "rows, cols, cats", [(1, 2, 2), (5, 7, 5), (8, 8, 1), (12, 17, 20), (37, 29, 2)]
+)
+def test_verify_prints_the_residuals_the_decomposition_carries(rows, cols, cats, tmp_path, capsys):
+    values = np.random.default_rng(rows * cols).integers(1, cats + 1, size=rows * cols)
+    if cats == 5:
+        values[values == 5] = 4  # the highest code absent, as in the digest corpus
+    g = _grid(rows, cols, cats, values)
+    path = tmp_path / "g.grid"
+    write_grid(g, path)
+    assert cli.main(["verify", str(path)]) == 0
+    printed = {}
+    for line in capsys.readouterr().out.splitlines():
+        if "(residual=" in line:
+            _, _, name, detail = line.split(" ")
+            printed[name] = detail
+    dec = decompose(g)
+    assert tuple(dec.residuals) == IDENTITIES
+    assert printed == {name: f"(residual={r:.3e})" for name, r in dec.residuals.items()}
+    with pytest.raises(TypeError):
+        dec.residuals["pmf-mass"] = 0.0
+
+    bands = DistanceClassification.default_for(g).refined((1.5,))
+    counts = fold_counts(np.diff(pairs_within(g, bands), axis=0), cats)
+    dec = decompose(g, bands)
+    assert dec == decompose_counts(counts, bands.labels)
+    assert "residuals" not in repr(dec)
+    assert not {"residuals", *IDENTITIES} & set(json.loads(dec.to_json()))
+    assert not {"residuals", *IDENTITIES} & set(dec.to_csv_row().splitlines()[0].split(","))
 
 
 def test_category_relabelling_invariance():
@@ -345,10 +382,9 @@ def test_array_core_equals_the_pmf_route(num_x, ordered):
         dec = decompose_counts(counts, labels)
         assert _terms(dec) == _pmf_route(counts, labels)
         assert [b.pair_count for b in dec.bands] == counts.sum(axis=1).tolist()
-        residuals = identity_residuals(counts, dec)
-        assert max(residuals.values()) <= decomp.MI_AGREEMENT_TOL
-        # H(Z)_W is the very dot product that verify re-computes from the bands
-        assert residuals["residual-aggregation"] == 0.0
+        assert max(dec.residuals.values()) <= decomp.MI_AGREEMENT_TOL
+        # H(Z)_W is the very dot product that the residual-aggregation check takes
+        assert dec.residuals["residual-aggregation"] == 0.0
 
 
 @pytest.mark.parametrize("ordered", [False, True])
@@ -368,9 +404,8 @@ def test_array_core_equals_the_pmf_route_on_experiment_tables(ordered):
             counts = fold_counts(counts, num_x)
         dec = decompose_counts(counts, cls.labels)
         assert _terms(dec) == _pmf_route(counts, cls.labels)
-        residuals = identity_residuals(counts, dec)
-        assert max(residuals.values()) <= decomp.MI_AGREEMENT_TOL
-        assert residuals["residual-aggregation"] == 0.0
+        assert max(dec.residuals.values()) <= decomp.MI_AGREEMENT_TOL
+        assert dec.residuals["residual-aggregation"] == 0.0
 
 
 @pytest.mark.parametrize("ordered", [False, True])
@@ -386,7 +421,7 @@ def test_every_entry_point_shares_the_core(num_x, ordered, monkeypatch):
     dec = decompose_counts(sample.category_counts, bands.labels)
     assert dec.band("w3").empty
     assert _terms(dec) == _pmf_route(sample.category_counts, bands.labels)
-    assert max(identity_residuals(sample.category_counts, dec).values()) <= decomp.MI_AGREEMENT_TOL
+    assert max(dec.residuals.values()) <= decomp.MI_AGREEMENT_TOL
     if not ordered:
         assert decompose(g, bands) == dec
 
