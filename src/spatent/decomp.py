@@ -30,8 +30,6 @@ raises ConsistencyError instead of returning the numbers.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -124,11 +122,8 @@ class EntropyDecomposition:
         for b in self.bands:
             header += [f"{b.label}_p_w", f"{b.label}_residual_partial", f"{b.label}_info_partial"]
             row += [b.p_w, b.residual_partial, b.info_partial]
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerow(f"{x:.12g}" for x in row)
-        return buf.getvalue()
+        # band labels and numbers: no cell needs quoting
+        return ",".join(header) + "\n" + ",".join(f"{x:.12g}" for x in row) + "\n"
 
 
 def _laws(counts: np.ndarray) -> tuple:

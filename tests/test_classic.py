@@ -10,6 +10,7 @@ from spatent import (
     AreaPartition,
     AreaProbabilities,
     CategoricalGrid,
+    ConsistencyError,
     UNIFORM_PARTITION,
     batty_entropy,
     build_area_neighbourhood,
@@ -22,6 +23,7 @@ from spatent import (
     relative_contagion,
     shannon,
 )
+from spatent.classic import contiguity_index
 
 
 def _grid(rows, cols, cats, values):
@@ -60,6 +62,21 @@ def test_estimate_area_probs_errors():
     other = partition_window(_grid(4, 4, 1, np.ones(16)), 4, UNIFORM_PARTITION)
     with pytest.raises(ValueError):
         estimate_area_probs(g, other, 1)  # geometry mismatch
+
+
+@pytest.mark.parametrize(
+    "probs,sizes,message",
+    [
+        ([0.5, 0.5], [1.0], "probs and sizes must have equal length"),
+        ([], [], "need at least one area"),
+        ([0.5, 0.6], [1.0, 1.0], "area probabilities must be a distribution"),
+        ([1.5, -0.5], [1.0, 1.0], "area probabilities must be a distribution"),
+        ([0.5, 0.5], [1.0, 0.0], "area sizes must be positive"),
+    ],
+)
+def test_area_probabilities_validation(probs, sizes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AreaProbabilities(probs, sizes)
 
 
 # --------------------------------------------------------------------------
@@ -110,6 +127,9 @@ def test_neighbourhood_validation():
         AreaNeighbourhood(np.array([[1.0, -0.0001], [0.0, 1.0]]).clip(-1, 1) * [[1, -1], [1, 1]])
     with pytest.raises(ValueError):
         AreaNeighbourhood(np.array([[np.nan, np.nan], [0.0, 1.0]]))  # NaN passes both tests above
+    for weights in (np.full(3, 1 / 3), np.full((2, 3), 1 / 3)):
+        with pytest.raises(ValueError, match="^weights must be a square matrix$"):
+            AreaNeighbourhood(weights)
     part = partition_window(_all_black(10), 4, UNIFORM_PARTITION)
     with pytest.raises(ValueError):
         build_area_neighbourhood(part, math.nan)
@@ -156,6 +176,14 @@ def test_karlstrom_area_count_mismatch():
     nb = build_area_neighbourhood(part, 0.0)
     with pytest.raises(ValueError):
         karlstrom_entropy(AreaProbabilities(np.full(9, 1 / 9), np.ones(9)), nb)
+
+
+def test_karlstrom_rejects_weights_that_vanish_on_the_support():
+    # no area neighbours itself here, so the one occupied area smooths to 0
+    ap = AreaProbabilities([1.0, 0.0], [1.0, 1.0])
+    nb = AreaNeighbourhood(np.array([[0.0, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ConsistencyError, match="^smoothed probability vanished on the support$"):
+        karlstrom_entropy(ap, nb)
 
 
 # --------------------------------------------------------------------------
@@ -223,6 +251,11 @@ def test_relative_contagion_unordered_variant():
     # unordered: all contiguous pairs are the single mixed type -> H = 0
     assert rc_no == 1.0
     assert rc_o == pytest.approx(0.5, abs=1e-12)
+
+
+def test_contiguity_index_rejects_unknown_names():
+    with pytest.raises(ValueError, match="^unknown contiguity index 'contagion'$"):
+        contiguity_index("contagion", np.array([0.5, 0.5]))
 
 
 def test_parresol_is_negated_oneill():

@@ -1,5 +1,6 @@
 """End-to-end command line coverage on tiny inputs."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -294,13 +295,13 @@ def test_pair_bands_plan_the_one_tally_of_the_pair_measures(measures, bands, d):
     grid = CategoricalGrid(6, 6, 2, (np.arange(36) % 2) + 1)
     default = DistanceClassification.default_for(grid)
     given = DistanceClassification((0.0, 1.0, 3.0, 9.0))
-    want = {None: None, "default": (default, d), "given": (given, d)}[bands]
+    want = {None: None, "default": (default, (1.0, d)), "given": (given, (1.0, d))}[bands]
     # no pair measure: no tally; the given bands only for the decomposition
     assert cli._pair_bands(grid, measures, given, 3.5) == want
-    assert cli._pair_bands(grid, measures, None, 3.5) == (want and (default, d))
+    assert cli._pair_bands(grid, measures, None, 3.5) == (want and (default, (1.0, d)))
     if "leibovici" in measures:
         # the band label reads the plan's distance, a float for any number given
-        _, given_int = cli._pair_bands(grid, measures, None, 3)
+        _, (_, given_int) = cli._pair_bands(grid, measures, None, 3)
         assert type(given_int) is float and given_int == 3.0
         assert ("leibovici", "d3", leibovici_entropy(grid, 3)) in _rows(
             grid, tuple(m for m in measures if m not in ("batty", "karlstrom")), None, 3
@@ -665,10 +666,36 @@ def test_bad_cli_arguments_exit_2():
         "experiment --scenarios multicluster:3 --out x",
         "measure g.grid --target-category 0",
         "measure g.grid --target-category -1",
+        "measure g.grid --partition-seed -1",
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         assert exc.value.code == 2, argv
+
+
+def test_argument_types_name_what_they_reject(capsys):
+    # an empty plan entry is skipped, and a plan of nothing but commas is refused
+    assert cli._plan_arg("random:2,,compact:5,") == (("random", 2), ("compact", 5))
+    with pytest.raises(argparse.ArgumentTypeError, match="^empty scenario plan$"):
+        cli._plan_arg(",")
+    with pytest.raises(argparse.ArgumentTypeError, match="could not convert string to float: 'x'"):
+        cli._distances_arg("1,x")
+    assert cli._partition_seed_arg("uniform") == "uniform"
+    assert cli._partition_seed_arg("3") == 3
+    for text in ("abc", "-1", "1.5", ""):
+        with pytest.raises(
+            argparse.ArgumentTypeError,
+            match=f"^expected a non-negative integer or 'uniform', got '{text}'$",
+        ):
+            cli._partition_seed_arg(text)
+    # a negative seed stops in the parser, which names the option
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["measure", "g.grid", "--partition-seed", "-1"])
+    assert capsys.readouterr().err.endswith(
+        "error: argument --partition-seed: expected a non-negative integer or 'uniform', "
+        "got '-1'\n"
+    )
 
 
 def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):

@@ -216,6 +216,8 @@ def test_scheme_must_cover_grid_categories():
     g = _grid(2, 2, 3, [1, 2, 3, 1])
     with pytest.raises(ValueError):
         enumerate_pairs(g, DistanceClassification.default_for(g), CooccurrenceScheme(2))
+    with pytest.raises(ValueError, match="^num_x_categories must be >= 1$"):
+        CooccurrenceScheme(0)
 
 
 def test_tabulate_within_distance_one():
@@ -258,6 +260,8 @@ def test_single_pixel_grid_rejected():
     g = _grid(1, 1, 1, [1])
     with pytest.raises(ValueError):
         enumerate_pairs(g, DistanceClassification.default_for(g), CooccurrenceScheme(1))
+    with pytest.raises(ValueError, match="^need at least two pixels to form a pair$"):
+        enumerate_pairs_bruteforce(g, DistanceClassification((0, 1)), CooccurrenceScheme(1))
 
 
 @st.composite
@@ -422,6 +426,21 @@ def test_pair_sample_rejects_negative_counts():
     scheme, bands = CooccurrenceScheme(2), DistanceClassification((0, 1))
     with pytest.raises(ValueError, match="non-negative"):
         PairSample(scheme, bands, np.array([1]), np.array([[2, -1, 0]]))
+
+
+@pytest.mark.parametrize(
+    "pair_counts,category_counts,message",
+    [
+        ([3], [[1, 2]], "category_counts shape does not match scheme/classification"),
+        ([3], [[1, 2, 0], [0, 0, 0]], "category_counts shape does not match scheme/classification"),
+        ([3, 0], [[1, 2, 0]], "pair_counts shape does not match classification"),
+        ([4], [[1, 2, 0]], "per-band category counts do not sum to pair counts"),
+    ],
+)
+def test_pair_sample_rejects_tables_that_do_not_fit(pair_counts, category_counts, message):
+    scheme, bands = CooccurrenceScheme(2), DistanceClassification((0, 1))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        PairSample(scheme, bands, np.array(pair_counts), np.array(category_counts))
 
 
 @pytest.mark.parametrize("num_x", [1, 2, 3, 5, 20])
@@ -711,6 +730,9 @@ def test_geometry_must_fit_the_grid_and_bands():
     )
     with pytest.raises(CoverageError, match="has no band"):
         BandGeometry(6, 6, DistanceClassification((0, 1, 2)))
+    for rows, cols in ((0, 6), (6, 0)):
+        with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
+            BandGeometry(rows, cols, cls)
 
 
 def _three_grids(rows, cols, cats, seed, blocks=False):

@@ -42,6 +42,20 @@ def test_grid_rejects_out_of_range_codes():
         _grid(2, 2, 2, [0, 1, 2, 1])
     with pytest.raises(ValueError):
         _grid(2, 2, 2, [1, 2, 1])  # wrong length
+    with pytest.raises(ValueError, match="^category codes must be integers$"):
+        CategoricalGrid(1, 2, 2, np.array([1.5, 2.0]))
+
+
+def test_grid_rejects_bad_dimensions_and_pixel_indices():
+    with pytest.raises(ValueError, match="^grid dimensions must be positive$"):
+        _grid(0, 2, 2, [])
+    with pytest.raises(ValueError, match="^num_categories must be >= 1$"):
+        _grid(1, 2, 0, [1, 1])
+    g = _grid(2, 3, 2, [1, 2, 1, 2, 1, 2])
+    assert g.centroid(5) == (1.5, 2.5)
+    for u in (6, -1):
+        with pytest.raises(IndexError, match=rf"^pixel index {u} out of range 0\.\.5$"):
+            g.centroid(u)
 
 
 def test_grid_values_readonly():
@@ -136,6 +150,8 @@ def test_partition_validation():
         AreaPartition(2, 2, 2, np.array([1, 1, 3, 3]))  # id out of range
     with pytest.raises(ValueError):
         AreaPartition(2, 2, 3, np.array([1, 1, 3, 3]))  # area 2 empty
+    with pytest.raises(ValueError, match="^unknown partition seed 'even'$"):
+        partition_window(_grid(4, 4, 1, np.ones(16)), 4, "even")
 
 
 def test_partition_centroids_weighted_by_pixels():

@@ -68,6 +68,10 @@ def test_invalid_distributions_rejected():
         shannon([1.2, -0.2])
     with pytest.raises(InvalidDistributionError):
         shannon([])
+    with pytest.raises(InvalidDistributionError, match="^Pmf: 3 labels but 2 probabilities$"):
+        Pmf((1, 2, 3), np.array([0.5, 0.5]))
+    with pytest.raises(InvalidDistributionError, match="^Pmf.from_counts: nothing observed$"):
+        Pmf.from_counts(("a", "b"), (0, 0))
 
 
 def test_mass_tolerance_boundary():
@@ -136,6 +140,11 @@ def test_conditional_entropy_frozen():
     assert conditional_entropy(JOINT, conditioning="rows") == pytest.approx(
         H_ROWS_GIVEN_COLS, abs=1e-15
     )
+
+
+def test_conditional_entropy_conditions_on_rows_or_cols_only():
+    with pytest.raises(ValueError, match="^conditioning must be 'rows' or 'cols'$"):
+        conditional_entropy(JOINT, conditioning="both")
 
 
 def test_mutual_information_frozen():
