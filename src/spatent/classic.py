@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,9 @@ class AreaProbabilities:
             raise ValueError("probs and sizes must have equal length")
         if p.size == 0:
             raise ValueError("need at least one area")
-        if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
+        if (p < 0.0).any() or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("area probabilities must be a distribution")
-        if np.any(t <= 0.0):
+        if (t <= 0.0).any():
             raise ValueError("area sizes must be positive")
         p.flags.writeable = False
         t.flags.writeable = False
@@ -53,6 +54,12 @@ class AreaProbabilities:
     @property
     def num_areas(self) -> int:
         return self.probs.size
+
+    @cached_property
+    def _support(self) -> tuple:
+        """The areas holding the target category (a mask) and their p_g, taken once."""
+        mask = self.probs > 0.0
+        return mask, self.probs[mask]
 
 
 def estimate_area_probs(
@@ -64,13 +71,12 @@ def estimate_area_probs(
     if (partition.rows, partition.cols) != (grid.rows, grid.cols):
         raise ValueError("partition geometry does not match the grid")
     mask = grid.values == target_category
-    total = int(mask.sum())
+    total = np.count_nonzero(mask)
     if total == 0:
         raise ValueError(f"category {target_category} does not occur in the grid")
-    counts = np.bincount(
-        partition.assignment[mask] - 1, minlength=partition.num_areas
-    )
-    return AreaProbabilities(counts / total, partition.sizes)
+    # whole-number float counts: the same quotients as integer ones
+    counts = np.bincount(partition.assignment, weights=mask, minlength=partition.num_areas + 1)
+    return AreaProbabilities(counts[1:] / total, partition.sizes)
 
 
 def batty_entropy(ap: AreaProbabilities) -> float:
@@ -80,8 +86,7 @@ def batty_entropy(ap: AreaProbabilities) -> float:
     log(T_g*), when everything concentrates in the smallest area.  With all
     T_g = 1 it reduces to the Shannon entropy of (p_1..p_G).
     """
-    mask = ap.probs > 0.0
-    p = ap.probs[mask]
+    mask, p = ap._support
     return float((p * np.log(ap.sizes[mask] / p)).sum())
 
 
@@ -141,13 +146,12 @@ def karlstrom_entropy(ap: AreaProbabilities, nb: AreaNeighbourhood) -> float:
     """
     if nb.num_areas != ap.num_areas:
         raise ValueError("neighbourhood and probabilities disagree on area count")
-    smoothed = nb.weights @ ap.probs
-    mask = ap.probs > 0.0
-    if np.any(smoothed[mask] <= 0.0):
+    mask, p = ap._support
+    smoothed = (nb.weights @ ap.probs)[mask]
+    if (smoothed <= 0.0).any():
         # impossible while each area neighbours itself; guards foreign weights
         raise ConsistencyError("smoothed probability vanished on the support")
-    p = ap.probs[mask]
-    return 0.0 - float((p * np.log(smoothed[mask])).sum())  # no -0.0
+    return 0.0 - float((p * np.log(smoothed)).sum())  # no -0.0
 
 
 # ---------------------------------------------------------------------------

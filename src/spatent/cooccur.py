@@ -43,6 +43,24 @@ nb bands, cost is O((I - 1 + nb) * P log P) for the transforms, nb - 1
 GEMMs of O(I^2 * P) and O(I * N) for the prefix counts, against O(N^2)
 pair visits.  A one-band classification runs no FFT.
 
+Two parts of that cost grow with the number ni of present categories, and
+for each the tally picks the cheaper of two exact routes from counts it
+already has; neither choice is an option.  An inner band costs a multiply
+of O(ni * P) and a GEMM of O(ni^2 * P), while counting it directly costs
+one O(N) bincount of a * ni + b per displacement, over the overlap of the
+grid and its shift.  So a band with fewer displacements than ni is counted
+directly, its displacements read off the geometry's band map, which keeps
+the float band rule: with the default bands (0, 1] (2 displacements) once
+ni >= 3 and (1, 2] (4) once ni >= 5.  And the every-pair table takes ni - 2
+prefix passes over the grid, where blocks of 8 consecutive pixels take one
+pass that costs about what the prefix route does at ni = 4 to 5, at 50 x 50
+and at 200 x 200 alike: per-block histograms give the pairs in two blocks
+by a GEMM, and bincounts of position pairs those inside a block, in bands
+of blocks whose temporaries stay in cache.  That route runs once ni - 2 >
+3, and only while N (N - 1) / 2 <= 2^53 keeps its float64 GEMMs exact.  At
+ni = 2 neither route runs, except for a band of a single displacement,
+which only a grid too thin for the band's other displacements has.
+
 Everything that depends only on the grid shape and the bands is a
 ``BandGeometry``: the band of each displacement the inner bands reach (a
 narrow integer map), the closed-form band totals, the plane size, and each
@@ -88,8 +106,13 @@ from .lattice import CategoricalGrid, window_diagonal
 _UINT63_MAX = 2**63 - 1
 # an FFT pair sum further than this from its integer is a numerical fault
 _ROUNDING_TOL = 0.25
-# bytes of category spectra finished per column block, consumed by one GEMM per band
+# bytes of category spectra finished per column block, consumed by one GEMM per
+# band; and of the position pairs of one band of pixel blocks
 _BLOCK_BYTES = 1 << 18
+# pixels per block of the many-category all-pairs route
+_PAIR_BLOCK = 8
+# that route runs once the prefix route's ni - 2 passes exceed this many
+_BLOCK_PASSES = 3
 
 
 def count_categories(scheme: "CooccurrenceScheme") -> int:
@@ -266,7 +289,7 @@ def _fast_length(n: int) -> int:
 
 
 def _band_map(rows, cols, classification):
-    """Band of each displacement the inner bands reach, and every band's pair total.
+    """Band of each displacement the inner bands reach, every band's pair total, inner sizes.
 
     The float rule of ``DistanceClassification.band_index`` is even in dc
     and monotone in dr^2 + dc^2, so the inner bands reach only dr, |dc| <=
@@ -275,7 +298,8 @@ def _band_map(rows, cols, classification):
     zero displacement, which links no pixels (the block's only entry with
     one band).  An inner band's pair total sums (rows - dr) * (cols - |dc|)
     over its displacements; the outermost band's is every pair minus theirs.
-    Linking distances run from 1 to sqrt((rows-1)^2 + (cols-1)^2), so these
+    An inner band's size is its number of linking displacements.  Linking
+    distances run from 1 to sqrt((rows-1)^2 + (cols-1)^2), so these
     two decide coverage; a miss raises ``_coverage_error``.
     """
     nb = classification.num_bands
@@ -286,13 +310,18 @@ def _band_map(rows, cols, classification):
     dc = np.arange(min(cols, reach))[:, None]
     dr = np.arange(min(rows, reach))
     dist = np.sqrt((dc * dc + dr * dr).astype(np.float64))
-    half = (np.searchsorted(breaks, dist, side="left") - 1).astype(np.min_scalar_type(-nb))
+    # the type holds band + 1 for the bincounts below
+    half = (np.searchsorted(breaks, dist, side="left") - 1).astype(np.min_scalar_type(-nb - 1))
     del dist  # no float plane outlives band assignment
     # (dr, dc) and (dr, -dc) both link pixels when dr > 0; at dr = 0 only dc > 0 does
-    links = (rows - dr) * (cols - dc) * (np.where(dc > 0, 2, 1) - (dr == 0))
-    totals = np.bincount(half.ravel() + 1, weights=links.ravel(), minlength=nb + 1)
+    linking = np.where(dc > 0, 2, 1) - (dr == 0)
+    slot = half.ravel() + 1
+    links = (rows - dr) * (cols - dc) * linking
+    totals = np.bincount(slot, weights=links.ravel(), minlength=nb + 1)
     inner = totals[1:nb].astype(np.int64)
-    return half, np.append(inner, rows * cols * (rows * cols - 1) // 2 - inner.sum())
+    sizes = np.bincount(slot, weights=linking.ravel(), minlength=nb + 1)[1:nb].astype(np.int64)
+    total = rows * cols * (rows * cols - 1) // 2 - inner.sum()
+    return half, np.append(inner, total), sizes
 
 
 def _coverage_error(rows, cols, breaks):
@@ -318,9 +347,12 @@ def _coverage_error(rows, cols, breaks):
 class BandGeometry:
     """Everything of a tally that depends only on the grid shape and the bands.
 
-    ``totals[k]`` is band k's closed-form pair total.  Only the inner bands
-    0 .. nb-2 are tallied by FFT, and only the box of displacements they
-    can reach is mapped; the outermost band is every pair minus theirs.
+    ``totals[k]`` is band k's closed-form pair total and ``sizes[k]`` inner
+    band k's number of linking displacements.  Only the inner bands 0 ..
+    nb-2 are tallied by displacement, and only the box of displacements
+    they can reach is mapped; the outermost band is every pair minus theirs.
+    ``displacements(k)`` lists band k's (dr, dc), read off that map for the
+    bands a tally counts directly.
     ``spectra[k]``, one per inner band, is band k's displacement mask after
     stage one of the 2-D transform: the row rfft of the mask's rows dr = 0
     .. (the largest dr in band k), scaled by the Parseval weight, or None
@@ -342,8 +374,9 @@ class BandGeometry:
         if rows * cols < 2:
             raise ValueError("need at least two pixels to form a pair")
         self.rows, self.cols, self.classification = rows, cols, classification
-        half, self.totals = _band_map(rows, cols, classification)
+        half, self.totals, self.sizes = _band_map(rows, cols, classification)
         self.totals.flags.writeable = False
+        self.sizes.flags.writeable = False
         inner = classification.num_bands - 1
         dcs, drs = np.nonzero((half >= 0) & (half < inner))
         reach_r, reach_c = (int(drs.max()), int(dcs.max())) if drs.size else (0, 0)
@@ -355,6 +388,7 @@ class BandGeometry:
         band[: reach_c + 1] = reached
         band[self.p2 - reach_c:] = reached[:0:-1]
         band[self.p2 - reach_c:, 0] = -1
+        self._reached, self._displacements = reached, {}
         # Parseval over the half spectrum: columns with a mirror image count twice
         weight = np.full((self.p2 // 2 + 1, 1), 2.0 / (self.p1 * self.p2))
         weight[0] /= 2.0
@@ -383,6 +417,15 @@ class BandGeometry:
             for w in self.window:
                 w.flags.writeable = False
         self._finished = None
+
+    def displacements(self, k: int) -> tuple:
+        """Inner band k's displacements (dr, dc), read off the band map once per geometry."""
+        if k not in self._displacements:
+            dcs, drs = (x.tolist() for x in np.nonzero(self._reached == k))
+            # (dr, -dc) links a pixel to a later one too, unless dr = 0
+            mirrored = [(dr, -dc) for dr, dc in zip(drs, dcs) if dr > 0 and dc > 0]
+            self._displacements[k] = tuple(zip(drs, dcs)) + tuple(mirrored)
+        return self._displacements[k]
 
     @property
     def finished(self) -> tuple:
@@ -461,16 +504,16 @@ def enumerate_pairs(
         )
 
     nb = classification.num_bands
-    m0 = grid.matrix - 1
-    present = np.flatnonzero(np.bincount(m0.ravel()))
-    inner = _inner_band_sums(m0, present, geometry, batch)
+    present = np.flatnonzero(np.bincount(grid.values))  # the codes on the grid
+    inner = _inner_band_sums(grid.matrix, present, geometry, batch)
     # the outermost band is every pair minus the inner bands; one check covers all
-    outer = _ordered_pair_counts(m0.ravel(), present) - np.rint(inner).sum(axis=0)
+    outer = _ordered_pair_counts(grid.values, present) - np.rint(inner).sum(axis=0)
     counts = _exact_counts(np.concatenate((inner, outer[None])), geometry.totals)
 
     i = scheme.num_x_categories
     table = np.zeros((nb, i, i), dtype=np.int64)
-    table[:, present[:, None], present] = counts
+    cells = present - 1
+    table[:, cells[:, None], cells] = counts
     table = table.reshape(nb, i * i)
     if not scheme.ordered:
         table = fold_counts(table, i)
@@ -499,27 +542,33 @@ def pairs_within(
     return within[np.searchsorted(fine.breaks, ends)]
 
 
-def _inner_band_sums(m0, present, geometry, batch):
-    """FFT pair sums of the inner bands: (nb - 1, ni, ni) floats, per present category pair.
+def _inner_band_sums(codes, present, geometry, batch):
+    """Pair sums of the inner bands: (nb - 1, ni, ni) floats, per present category pair.
 
-    Only the first ni - 1 present categories are transformed: every pixel
-    lies in a present category, so the last one's spectrum is the window's
-    minus theirs.  A ``batch`` reads its geometry's ``finished`` bands; a
-    one-shot tally finishes each band's column block here, into one buffer.
+    ``codes`` is the (rows, cols) grid and ``present`` the ni codes on it.
+    A band with fewer displacements than ni holds its exact direct counts,
+    the others their FFT sums.  Only the first ni - 1 present categories are
+    transformed: every pixel lies in a present category, so the last one's
+    spectrum is the window's minus theirs.  A ``batch`` reads its geometry's
+    ``finished`` bands; a one-shot tally finishes each band's column block
+    here, into one buffer.
     """
     ni = len(present)
     sums = np.zeros((len(geometry.spectra), ni, ni))
-    bands = [(k, s) for k, s in enumerate(geometry.spectra) if s is not None]
+    direct = [k for k, size in enumerate(geometry.sizes) if 0 < size < ni]
+    if direct:
+        sums[direct] = _direct_band_counts(codes, present, map(geometry.displacements, direct))
+    bands = [(k, s) for k, s in enumerate(geometry.spectra) if geometry.sizes[k] >= ni]
     if not bands:
         return sums
     finished = geometry.finished if batch else None
     p1, h2 = geometry.p1, geometry.p2 // 2 + 1
-    rows = m0.shape[0]
+    rows = codes.shape[0]
     # stage one of each 2-D transform: row rfft of the `rows` non-zero rows,
     # stored column-major so that stage two runs along contiguous memory
     spectra = np.empty((ni - 1, h2, rows), dtype=np.complex128)
     for i, a in enumerate(present[:-1]):
-        np.fft.rfft(m0.T == a, n=geometry.p2, axis=0, out=spectra[i])
+        np.fft.rfft(codes.T == a, n=geometry.p2, axis=0, out=spectra[i])
 
     # stage two, one column block at a time: the category block is finished
     # and conjugated once, then multiplied by every band's block, each band
@@ -550,6 +599,35 @@ def _inner_band_sums(m0, present, geometry, batch):
     return sums
 
 
+def _compact(values, present):
+    """Each value's rank among the present categories, as intp."""
+    rank = np.zeros(present[-1] + 1, dtype=np.intp)
+    rank[present] = np.arange(present.size)
+    return rank[values]
+
+
+def _direct_band_counts(matrix, present, bands):
+    """Exact (len(bands), ni, ni) counts of the pairs (a at x, b at x + d) over each band's d.
+
+    ``bands`` yields each band's displacements (dr, dc).  One displacement
+    is one bincount of a * ni + b over the overlap of the grid and its shift,
+    with a and b the ranks of the codes among the ``present`` ones.
+    """
+    codes = _compact(matrix, present)
+    rows, cols = codes.shape
+    ni = present.size
+    first = codes * ni
+    counts = []
+    for displacements in bands:
+        c = np.zeros(ni * ni, dtype=np.int64)
+        for dr, dc in displacements:
+            lo, hi = max(0, -dc), cols - max(0, dc)
+            pair = first[: rows - dr, lo:hi] + codes[dr:, lo + dc : hi + dc]
+            c += np.bincount(pair.ravel(), minlength=ni * ni)
+        counts.append(c.reshape(ni, ni))
+    return counts
+
+
 def _ordered_pair_counts(flat, present):
     """(ni, ni) int64 counts of the pairs (a at u, b at v) over every u < v of the grid.
 
@@ -559,8 +637,12 @@ def _ordered_pair_counts(flat, present):
     pair of an a-pixel and a b-pixel is (a, b) or (b, a), n_a n_b in all.
     And the pixels before v number v, so column b adds up to the sum of
     the indices of b's pixels; that gives the last entry above the
-    diagonal, and the last two categories need no prefix count.
+    diagonal, and the last two categories need no prefix count.  Once
+    those ni - 2 passes cost more than one of ``_block_pair_counts``, that
+    route counts the table instead.
     """
+    if len(present) - 2 > _BLOCK_PASSES and flat.size * (flat.size - 1) // 2 <= 2**53:
+        return _block_pair_counts(flat, present)
     positions = [np.flatnonzero(flat == a) for a in present]
     n = np.array([p.size for p in positions])
     order = np.concatenate(positions)  # pixels by category, row-major within
@@ -577,6 +659,50 @@ def _ordered_pair_counts(flat, present):
     every += np.tril(np.outer(n, n) - every.T, -1)
     every[np.diag_indices_from(every)] = n * (n - 1) // 2
     return every
+
+
+def _block_pair_counts(flat, present):
+    """``_ordered_pair_counts`` from blocks of ``_PAIR_BLOCK`` consecutive pixels.
+
+    A pair lies in two blocks or inside one.  Pairs in two blocks sum, over
+    the blocks, the outer product of the categories in the blocks before it
+    and its own: a GEMM over per-block histograms.  Pairs inside a block
+    are its position pairs (s, s + shift), bincounts of a * k + b over them.
+    The last block is padded with the extra code ni, whose row and column
+    are dropped.  The blocks run in bands whose position pairs take
+    ``_BLOCK_BYTES``, so that the temporaries stay in cache.  Every partial
+    sum of the float64 GEMMs counts at most N (N - 1) / 2 pairs, exact
+    while that is <= 2^53.
+    """
+    ni, n = present.size, flat.size
+    k, w = ni + 1, _PAIR_BLOCK
+    nblk = -(-n // w)
+    codes = np.full(nblk * w, ni, dtype=np.intp)
+    codes[:n] = _compact(flat, present)
+    codes = codes.reshape(nblk, w)
+    step = min(nblk, _BLOCK_BYTES // (4 * w * (w - 1)))
+    pairs = np.empty((w * (w - 1) // 2, step), dtype=np.intp)
+    across = np.zeros((k, k))
+    seen = np.zeros((k, 1))  # the categories of the bands before
+    inside = np.zeros(k * k, dtype=np.int64)
+    for start in range(0, nblk, step):
+        pos = codes[start : start + step].T.copy()  # row s holds position s of each block
+        m = pos.shape[1]
+        hist = np.bincount((pos * m + np.arange(m)).ravel(), minlength=k * m)
+        hist = hist.reshape(k, m).astype(np.float64)
+        before = np.cumsum(hist, axis=1)
+        before -= hist
+        before += seen
+        across += before @ hist.T
+        seen = before[:, -1:] + hist[:, -1:]
+        first = pos * k
+        row = 0
+        for shift in range(1, w):
+            np.add(first[:-shift], pos[shift:], out=pairs[row : row + w - shift, :m])
+            row += w - shift
+        inside += np.bincount(pairs[:, :m].ravel(), minlength=k * k)
+    every = across.astype(np.int64) + inside.reshape(k, k)
+    return every[:ni, :ni]
 
 
 def enumerate_pairs_bruteforce(

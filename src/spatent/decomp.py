@@ -42,6 +42,8 @@ from .lattice import CategoricalGrid
 from .prob import JointPmf, Pmf, _plogp, mutual_information
 
 MI_AGREEMENT_TOL = 1e-10
+# characters a band label cannot hold: ``to_csv_row`` writes labels unquoted
+_CSV_SPECIAL = frozenset(',"\r\n')
 
 
 def spatial_mutual_information(joint: JointPmf) -> float:
@@ -122,7 +124,7 @@ class EntropyDecomposition:
         for b in self.bands:
             header += [f"{b.label}_p_w", f"{b.label}_residual_partial", f"{b.label}_info_partial"]
             row += [b.p_w, b.residual_partial, b.info_partial]
-        # band labels and numbers: no cell needs quoting
+        # decompose_counts admits no label that needs quoting
         return ",".join(header) + "\n" + ",".join(f"{x:.12g}" for x in row) + "\n"
 
 
@@ -178,8 +180,12 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
     = Q_k / Q, p(Z) the pooled counts over Q, p(Z | w_k) band k's counts
     over Q_k.  The result carries its six identity ``residuals``; raises
     ConsistencyError, naming the worst identity, when any exceeds
-    MI_AGREEMENT_TOL.
+    MI_AGREEMENT_TOL.  A label holding a comma, a double quote, CR or LF
+    raises ValueError, since the CSV row could not carry it.
     """
+    for label in labels:
+        if not _CSV_SPECIAL.isdisjoint(label):
+            raise ValueError(f"band label {label!r} holds a comma, quote or line break")
     p_w, p_z, conds, joint = _laws(counts)
     # the summands of every band's H(Z | w_k) and PI(Z, w_k) over the support
     # of the table, band after band; each band sums its own run, in support

@@ -171,6 +171,25 @@ def test_karlstrom_maximum_at_uniform_probs():
     assert round(math.log(100), 3) == 4.605
 
 
+def test_area_indices_read_one_support_per_grid():
+    rng = np.random.default_rng(11)
+    g = _grid(50, 50, 2, (rng.random(2500) < 0.02) + 1)  # category 2 misses areas
+    part = partition_window(g, 100, 5)
+    ap = estimate_area_probs(g, part, 2)
+    mask, p = ap._support
+    assert 0 < mask.sum() < 100 and ap._support[1] is p
+    # the formulas with the support taken per index
+    on = ap.probs > 0.0
+    assert batty_entropy(ap) == float((ap.probs[on] * np.log(ap.sizes[on] / ap.probs[on])).sum())
+    for d in (0.0, 2.0, 5.0, 10.0):
+        nb = build_area_neighbourhood(part, d)
+        smoothed = nb.weights @ ap.probs
+        want = 0.0 - float((ap.probs[on] * np.log(smoothed[on])).sum())
+        assert karlstrom_entropy(ap, nb) == want
+    counts = np.bincount(part.assignment[g.values == 2] - 1, minlength=100)
+    np.testing.assert_array_equal(ap.probs, counts / counts.sum())
+
+
 def test_karlstrom_area_count_mismatch():
     part = partition_window(_all_black(10), 4, UNIFORM_PARTITION)
     nb = build_area_neighbourhood(part, 0.0)

@@ -25,6 +25,7 @@ from spatent import (
     enumerate_pairs_bruteforce,
     window_diagonal,
 )
+from spatent import cooccur
 from spatent.cooccur import (
     BandGeometry,
     _exact_counts,
@@ -812,6 +813,21 @@ def test_tally_peak_allocation_stays_bounded():
     assert peak <= 4_303_232
 
 
+def test_many_category_tally_peak_stays_at_the_fft_route():
+    # the tally before the direct routes peaked at 8,449,177 traced bytes in this test
+    grid = _grid(200, 200, 20, np.random.default_rng(1).integers(1, 21, size=40000))
+    cls = DistanceClassification.default_for(grid)
+    scheme = CooccurrenceScheme(20, ordered=True)
+    enumerate_pairs(grid, cls, scheme)  # loads np.fft outside the trace
+    tracemalloc.start()
+    try:
+        enumerate_pairs(grid, cls, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_449_177
+
+
 # --------------------------------------------------------------------------
 # the window route: the last present category's spectrum is the window's
 # minus the other categories'
@@ -822,6 +838,7 @@ def _window_edge_grids(rows, cols, cats):
     rng = np.random.default_rng(n + cats)
     below = rng.integers(1, cats, size=n) if cats > 1 else np.ones(n, dtype=np.int64)
     yield _grid(rows, cols, cats, below)  # the highest code is absent
+    yield _grid(rows, cols, cats, below + (cats > 1))  # the lowest code is absent
     for pixel in (0, n - 1):  # the last present category is one pixel
         single = below.copy()
         single[pixel] = cats
@@ -848,10 +865,91 @@ def test_window_route_edges_equal_bruteforce(rows, cols, cats):
         _assert_same_tally(tally, enumerate_pairs_displacement(grid, cls, scheme))
 
 
-@pytest.mark.parametrize("rows,cols,cats", [(50, 50, 20), (37, 29, 3)])
+@pytest.mark.parametrize(
+    "rows,cols,cats", [(50, 50, 20), (37, 29, 3), (37, 29, 20), (1, 60, 20), (60, 1, 20)]
+)
 def test_window_route_edges_equal_the_displacement_oracle(rows, cols, cats):
     for grid, cls, scheme, tally in _window_route_cases(rows, cols, cats):
         _assert_same_tally(tally, enumerate_pairs_displacement(grid, cls, scheme))
+
+
+# each side of the direct routes: (0, 1] (2 displacements) from 3 categories
+# on, (1, 2] (4) from 5 on, the block pair route from 6 on; a 1 x n or
+# n x 1 grid has one-displacement bands
+@pytest.mark.parametrize("rows,cols", [(8, 8), (5, 7), (1, 8), (8, 1)])
+@pytest.mark.parametrize("cats", [2, 3, 5, 6, 8, 20])
+def test_direct_route_edges_equal_bruteforce(rows, cols, cats):
+    for grid, cls, scheme, tally in _window_route_cases(rows, cols, cats):
+        _assert_same_tally(tally, enumerate_pairs_bruteforce(grid, cls, scheme))
+
+
+def _spy(monkeypatch, target, name, calls):
+    real = getattr(target, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, spy)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_direct_routes_run_only_for_many_categories(shared, monkeypatch):
+    calls = []
+    for target, name in (
+        (cooccur, "_direct_band_counts"),
+        (cooccur, "_block_pair_counts"),
+        (BandGeometry, "displacements"),
+    ):
+        _spy(monkeypatch, target, name, calls)
+    for cats, routes in ((2, set()), (20, {"_direct_band_counts", "_block_pair_counts"})):
+        grid = next(_three_grids(50, 50, cats, cats))
+        # the bands of an experiment grid's tally
+        cls = DistanceClassification.default_for(grid).refined((1.0, 2.0))
+        scheme = CooccurrenceScheme(cats, ordered=True)
+        geometry = BandGeometry(50, 50, cls) if shared else None
+        calls.clear()
+        tally = enumerate_pairs(grid, cls, scheme, geometry=geometry)
+        assert set(calls) - {"displacements"} == routes
+        # the bands (0, 1] and (1, 2]
+        assert calls.count("displacements") == (2 if routes else 0)
+        _assert_same_tally(tally, enumerate_pairs_displacement(grid, cls, scheme))
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 9), (2, 9), (9, 9), (9, 40)])
+def test_geometry_sizes_count_each_band_displacements(rows, cols):
+    cls = DistanceClassification((0.0, 1.0, 1.5, 2.0, 2.5, 4.0, 7.5, 100.0))
+    geometry = BandGeometry(rows, cols, cls)
+    want = [[] for _ in range(cls.num_bands)]
+    for dr, dc in _displacements(rows, cols):
+        want[cls.band_index(math.hypot(dr, dc))].append((dr, dc))
+    assert geometry.sizes.tolist() == [len(w) for w in want[:-1]]
+    for k, w in enumerate(want[:-1]):
+        assert sorted(geometry.displacements(k)) == sorted(w)
+        assert geometry.displacements(k) is geometry.displacements(k)
+
+
+# a partial last block, one band of blocks, several with a partial last one
+@pytest.mark.parametrize("n,cats", [(9, 6), (2500, 20), (9377, 7), (2 * 9360 + 5, 20)])
+def test_block_pair_table_equals_a_one_hot_count(n, cats):
+    flat = np.random.default_rng(n).integers(2, cats + 1, size=n)  # code 1 is absent
+    flat[-1] = cats  # and the last present code ends the grid
+    present = np.flatnonzero(np.bincount(flat))
+    onehot = (flat[:, None] == present).astype(np.int64)
+    before = np.cumsum(onehot, axis=0) - onehot
+    np.testing.assert_array_equal(cooccur._block_pair_counts(flat, present), before.T @ onehot)
+
+
+def test_a_128_band_map_keeps_its_last_band():
+    # 128 bands put band + 1 = 128 past the int8 range of a -1 .. 127 map
+    grid = _grid(2, 130, 3, np.random.default_rng(128).integers(1, 4, size=260))
+    cls = DistanceClassification(tuple(range(128)) + (130.0,))
+    assert cls.num_bands == 128
+    for ordered in (False, True):
+        scheme = CooccurrenceScheme(3, ordered=ordered)
+        _assert_same_tally(
+            enumerate_pairs(grid, cls, scheme), enumerate_pairs_displacement(grid, cls, scheme)
+        )
 
 
 @pytest.mark.parametrize("present", [1, 3, 5])

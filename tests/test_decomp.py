@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -270,6 +271,15 @@ def test_csv_row_schema():
     assert len(names) == 4 + 3 * 3 == len(values)
     parsed = [float(v) for v in values]
     assert parsed[0] == pytest.approx(H_Z_2X2, abs=1e-10)
+
+
+@pytest.mark.parametrize("label", ["a,b", 'a"b', "a\rb", "a\nb"])
+def test_labels_the_csv_row_cannot_carry_are_rejected(label):
+    counts = np.array([[1, 1, 0], [0, 1, 1]])
+    with pytest.raises(ValueError, match=f"^band label {re.escape(repr(label))} holds a comma"):
+        decompose_counts(counts, (label, "c"))
+    header, row = decompose_counts(counts, ("a b", "c")).to_csv_row().splitlines()
+    assert len(header.split(",")) == len(row.split(",")) == 4 + 2 * 3
 
 
 # --------------------------------------------------------------------------
