@@ -474,9 +474,12 @@ def _cmd_experiment(args) -> int:
         "cols": args.cols,
         "master_seed": args.seed,
         "measures": list(args.measures),
-        # the bands only where the decomposition tallies them
+        # each number only where a measure uses it: the bands where the
+        # decomposition tallies them, the distances where their index runs
         "bands": list(pair_bands[0].breaks) if _DECOMPOSED.intersection(args.measures) else None,
+        "leibovici_distance": pair_bands[1][-1] if "leibovici" in args.measures else None,
         "areas": args.areas if partition is not None else None,
+        "karlstrom_distances": list(args.karlstrom_distances) if karl else None,
         "uniform_case": not args.skip_uniform,
     }
     _write_json(plan_doc, out / "plan.json")

@@ -57,30 +57,46 @@ pass that costs about what the prefix route does at ni = 4 to 5, at 50 x 50
 and at 200 x 200 alike: per-block histograms give the pairs in two blocks
 by a GEMM, and bincounts of position pairs those inside a block, in bands
 of blocks whose temporaries stay in cache.  That route runs once ni - 2 >
-3, and only while N (N - 1) / 2 <= 2^53 keeps its float64 GEMMs exact.  At
-ni = 2 neither route runs, except for a band of a single displacement,
-which only a grid too thin for the band's other displacements has.
+3, and only while N (N - 1) / 2 <= 2^53 keeps its float64 GEMMs exact.
+
+A one-shot tally of two present categories a and b reads no band spectrum
+at all.  One transformed category holds all four cells of every inner
+band: with corr(d) the autocorrelation of a's indicator, every pixel is a
+or b, so a band's (a, b) count is the a-pixels whose partner lies in the
+window less its sum of corr, (b, a) likewise, and (b, b) the band total
+less those three.  corr is one inverse transform of |F_a|^2, pruned to the
+rows dr = 0 .. Dr, and the a-pixel counts come from Dr + 1 row cuts of the
+column counts, so this route costs one category's transforms and one
+inverse, against the nb - 1 band transforms and GEMMs of the band route.
+A batch keeps the band route, since it finishes the band spectra once for
+every grid, and so does every tally of three or more categories, where one
+inverse per category pair costs more than the GEMMs.
 
 Everything that depends only on the grid shape and the bands is a
 ``BandGeometry``: the band of each displacement the inner bands reach (a
-narrow integer map), the closed-form band totals, the plane size, and each
-inner G_k after its row transform, kept only for the rows dr = 0 ..
-(largest dr in band k) and scaled by w, and the two 1-D factors of W.  A
-batch of same-shape grids shares one, which also keeps each finished G_k
-once a tally first needs it; a one-shot tally finishes each band's column
-block as it goes.  Memory stays near (I - 1) * N complex values: only the
-R non-zero rows of each transformed category are row-transformed, and the
-column transforms run one column block at a time, each category's block
-once, then multiplied by each band's block, in buffers allocated once per
-tally.
+narrow integer map, and the same laid out on the plane as [dc mod p2,
+dr]), the closed-form band totals and the plane size.  The band route
+also reads each inner G_k after its row transform, kept only for the rows
+dr = 0 .. (largest dr in band k) and scaled by w, and the two 1-D factors
+of W; the geometry builds those on first use, so the two-category route
+never pays for them.  A batch of same-shape grids shares one geometry,
+which also keeps each finished G_k once a tally first needs it; a one-shot
+tally by the band route finishes each band's column block as it goes.
+Memory stays near (I - 1) * N complex values: only the R non-zero rows of
+each transformed category are row-transformed, and the column transforms
+run one column block at a time, each category's block once, then
+multiplied by each band's block or, on the two-category route, inverted
+along p1 into Dr + 1 rows, in buffers allocated once per tally.
 
 The inner sums and the outermost band's differences are stacked and
 checked once (``_exact_counts``): each must lie within 0.25 of its integer
 and round to a count >= 0, and each band's counts must add up to its
-closed-form pair total sum (R - dr)(C - |dc|).  A miss raises
-ConsistencyError.  So every table derived from a tally holds valid
-frequencies, and the decomposition and the contiguity indices read them
-without building a validated pmf.  Band assignment uses the float rule of
+closed-form pair total sum (R - dr)(C - |dc|).  On the two-category route
+that total holds by construction, so each autocorrelation value a band
+reads is held to the same 0.25 first.  A miss raises ConsistencyError.
+So every table derived from a tally holds valid frequencies, and the
+decomposition and the contiguity indices read them without building a
+validated pmf.  Band assignment uses the float rule of
 ``DistanceClassification.band_index`` exactly.
 
 ``enumerate_pairs_bruteforce`` is the independent O(N^2) reference
@@ -352,20 +368,27 @@ class BandGeometry:
     nb-2 are tallied by displacement, and only the box of displacements
     they can reach is mapped; the outermost band is every pair minus theirs.
     ``displacements(k)`` lists band k's (dr, dc), read off that map for the
-    bands a tally counts directly.
-    ``spectra[k]``, one per inner band, is band k's displacement mask after
-    stage one of the 2-D transform: the row rfft of the mask's rows dr = 0
-    .. (the largest dr in band k), scaled by the Parseval weight, or None
-    for a band no displacement reaches.  The p1 x p2 plane is sized by the
+    bands a tally counts directly.  The p1 x p2 plane is sized by the
     largest |dr| and |dc| of the inner bands, Dr and Dc: p1 >= rows + Dr and
-    p2 >= cols + Dc keep every correlation these masks read free of
-    wrap-around.  One geometry serves every grid of its shape tallied over
-    its classification.  ``window`` holds the two 1-D factors of the
+    p2 >= cols + Dc keep every correlation a tally reads free of
+    wrap-around.  ``plane``, read-only (p2, Dr + 1), holds at [dc mod p2,
+    dr] the band of each displacement (dr, dc) with |dc| <= Dc, and -1 where
+    it links no pixel to a later one; an autocorrelation over the plane,
+    kept for the rows dr = 0 .. Dr, has the same layout.  One geometry
+    serves every grid of its shape tallied over its classification.
+
+    The band route reads three more, each built on first use, so a
+    two-category one-shot tally never builds them.  ``spectra[k]``, one per
+    inner band, is band k's displacement mask after stage one of the 2-D
+    transform: the row rfft of the mask's rows dr = 0 .. (the largest dr in
+    band k), scaled by the Parseval weight, or None for a band no
+    displacement reaches.  ``window`` holds the two 1-D factors of the
     window's 2-D transform, W = window[0] * window[1] over (p2//2 + 1, p1),
-    or None when no inner band is reached.  ``finished``, each inner band's
-    G_k, is built for a batch the first time a tally is given this geometry:
-    (nb - 1) * (p2//2 + 1) * p1 * 16 bytes, about 0.3 MiB at 50 x 50,
-    2.7 MiB at 200 x 200 and 53 MiB at 1000 x 1000 with the default bands.
+    or None when no inner band is reached; it is built with ``spectra``.
+    ``finished``, each inner band's G_k, is built for a batch the first time
+    a tally is given this geometry: (nb - 1) * (p2//2 + 1) * p1 * 16 bytes,
+    about 0.3 MiB at 50 x 50, 2.7 MiB at 200 x 200 and 53 MiB at 1000 x
+    1000 with the default bands.
     """
 
     def __init__(self, rows: int, cols: int, classification: DistanceClassification):
@@ -388,15 +411,21 @@ class BandGeometry:
         band[: reach_c + 1] = reached
         band[self.p2 - reach_c:] = reached[:0:-1]
         band[self.p2 - reach_c:, 0] = -1
+        band.flags.writeable = False
+        self.plane = band
         self._reached, self._displacements = reached, {}
+
+    @functools.cached_property
+    def _stage_one(self) -> tuple:
+        """``(spectra, window)``, built together on first use."""
         # Parseval over the half spectrum: columns with a mirror image count twice
         weight = np.full((self.p2 // 2 + 1, 1), 2.0 / (self.p1 * self.p2))
         weight[0] /= 2.0
         if self.p2 % 2 == 0:
             weight[-1] /= 2.0
         spectra = []
-        for k in range(inner):
-            mask = band == k
+        for k in range(len(self.sizes)):
+            mask = self.plane == k
             rows_reached = np.flatnonzero(mask.any(axis=0))
             if rows_reached.size == 0:
                 spectra.append(None)
@@ -406,17 +435,26 @@ class BandGeometry:
             s *= weight
             s.flags.writeable = False
             spectra.append(s)
-        self.spectra = tuple(spectra)
-        self.window = None
+        window = None
         if any(s is not None for s in spectra):
             # the window's 2-D transform is the outer product of these two
-            self.window = (
-                np.fft.rfft(np.ones(cols), n=self.p2)[:, None],
-                np.fft.fft(np.ones(rows), n=self.p1),
+            window = (
+                np.fft.rfft(np.ones(self.cols), n=self.p2)[:, None],
+                np.fft.fft(np.ones(self.rows), n=self.p1),
             )
-            for w in self.window:
+            for w in window:
                 w.flags.writeable = False
-        self._finished = None
+        return tuple(spectra), window
+
+    @property
+    def spectra(self) -> tuple:
+        """Per inner band, its stage-one spectrum, read-only, or None; built on first use."""
+        return self._stage_one[0]
+
+    @property
+    def window(self):
+        """The window's two 1-D transform factors, or None; built on first use with ``spectra``."""
+        return self._stage_one[1]
 
     def displacements(self, k: int) -> tuple:
         """Inner band k's displacements (dr, dc), read off the band map once per geometry."""
@@ -427,18 +465,16 @@ class BandGeometry:
             self._displacements[k] = tuple(zip(drs, dcs)) + tuple(mirrored)
         return self._displacements[k]
 
-    @property
+    @functools.cached_property
     def finished(self) -> tuple:
         """Per inner band, G_k, read-only (p2//2 + 1, p1), or None; built on first use."""
-        if self._finished is None:
-            finished = []
-            for s in self.spectra:
-                if s is not None:
-                    s = _finish_band(s, self.p1)
-                    s.flags.writeable = False
-                finished.append(s)
-            self._finished = tuple(finished)
-        return self._finished
+        finished = []
+        for s in self.spectra:
+            if s is not None:
+                s = _finish_band(s, self.p1)
+                s.flags.writeable = False
+            finished.append(s)
+        return tuple(finished)
 
 
 def _finish_band(block, p1, out=None):
@@ -488,7 +524,9 @@ def enumerate_pairs(
     (ValueError otherwise).  Passing one marks batch use: the tally reads the
     band spectra the geometry finished once for every grid of the batch.
     Without one, the tally builds its own geometry and finishes each band's
-    column block as it goes, which keeps its peak memory near I * N.
+    column block as it goes, which keeps its peak memory near I * N; with
+    two present categories it reads one autocorrelation and no band
+    spectrum instead.
     """
     if scheme.num_x_categories < grid.num_categories:
         raise ValueError("scheme has fewer categories than the grid")
@@ -551,10 +589,13 @@ def _inner_band_sums(codes, present, geometry, batch):
     transformed: every pixel lies in a present category, so the last one's
     spectrum is the window's minus theirs.  A ``batch`` reads its geometry's
     ``finished`` bands; a one-shot tally finishes each band's column block
-    here, into one buffer.
+    here, into one buffer, or, with two present categories, takes
+    ``_two_category_sums`` and no band spectrum.
     """
     ni = len(present)
-    sums = np.zeros((len(geometry.spectra), ni, ni))
+    if ni == 2 and not batch:
+        return _two_category_sums(codes, present[0], geometry)
+    sums = np.zeros((len(geometry.sizes), ni, ni))
     direct = [k for k, size in enumerate(geometry.sizes) if 0 < size < ni]
     if direct:
         sums[direct] = _direct_band_counts(codes, present, map(geometry.displacements, direct))
@@ -597,6 +638,82 @@ def _inner_band_sums(codes, present, geometry, batch):
             np.multiply(f, g, out=t)
             sums[k] += fr @ t.reshape(ni, -1).view(np.float64).T
     return sums
+
+
+def _two_category_sums(codes, a, geometry):
+    """``_inner_band_sums`` of a grid whose only categories are ``a`` and one other, b.
+
+    Every pixel is a or b.  So with corr(d) the autocorrelation of a's
+    indicator, the pairs at displacement d read (a, b) for the a-pixels x
+    with x + d in the window less corr(d), (b, a) for the a-pixels y with y
+    - d in it less corr(d), and (b, b) for the rest of d's pairs.  Over band
+    k, with A and B those a-pixel counts and T_k the closed-form total:
+    c_aa = sum corr, c_ab = A - c_aa, c_ba = B - c_aa and c_bb = T_k - A -
+    B + c_aa.  The four add up to T_k by construction, so the check that
+    can fail here is on corr: each value a band reads must lie within
+    ``_ROUNDING_TOL`` of its integer (ConsistencyError otherwise), and the
+    bands sum the rounded values.  A and B come from the a-pixels per
+    column in the rows [0, R - dr) and [dr, R), whose running sums along the
+    columns give each displacement's count as one difference.
+    """
+    nb = len(geometry.sizes)
+    sums = np.zeros((nb, 2, 2))
+    plane = geometry.plane
+    live = (plane >= 0) & (plane < nb)
+    if not live.any():
+        return sums
+    rows, cols = codes.shape
+    depth = plane.shape[1]
+    mask = codes == a
+    # a-pixels per column in the rows [0, rows - dr) (top) and [dr, rows) (bottom),
+    # with a leading zero column for the running sums along the columns
+    top, bottom = (np.zeros((depth, cols + 1), dtype=np.int64) for _ in range(2))
+    top[:, 1:] = bottom[:, 1:] = mask.sum(axis=0)
+    top[1:, 1:] -= np.cumsum(mask[: rows - depth : -1], axis=0)
+    bottom[1:, 1:] -= np.cumsum(mask[: depth - 1], axis=0)
+    np.cumsum(top, axis=1, out=top)
+    np.cumsum(bottom, axis=1, out=bottom)
+
+    corr = _autocorrelation(mask, geometry)[live]
+    rounded = np.rint(corr)
+    worst = float(np.max(np.abs(corr - rounded)))
+    if worst > _ROUNDING_TOL:
+        raise ConsistencyError(f"FFT autocorrelation lies {worst:.3g} from the nearest integer")
+    j, dr = np.nonzero(live)
+    band = plane[j, dr]
+    dc = j - geometry.p2 * (j > geometry.p2 // 2)
+    right, left = np.maximum(dc, 0), np.maximum(-dc, 0)
+    first = np.bincount(band, top[dr, cols - right] - top[dr, left], nb)
+    second = np.bincount(band, bottom[dr, cols - left] - bottom[dr, right], nb)
+    same = np.bincount(band, rounded, nb)
+    sums[:, 0, 0] = same
+    sums[:, 0, 1] = first - same
+    sums[:, 1, 0] = second - same
+    sums[:, 1, 1] = geometry.totals[:-1] - first - second + same
+    return sums
+
+
+def _autocorrelation(mask, geometry):
+    """corr(dr, dc) of the 0/1 image ``mask``, laid out like the geometry's ``plane``.
+
+    One inverse transform of |F|^2, with F the 2-D spectrum from the band
+    route's two stages: along p1 one column block at a time, kept for the
+    rows dr = 0 .. Dr only, then along p2 into (p2, Dr + 1) floats.
+    """
+    p1, p2, depth = geometry.p1, geometry.p2, geometry.plane.shape[1]
+    h2 = p2 // 2 + 1
+    spectrum = np.fft.rfft(mask.T, n=p2, axis=0)  # (h2, rows), as in the band route
+    step = min(h2, max(1, _BLOCK_BYTES // (16 * p1)))
+    buffer = np.empty(step * p1, dtype=np.complex128)
+    kept = np.empty((h2, depth), dtype=np.complex128)
+    for j in range(0, h2, step):
+        cut = slice(j, j + step)
+        f = buffer[: min(step, h2 - j) * p1].reshape(-1, p1)
+        np.fft.fft(spectrum[cut], n=p1, axis=1, out=f)
+        f *= f.conj()
+        np.fft.ifft(f, axis=1, out=f)
+        kept[cut] = f[:, :depth]
+    return np.fft.irfft(kept, n=p2, axis=0)
 
 
 def _compact(values, present):

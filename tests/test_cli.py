@@ -904,3 +904,26 @@ def test_experiment_plan_records_bands_only_when_tallied(tmp_path, measures, rec
     argv = "--bands 0,1,9 --rows 6 --cols 6 --scenarios random:2 --replicates 1 --areas 4"
     assert main(["experiment", *argv.split(), "--measures", measures, "--out", str(out)]) == 0
     assert json.loads((out / "plan.json").read_text())["bands"] == recorded
+
+
+@pytest.mark.parametrize(
+    "scenarios,measures,recorded",
+    [
+        ("random:2", "oneill", (None, None)),
+        ("random:2", "oneill,leibovici", (3.0, None)),
+        ("random:2", "batty,karlstrom", (None, [0.0, 1.5])),
+        # the smoothed index runs on two-category scenarios only
+        ("random:3", "leibovici,karlstrom", (3.0, None)),
+        ("random:2,random:3", "leibovici,karlstrom", (3.0, [0.0, 1.5])),
+    ],
+)
+def test_experiment_plan_records_distances_only_where_used(tmp_path, scenarios, measures, recorded):
+    out = tmp_path / "plan"
+    argv = (
+        "--rows 6 --cols 6 --replicates 1 --areas 4 --leibovici-distance 3"
+        " --karlstrom-distances 0,1.5"
+    )
+    argv = [*argv.split(), "--scenarios", scenarios, "--measures", measures, "--out", str(out)]
+    assert main(["experiment", *argv]) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert (plan["leibovici_distance"], plan["karlstrom_distances"]) == recorded

@@ -964,6 +964,7 @@ def test_tally_transforms_one_category_fewer_than_it_finds(present, monkeypatch)
     grid = _grid(20, 30, 5, np.random.default_rng(present).integers(1, present + 1, size=600))
     cls = DistanceClassification.default_for(grid)
     geometry = BandGeometry(20, 30, cls)
+    geometry.spectra  # the band masks' transforms run on first use, before the count
     monkeypatch.setattr(np.fft, "rfft", counting)
     for ordered in (False, True):
         calls.clear()
@@ -982,8 +983,165 @@ def test_window_route_keeps_its_rounding_headroom_at_1000x1000():
     cls = DistanceClassification.default_for(grid)
     geometry = BandGeometry(1000, 1000, cls)
     m0 = grid.matrix - 1
-    sums = _inner_band_sums(m0, np.array([0, 1]), geometry, False)
-    assert np.max(np.abs(sums - np.rint(sums))) <= 1e-5
+    band, autocorrelation = (
+        _inner_band_sums(m0, np.array([0, 1]), geometry, batch) for batch in (True, False)
+    )
+    # the band route's sums, and the one-shot route's autocorrelation values,
+    # which it rounds before it sums them
+    assert np.max(np.abs(band - np.rint(band))) <= 1e-5
+    corr = cooccur._autocorrelation(m0 == 0, geometry)
+    live = (geometry.plane >= 0) & (geometry.plane < cls.num_bands - 1)
+    assert np.max(np.abs(corr[live] - np.rint(corr[live]))) <= 1e-5
+    np.testing.assert_array_equal(np.rint(band), autocorrelation)
+
+
+# --------------------------------------------------------------------------
+# a one-shot tally of two present categories: one autocorrelation, no band spectra
+
+def _two_category_grids(rows, cols):
+    """Two-category maps: random, sorted into blocks, one pixel of either
+    category at either end, and a map declaring I = 5 whose codes are 2 and 5."""
+    n = rows * cols
+    values = np.random.default_rng(n).integers(1, 3, size=n)
+    yield _grid(rows, cols, 2, values)
+    yield _grid(rows, cols, 2, np.sort(values))
+    for code in (1, 2):
+        for pixel in (0, n - 1):
+            single = np.full(n, 3 - code)
+            single[pixel] = code
+            yield _grid(rows, cols, 2, single)
+    yield _grid(rows, cols, 5, np.where(values == 1, 2, 5))
+
+
+def _small_two_category_bands(rows, cols):
+    """The default bands, one band, a break at 5, the exact distance of (3, 4)
+    and (0, 5), and bands with one no displacement reaches."""
+    diag = math.hypot(rows, cols)
+    return (
+        DistanceClassification.default_for(_grid(rows, cols, 1, np.ones(rows * cols))),
+        DistanceClassification((0.0, diag)),
+        DistanceClassification((0.0, 1.0, 5.0, diag)),
+        _awkward_bands(rows, cols),
+    )
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 8), (8, 1), (3, 6), (5, 7), (8, 8)])
+@pytest.mark.parametrize("ordered", [False, True])
+def test_two_category_route_equals_bruteforce(rows, cols, ordered):
+    for cls in _small_two_category_bands(rows, cols):
+        for grid in _two_category_grids(rows, cols):
+            scheme = CooccurrenceScheme(grid.num_categories, ordered=ordered)
+            _assert_same_tally(
+                enumerate_pairs(grid, cls, scheme), enumerate_pairs_bruteforce(grid, cls, scheme)
+            )
+
+
+def _every_ordered_pair(grid):
+    """Ordered (a, b) counts of every pair u < v of the grid, from prefix counts of each category."""
+    onehot = np.eye(grid.num_categories, dtype=np.int64)[grid.values - 1]
+    before = np.cumsum(onehot, axis=0) - onehot
+    return (before.T @ onehot).ravel()  # (a, b): a-pixels before b-pixels
+
+
+@pytest.mark.parametrize(
+    "rows,cols,breaks",
+    [
+        (37, 29, None),
+        (37, 29, (0.0, 1.0, 30.0, math.hypot(37, 29))),
+        (29, 37, (0.0, 2.0, 30.0, math.hypot(29, 37))),
+        (50, 50, None),
+        (200, 200, None),
+    ],
+    ids=["37x29", "37x29-reach-exactly-30", "29x37-reach-exactly-30", "50x50", "200x200"],
+)
+def test_two_category_route_equals_the_displacement_oracle(rows, cols, breaks):
+    # with a break at 30, (18, 24) and (24, 18) lie at exactly 30, in the band (1 or 2, 30]
+    grids = list(_two_category_grids(rows, cols))
+    if rows == 200:  # the random, sorted and declared I = 5 maps, for the oracle's time
+        grids = grids[:2] + grids[-1:]
+    cls = DistanceClassification(breaks) if breaks else DistanceClassification.default_for(grids[0])
+    near = DistanceClassification(cls.breaks[:-1])
+    for grid in grids:
+        i = grid.num_categories
+        ordered = CooccurrenceScheme(i, ordered=True)
+        # the oracle tallies the inner bands, the outermost one is every pair minus theirs
+        want = np.zeros((cls.num_bands, i * i), dtype=np.int64)
+        want[:-1] = enumerate_pairs_displacement(
+            grid, near, ordered, require_coverage=False
+        ).category_counts
+        want[-1] = _every_ordered_pair(grid) - want[:-1].sum(axis=0)
+        for scheme in (ordered, CooccurrenceScheme(i)):
+            codes = pair_code_table(scheme).ravel()
+            coded = np.zeros((cls.num_bands, scheme.num_z_categories), dtype=np.int64)
+            np.add.at(coded, (slice(None), codes), want)
+            tally = enumerate_pairs(grid, cls, scheme)
+            np.testing.assert_array_equal(tally.category_counts, coded)
+            np.testing.assert_array_equal(tally.pair_counts, coded.sum(axis=1))
+
+
+def test_two_category_route_reads_no_band_spectrum(monkeypatch):
+    calls = []
+
+    def spying(name):
+        real = getattr(BandGeometry, name)
+        return property(lambda self: calls.append(name) or real.__get__(self, BandGeometry))
+
+    for name in ("spectra", "finished"):
+        monkeypatch.setattr(BandGeometry, name, spying(name))
+    _spy(monkeypatch, cooccur, "_two_category_sums", calls)
+    values = np.random.default_rng(2).integers(1, 4, size=2500)
+    two, three = _grid(50, 50, 2, np.minimum(values, 2)), _grid(50, 50, 3, values)
+    declared = _grid(50, 50, 5, np.minimum(values, 2) * 2)  # the codes 2 and 4
+    cls = DistanceClassification.default_for(two)
+    for grid, geometry, routes in (
+        (two, None, ["_two_category_sums"]),
+        (declared, None, ["_two_category_sums"]),
+        (two, BandGeometry(50, 50, cls), ["finished", "spectra"]),
+        (three, None, ["spectra"]),
+    ):
+        scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
+        calls.clear()
+        tally = enumerate_pairs(grid, cls, scheme, geometry=geometry)
+        assert sorted(set(calls)) == routes
+        _assert_same_tally(tally, enumerate_pairs_displacement(grid, cls, scheme))
+    calls.clear()
+    pairs_within(two, cls, (2.5,))
+    decompose(two)
+    assert set(calls) == {"_two_category_sums"}
+
+
+def test_two_category_route_rejects_an_autocorrelation_off_its_integers(monkeypatch):
+    def shifted(*args, **kwargs):
+        corr = irfft(*args, **kwargs)
+        # two displacements of the band (0, 1], (0, 1) and (1, 0): its sum
+        # moves by 0.8 and rounds off by one in all four cells, which still
+        # add up to the band total
+        corr[1, 0] += 0.4
+        corr[0, 1] += 0.4
+        return corr
+
+    irfft = np.fft.irfft
+    grid = _grid(9, 7, 2, np.random.default_rng(9).integers(1, 3, size=63))
+    cls = DistanceClassification.default_for(grid)
+    scheme = CooccurrenceScheme(2, ordered=True)
+    monkeypatch.setattr(np.fft, "irfft", shifted)
+    with pytest.raises(ConsistencyError, match="^FFT autocorrelation lies 0.4 from the nearest"):
+        enumerate_pairs(grid, cls, scheme)
+
+
+def test_two_category_tally_peak_stays_bounded_at_1000x1000():
+    # the one-shot tally by the band route peaked at 18,328,943 traced bytes here
+    grid = _grid(1000, 1000, 2, np.random.default_rng(1).integers(1, 3, size=10**6))
+    cls = DistanceClassification.default_for(grid)
+    scheme = CooccurrenceScheme(2, ordered=True)
+    enumerate_pairs(grid, cls, scheme)  # loads np.fft outside the trace
+    tracemalloc.start()
+    try:
+        enumerate_pairs(grid, cls, scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18_328_943
 
 
 # --------------------------------------------------------------------------
