@@ -139,8 +139,8 @@ def _distances_arg(text: str) -> tuple:
         out = tuple(float(t) for t in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
-    if not out or not all(d >= 0 for d in out):
-        raise argparse.ArgumentTypeError("distances must be non-negative numbers")
+    if not out or not all(0 <= d < math.inf for d in out):
+        raise argparse.ArgumentTypeError("distances must be finite non-negative numbers")
     return out
 
 
@@ -283,8 +283,8 @@ def _write_text(text: str, path) -> None:
 
 
 def _write_json(doc, path) -> None:
-    """Write ``doc`` as ASCII JSON, indented by 2, with a trailing newline."""
-    _write_text(json.dumps(doc, indent=2) + "\n", path)
+    """Write ``doc`` as ASCII JSON, indented by 2, with a trailing newline; nan or inf raises."""
+    _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", path)
 
 
 def _karlstrom_neighbourhoods(partition, distances):

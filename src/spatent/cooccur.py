@@ -35,29 +35,30 @@ indicators add up to the window, the all-ones R x C image, whose transform
 W is the outer product of two 1-D transforms of ones; so only the first
 I - 1 present categories are transformed, and the last one's spectrum is
 W - sum F_a.  The outermost band, which ends at the window diagonal and
-holds most pairs of a large grid, is the exact integer difference of every
-ordered pair (a before b in row-major order, an O(N) prefix count per
-category) and the inner bands.  With P = p1 * p2 (80 x 80 for a 50 x 50
-grid and 240 x 240 for 200 x 200 with the default bands, at most ~4N) and
-nb bands, cost is O((I - 1 + nb) * P log P) for the transforms, nb - 1
-GEMMs of O(I^2 * P) and O(I * N) for the prefix counts, against O(N^2)
-pair visits.  A one-band classification runs no FFT.
+holds most pairs of a large grid, is the exact integer difference of the
+every-pair table (a before b in row-major order) and the inner bands.  With
+P = p1 * p2 (80 x 80 for a 50 x 50 grid and 240 x 240 for 200 x 200 with
+the default bands, at most ~4N) and nb bands, cost is
+O((I - 1 + nb) * P log P) for the transforms, nb - 1 GEMMs of O(I^2 * P)
+and O(N + I^2 * N / 8) for the every-pair table, against O(N^2) pair
+visits.  A one-band classification runs no FFT.
 
 Two parts of that cost grow with the number ni of present categories, and
-for each the tally picks the cheaper of two exact routes from counts it
-already has; neither choice is an option.  An inner band costs a multiply
+for each the tally picks one of two exact routes from counts it already
+has; neither choice is an option.  An inner band costs a multiply
 of O(ni * P) and a GEMM of O(ni^2 * P), while counting it directly costs
 one O(N) bincount of a * ni + b per displacement, over the overlap of the
 grid and its shift.  So a band with fewer displacements than ni is counted
 directly, its displacements read off the geometry's band map, which keeps
 the float band rule: with the default bands (0, 1] (2 displacements) once
-ni >= 3 and (1, 2] (4) once ni >= 5.  And the every-pair table takes ni - 2
-prefix passes over the grid, where blocks of 8 consecutive pixels take one
-pass that costs about what the prefix route does at ni = 4 to 5, at 50 x 50
-and at 200 x 200 alike: per-block histograms give the pairs in two blocks
-by a GEMM, and bincounts of position pairs those inside a block, in bands
-of blocks whose temporaries stay in cache.  That route runs once ni - 2 >
-3, and only while N (N - 1) / 2 <= 2^53 keeps its float64 GEMMs exact.
+ni >= 3 and (1, 2] (4) once ni >= 5.  And the every-pair table follows with
+ni <= 2 from closed-form identities, which need only the category sizes and
+the index sum of the last category's pixels.  From ni = 3 on it comes from
+blocks of 8 consecutive pixels in one pass: per-block histograms give the
+pairs in two blocks by a GEMM, and bincounts of position pairs those inside
+a block, in bands of blocks whose temporaries stay in cache.  Each band of
+blocks' GEMM is added to an int64 total, and its entries stay far below
+2^53, so the route is exact at any grid size that fits in memory.
 
 A one-shot tally of two present categories a and b reads no band spectrum
 at all.  One transformed category holds all four cells of every inner
@@ -125,10 +126,8 @@ _ROUNDING_TOL = 0.25
 # bytes of category spectra finished per column block, consumed by one GEMM per
 # band; and of the position pairs of one band of pixel blocks
 _BLOCK_BYTES = 1 << 18
-# pixels per block of the many-category all-pairs route
+# pixels per block of the all-pairs route of three or more categories
 _PAIR_BLOCK = 8
-# that route runs once the prefix route's ni - 2 passes exceed this many
-_BLOCK_PASSES = 3
 
 
 def count_categories(scheme: "CooccurrenceScheme") -> int:
@@ -748,33 +747,22 @@ def _direct_band_counts(matrix, present, bands):
 def _ordered_pair_counts(flat, present):
     """(ni, ni) int64 counts of the pairs (a at u, b at v) over every u < v of the grid.
 
-    Entry (a, b), a < b, sums over the pixels v of b the number of a-pixels
-    before v: one prefix count per category.  Three identities give the
-    rest.  The n_a (n_a - 1) / 2 pairs of two a-pixels are all (a, a).  A
-    pair of an a-pixel and a b-pixel is (a, b) or (b, a), n_a n_b in all.
-    And the pixels before v number v, so column b adds up to the sum of
-    the indices of b's pixels; that gives the last entry above the
-    diagonal, and the last two categories need no prefix count.  Once
-    those ni - 2 passes cost more than one of ``_block_pair_counts``, that
-    route counts the table instead.
+    From ni = 3 on, ``_block_pair_counts`` counts the table.  With ni <= 2,
+    identities give it from the category sizes n and one index sum.  The
+    n_a (n_a - 1) / 2 pairs of two a-pixels are all (a, a).  A pair of an
+    a-pixel and a b-pixel is (a, b) or (b, a), n_a n_b in all.  And the
+    pixels before v number v, so column b adds up to the sum of the indices
+    of b's pixels.
     """
-    if len(present) - 2 > _BLOCK_PASSES and flat.size * (flat.size - 1) // 2 <= 2**53:
+    if len(present) > 2:
         return _block_pair_counts(flat, present)
-    positions = [np.flatnonzero(flat == a) for a in present]
-    n = np.array([p.size for p in positions])
-    order = np.concatenate(positions)  # pixels by category, row-major within
-    starts = np.concatenate(([0], np.cumsum(n)[:-1]))
-    every = np.zeros((len(n), len(n)), dtype=np.int64)
-    for i, p in enumerate(positions[:-2]):
-        before = np.zeros(flat.size, dtype=np.int64)
-        before[p] = 1
-        np.cumsum(before, out=before)  # a-pixels up to v: those before v when v is no a-pixel
-        later = starts[i + 1:]
-        every[i, i + 1:] = np.add.reduceat(before[order[later[0]:]], later - later[0])
-    if len(n) > 1:
-        every[-2, -1] = positions[-1].sum() - n[-1] * (n[-1] - 1) // 2 - every[:-2, -1].sum()
-    every += np.tril(np.outer(n, n) - every.T, -1)
-    every[np.diag_indices_from(every)] = n * (n - 1) // 2
+    if len(present) == 1:
+        return np.array([[flat.size * (flat.size - 1) // 2]])
+    last = np.flatnonzero(flat == present[1])
+    n = np.array([flat.size - last.size, last.size])
+    every = np.diag(n * (n - 1) // 2)
+    every[0, 1] = last.sum() - every[1, 1]
+    every[1, 0] = n[0] * n[1] - every[0, 1]
     return every
 
 
@@ -787,9 +775,12 @@ def _block_pair_counts(flat, present):
     are its position pairs (s, s + shift), bincounts of a * k + b over them.
     The last block is padded with the extra code ni, whose row and column
     are dropped.  The blocks run in bands whose position pairs take
-    ``_BLOCK_BYTES``, so that the temporaries stay in cache.  Every partial
-    sum of the float64 GEMMs counts at most N (N - 1) / 2 pairs, exact
-    while that is <= 2^53.
+    ``_BLOCK_BYTES``, so that the temporaries stay in cache.  Each band's
+    float64 GEMM is cast to int64 and added to an int64 total.  An entry of
+    one band's GEMM sums m <= ``_BLOCK_BYTES`` // 224 = 1,170 blocks, each
+    term at most N earlier pixels times the block's 8; so every partial sum
+    is an integer <= N * 8 * 1,170, exact while N < 9.6e11 pixels, far past
+    any grid that fits in memory.
     """
     ni, n = present.size, flat.size
     k, w = ni + 1, _PAIR_BLOCK
@@ -799,7 +790,7 @@ def _block_pair_counts(flat, present):
     codes = codes.reshape(nblk, w)
     step = min(nblk, _BLOCK_BYTES // (4 * w * (w - 1)))
     pairs = np.empty((w * (w - 1) // 2, step), dtype=np.intp)
-    across = np.zeros((k, k))
+    across = np.zeros((k, k), dtype=np.int64)
     seen = np.zeros((k, 1))  # the categories of the bands before
     inside = np.zeros(k * k, dtype=np.int64)
     for start in range(0, nblk, step):
@@ -810,7 +801,7 @@ def _block_pair_counts(flat, present):
         before = np.cumsum(hist, axis=1)
         before -= hist
         before += seen
-        across += before @ hist.T
+        across += (before @ hist.T).astype(np.int64)
         seen = before[:, -1:] + hist[:, -1:]
         first = pos * k
         row = 0
@@ -818,7 +809,7 @@ def _block_pair_counts(flat, present):
             np.add(first[:-shift], pos[shift:], out=pairs[row : row + w - shift, :m])
             row += w - shift
         inside += np.bincount(pairs[:, :m].ravel(), minlength=k * k)
-    every = across.astype(np.int64) + inside.reshape(k, k)
+    every = across + inside.reshape(k, k)
     return every[:ni, :ni]
 
 

@@ -624,6 +624,14 @@ def test_experiment_plan_json_written(tmp_path):
     assert (out / "partition.txt").exists()
 
 
+def test_json_files_never_hold_a_non_json_token(tmp_path):
+    # Infinity and NaN are no JSON; strict parsers reject them
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json({"karlstrom_distances": [0.0, value]}, tmp_path / "plan.json")
+    assert not (tmp_path / "plan.json").exists()
+
+
 def test_bad_cli_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--scenarios", "blob:2", "--out", "x"])
@@ -644,6 +652,12 @@ def test_bad_cli_arguments_exit_2():
         "experiment --leibovici-distance nan --out x",
         "measure g.grid --karlstrom-distances nan",
         "measure g.grid --karlstrom-distances 0,nan",
+        "measure g.grid --karlstrom-distances inf",
+        "measure g.grid --karlstrom-distances 0,inf",
+        "measure g.grid --karlstrom-distances 1e400",
+        "experiment --karlstrom-distances inf --out x",
+        "experiment --karlstrom-distances 0,inf --out x",
+        "experiment --karlstrom-distances 1e400 --out x",
         "measure g.grid --areas 0",
         "measure g.grid --areas -3",
         "experiment --areas 0 --out x",
@@ -680,6 +694,11 @@ def test_argument_types_name_what_they_reject(capsys):
         cli._plan_arg(",")
     with pytest.raises(argparse.ArgumentTypeError, match="could not convert string to float: 'x'"):
         cli._distances_arg("1,x")
+    for text in ("nan", "0,inf", "1e400", "-1"):
+        with pytest.raises(
+            argparse.ArgumentTypeError, match="^distances must be finite non-negative numbers$"
+        ):
+            cli._distances_arg(text)
     assert cli._partition_seed_arg("uniform") == "uniform"
     assert cli._partition_seed_arg("3") == 3
     for text in ("abc", "-1", "1.5", ""):

@@ -902,7 +902,9 @@ def test_direct_routes_run_only_for_many_categories(shared, monkeypatch):
         (BandGeometry, "displacements"),
     ):
         _spy(monkeypatch, target, name, calls)
-    for cats, routes in ((2, set()), (20, {"_direct_band_counts", "_block_pair_counts"})):
+    both = {"_direct_band_counts", "_block_pair_counts"}
+    # the bands (0, 1] and (1, 2] have 2 and 4 displacements: direct below ni
+    for cats, routes, direct in ((2, set(), 0), (3, both, 1), (5, both, 2), (20, both, 2)):
         grid = next(_three_grids(50, 50, cats, cats))
         # the bands of an experiment grid's tally
         cls = DistanceClassification.default_for(grid).refined((1.0, 2.0))
@@ -911,8 +913,7 @@ def test_direct_routes_run_only_for_many_categories(shared, monkeypatch):
         calls.clear()
         tally = enumerate_pairs(grid, cls, scheme, geometry=geometry)
         assert set(calls) - {"displacements"} == routes
-        # the bands (0, 1] and (1, 2]
-        assert calls.count("displacements") == (2 if routes else 0)
+        assert calls.count("displacements") == direct
         _assert_same_tally(tally, enumerate_pairs_displacement(grid, cls, scheme))
 
 
@@ -929,15 +930,30 @@ def test_geometry_sizes_count_each_band_displacements(rows, cols):
         assert geometry.displacements(k) is geometry.displacements(k)
 
 
-# a partial last block, one band of blocks, several with a partial last one
-@pytest.mark.parametrize("n,cats", [(9, 6), (2500, 20), (9377, 7), (2 * 9360 + 5, 20)])
+# a partial last block, one band of blocks (9360 pixels), several with a
+# partial last one; ni = cats - 1, and ni = 3 and 4 take each kind too
+@pytest.mark.parametrize(
+    "n,cats",
+    [
+        (9, 6),
+        (2500, 20),
+        (9377, 7),
+        (2 * 9360 + 5, 20),
+        (13, 4),
+        (3 * 9360 + 3, 4),
+        (21, 5),
+        (2 * 9360 + 7, 5),
+    ],
+)
 def test_block_pair_table_equals_a_one_hot_count(n, cats):
     flat = np.random.default_rng(n).integers(2, cats + 1, size=n)  # code 1 is absent
     flat[-1] = cats  # and the last present code ends the grid
     present = np.flatnonzero(np.bincount(flat))
     onehot = (flat[:, None] == present).astype(np.int64)
     before = np.cumsum(onehot, axis=0) - onehot
-    np.testing.assert_array_equal(cooccur._block_pair_counts(flat, present), before.T @ onehot)
+    table = cooccur._block_pair_counts(flat, present)
+    assert table.dtype == np.int64
+    np.testing.assert_array_equal(table, before.T @ onehot)
 
 
 def test_a_128_band_map_keeps_its_last_band():
@@ -1142,6 +1158,18 @@ def test_two_category_tally_peak_stays_bounded_at_1000x1000():
     finally:
         tracemalloc.stop()
     assert peak <= 18_328_943
+
+
+def test_two_category_every_pair_table_peak_stays_bounded_at_1000x1000():
+    # with per-category positions and their concatenation it peaked at 16,005,244 traced bytes
+    grid = _grid(1000, 1000, 2, np.random.default_rng(1).integers(1, 3, size=10**6))
+    tracemalloc.start()
+    try:
+        cooccur._ordered_pair_counts(grid.values, np.array([1, 2]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_000_264
 
 
 # --------------------------------------------------------------------------
