@@ -196,9 +196,8 @@ def checked_leibovici_distance(max_distance: float) -> float:
 def _near_law(grid: CategoricalGrid, max_distance: float, ordered: bool = True) -> np.ndarray:
     """Pair-category law of the pairs at distance (0, max_distance], from one ordered tally."""
     whole = DistanceClassification((0.0, window_diagonal(grid)))
-    near = pairs_within(grid, whole, (max_distance,))[-1]
-    if not ordered:
-        near = fold_counts(near, grid.num_categories)
+    within, present = pairs_within(grid, whole, (max_distance,))
+    near = within[-1] if ordered else fold_counts(within[-1], present.size)
     return near / near.sum()
 
 
@@ -224,9 +223,11 @@ def relative_contagion(grid: CategoricalGrid, *, ordered: bool = True) -> float:
 
     1 on a single-category grid (maximal contagion), 0 when contiguous pair
     categories are uniform.  The unordered variant normalizes by the
-    unordered category count (I^2 + I) / 2.
+    unordered category count (I^2 + I) / 2, with I the declared count.
     """
-    return contiguity_index("rc", _near_law(grid, 1.0, ordered))
+    i = int(grid.num_categories)
+    codes = i * i if ordered else i * (i + 1) // 2
+    return _index_of_entropy("rc", _plogp(_near_law(grid, 1.0, ordered)), codes)
 
 
 def parresol_edwards_entropy(grid: CategoricalGrid) -> float:

@@ -42,6 +42,7 @@ from .cooccur import (
     BandGeometry,
     CooccurrenceScheme,
     DistanceClassification,
+    enumerate_pairs,
     enumerate_pairs_bruteforce,
     fold_counts,
     pairs_within,
@@ -106,6 +107,8 @@ def _measures_arg(text: str) -> tuple:
     if text.strip() == "all":
         return MEASURES
     requested = {t.strip() for t in text.split(",") if t.strip()}
+    if not requested:
+        raise argparse.ArgumentTypeError("empty measure list")
     unknown = requested.difference(MEASURES)
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -123,7 +126,7 @@ def _plan_arg(text: str) -> tuple:
             continue
         kind, sep, cats = item.partition(":")
         try:
-            if not sep or kind not in SCENARIOS or not cats.isdigit():
+            if not sep or kind not in SCENARIOS or not (cats.isascii() and cats.isdecimal()):
                 raise ValueError(f"expected kind:categories with kind in {SCENARIOS}")
             check_categories(kind, int(cats))
         except ValueError as exc:
@@ -152,13 +155,13 @@ def _leibovici_distance_arg(text: str) -> float:
 
 
 def _positive_int_arg(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.strip().isdecimal()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _non_negative_int_arg(text: str) -> int:
-    if not text.strip().isdecimal():
+    if not (text.isascii() and text.strip().isdecimal()):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -166,7 +169,7 @@ def _non_negative_int_arg(text: str) -> int:
 def _partition_seed_arg(text: str):
     if text == UNIFORM_PARTITION:
         return UNIFORM_PARTITION
-    if not text.strip().isdecimal():
+    if not (text.isascii() and text.strip().isdecimal()):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer or '{UNIFORM_PARTITION}', got {text!r}"
         )
@@ -222,28 +225,28 @@ def _measure_rows(
     if pair_bands is not None:
         cls, distances = pair_bands
         # pairs up to each decomposition break, then up to 1 and up to d
-        within = pairs_within(grid, cls, distances, geometry=geometry)
+        within, present = pairs_within(grid, cls, distances, geometry=geometry)
         if _DECOMPOSED.intersection(measures):
             counts = np.diff(within[:-2], axis=0)
             if not ordered:
-                counts = fold_counts(counts, grid.num_categories)
+                counts = fold_counts(counts, present.size)
             dec = decompose_counts(counts, cls.labels)
         # one entropy per pair law: O'Neill, rc and Parresol-Edwards share the
-        # rook law's, Leibovici takes the law up to d
+        # rook law's, Leibovici takes the law up to d; rc divides by log I^2
         entropies = {}
         for m in [m for m in CONTIGUITY_INDICES if m in measures]:
             far = m == "leibovici"
             if far not in entropies:
                 law = within[-1 if far else -2]
-                entropies[far] = (_plogp(law / law.sum()), law.size)
-            contiguity[m] = _index_of_entropy(m, *entropies[far])
+                entropies[far] = _plogp(law / law.sum())
+            contiguity[m] = _index_of_entropy(m, entropies[far], int(grid.num_categories) ** 2)
 
     area_probs = None
-    x_counts = grid.category_counts()
+    x_counts = np.bincount(grid.values)  # per code up to the largest present
     if "batty" in measures or "karlstrom" in measures:
         if not 1 <= target_category <= grid.num_categories:
             raise ValueError(f"target category {target_category} out of range")
-        if x_counts[target_category - 1]:
+        if target_category < x_counts.size and x_counts[target_category]:
             area_probs = estimate_area_probs(grid, partition, target_category)
 
     for m in MEASURES:
@@ -495,14 +498,15 @@ def _verify_grid(grid) -> list:
     """(name, passed, detail) for every check on one grid.
 
     The pair total and, up to 64 pixels, the brute-force oracle check the
-    ordered ``pairs_within`` table that every pair measure reads, and the
-    decomposition of its folded bands reports its identity ``residuals``,
-    each one within ``decompose_counts``'s tolerance.  A decomposition that
-    raises on its identities is one failed check.
+    ordered ``enumerate_pairs`` table, laid out over the oracle's I^2 codes,
+    and the decomposition of its folded bands reports its identity
+    ``residuals``, each one within ``decompose_counts``'s tolerance.  A
+    decomposition that raises on its identities is one failed check.
     """
     checks = []
     cls = DistanceClassification.default_for(grid)
-    ordered = np.diff(pairs_within(grid, cls), axis=0)
+    scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
+    ordered = enumerate_pairs(grid, cls, scheme).category_counts
     counts = fold_counts(ordered, grid.num_categories)
 
     n = grid.size
@@ -517,7 +521,6 @@ def _verify_grid(grid) -> list:
         checks += [(name, True, f"residual={r:.3e}") for name, r in dec.residuals.items()]
 
     if n <= 64:
-        scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
         ref = enumerate_pairs_bruteforce(grid, cls, scheme)
         same = np.array_equal(ref.category_counts, ordered)
         checks.append(("bruteforce-oracle", same, "exact integer comparison"))

@@ -12,7 +12,8 @@ One ordered tally over fine enough bands holds every other tally of the same
 grid, and every pair measure reads one through ``pairs_within``: its running
 sum over the bands makes the pairs between two breaks a difference of two
 rows, and ``fold_counts`` adds (a, b) to (b, a) for the unordered coding.
-Both are exact integer sums.
+Both are exact integer sums.  A tally spans the ni categories on the grid,
+not the declared count I; ``enumerate_pairs`` scatters it to all I^2 codes.
 
 Enumeration never materializes the pair list.  For categories a and b, the
 number of ordered pairs (a at x, b at x + d) at displacement d is the
@@ -30,17 +31,17 @@ with F_a the spectrum of category a, G_k that of band k's 0/1 displacement
 mask and w_f the Hermitian weight of the half spectrum (the real part of a
 sum is that of its conjugate, so the conjugate falls on F, once per
 category, and not on every band).  One real GEMM per band yields the whole
-I x I table; no inverse transform is needed.  The present categories'
+ni x ni table; no inverse transform is needed.  The present categories'
 indicators add up to the window, the all-ones R x C image, whose transform
 W is the outer product of two 1-D transforms of ones; so only the first
-I - 1 present categories are transformed, and the last one's spectrum is
+ni - 1 present categories are transformed, and the last one's spectrum is
 W - sum F_a.  The outermost band, which ends at the window diagonal and
 holds most pairs of a large grid, is the exact integer difference of the
 every-pair table (a before b in row-major order) and the inner bands.  With
 P = p1 * p2 (80 x 80 for a 50 x 50 grid and 240 x 240 for 200 x 200 with
 the default bands, at most ~4N) and nb bands, cost is
-O((I - 1 + nb) * P log P) for the transforms, nb - 1 GEMMs of O(I^2 * P)
-and O(N + I^2 * N / 8) for the every-pair table, against O(N^2) pair
+O((ni - 1 + nb) * P log P) for the transforms, nb - 1 GEMMs of O(ni^2 * P)
+and O(N + ni^2 * N / 8) for the every-pair table, against O(N^2) pair
 visits.  A one-band classification runs no FFT.
 
 Two parts of that cost grow with the number ni of present categories, and
@@ -83,7 +84,7 @@ of W; the geometry builds those on first use, so the two-category route
 never pays for them.  A batch of same-shape grids shares one geometry,
 which also keeps each finished G_k once a tally first needs it; a one-shot
 tally by the band route finishes each band's column block as it goes.
-Memory stays near (I - 1) * N complex values: only the R non-zero rows of
+Memory stays near (ni - 1) * N complex values: only the R non-zero rows of
 each transformed category are row-transformed, and the column transforms
 run one column block at a time, each category's block once, then
 multiplied by each band's block or, on the two-category route, inverted
@@ -514,69 +515,63 @@ def enumerate_pairs(
     """Tally every unordered pixel pair by distance band and pair category.
 
     Pairs are unordered {u, v} with no self-pairs; for an ordered scheme the
-    category tuple is read from the row-major-first pixel.  A pair whose
-    distance has no band raises CoverageError.  The inner bands' counts are
-    the FFT band sums of the module docstring, and the outermost band's are
-    every ordered pair of the grid minus theirs; counts that fail its
-    exactness checks raise ConsistencyError.  ``geometry``, when given,
-    must have been built for the grid's shape and ``classification``
-    (ValueError otherwise).  Passing one marks batch use: the tally reads the
-    band spectra the geometry finished once for every grid of the batch.
-    Without one, the tally builds its own geometry and finishes each band's
-    column block as it goes, which keeps its peak memory near I * N; with
-    two present categories it reads one autocorrelation and no band
-    spectrum instead.
+    category tuple is read from the row-major-first pixel.  The bands of one
+    ``pairs_within`` tally (errors and ``geometry`` as there) scattered to all
+    I^2 codes of the scheme, and folded for an unordered one.
     """
     if scheme.num_x_categories < grid.num_categories:
         raise ValueError("scheme has fewer categories than the grid")
-    rows, cols = grid.rows, grid.cols
+    within, present = pairs_within(grid, classification, geometry=geometry)
+    counts = np.diff(within, axis=0)
+    nb, ni, i = len(counts), present.size, scheme.num_x_categories
+    table = np.zeros((nb, i, i), dtype=np.int64)
+    table[:, present[:, None] - 1, present - 1] = counts.reshape(nb, ni, ni)
+    table = table.reshape(nb, i * i)
+    if not scheme.ordered:
+        table = fold_counts(table, i)
+    return PairSample(scheme, classification, counts.sum(axis=1), table)
+
+
+def pairs_within(
+    grid: CategoricalGrid, classification: DistanceClassification, distances=(), *, geometry=None
+) -> tuple:
+    """Ordered pair-category counts of the pairs at distance <= each break, then <= each distance.
+
+    Returns ``(within, present)``: the ni codes on the grid, ascending (an
+    absent one adds 0 log 0 = 0 to every entropy), and one int64 row of ni^2
+    ordered codes, (a, b) at a * ni + b for the ranks of a and b in
+    ``present``, per break of ``classification``, then per distance clamped
+    to [breaks[0], breaks[-1]].  The rows are one running sum over one tally
+    split further at ``distances``: the first is zero, the pairs between two
+    breaks a row difference; ``fold_counts(row, ni)`` folds a row.  Inner
+    bands are the module docstring's FFT band sums, the outermost every pair
+    minus them; an uncovered pair raises CoverageError, counts failing the
+    exactness checks ConsistencyError.  ``geometry``, when given, must fit
+    the grid's shape and the split bands (ValueError otherwise) and marks a
+    batch: the tally reads the band spectra it finished once.  Without one,
+    the tally finishes each band's column block as it goes, peaking near
+    ni * N, or, with two present categories, reads one autocorrelation.
+    """
+    lo, hi = classification.breaks[0], classification.breaks[-1]
+    ends = classification.breaks + tuple(min(max(float(d), lo), hi) for d in distances)
+    fine = classification.refined(distances)
     batch = geometry is not None
     if not batch:
-        geometry = BandGeometry(rows, cols, classification)
-    elif (geometry.rows, geometry.cols, geometry.classification) != (rows, cols, classification):
+        geometry = BandGeometry(grid.rows, grid.cols, fine)
+    elif (geometry.rows, geometry.cols, geometry.classification) != (grid.rows, grid.cols, fine):
         raise ValueError(
             f"geometry of a {geometry.rows}x{geometry.cols} grid over bands "
-            f"{geometry.classification.breaks} does not fit a {rows}x{cols} grid "
-            f"over bands {classification.breaks}"
+            f"{geometry.classification.breaks} does not fit a {grid.rows}x{grid.cols} grid "
+            f"over bands {fine.breaks}"
         )
-
-    nb = classification.num_bands
     present = np.flatnonzero(np.bincount(grid.values))  # the codes on the grid
     inner = _inner_band_sums(grid.matrix, present, geometry, batch)
     # the outermost band is every pair minus the inner bands; one check covers all
     outer = _ordered_pair_counts(grid.values, present) - np.rint(inner).sum(axis=0)
     counts = _exact_counts(np.concatenate((inner, outer[None])), geometry.totals)
-
-    i = scheme.num_x_categories
-    table = np.zeros((nb, i, i), dtype=np.int64)
-    cells = present - 1
-    table[:, cells[:, None], cells] = counts
-    table = table.reshape(nb, i * i)
-    if not scheme.ordered:
-        table = fold_counts(table, i)
-    return PairSample(scheme, classification, geometry.totals, table)
-
-
-def pairs_within(
-    grid: CategoricalGrid, classification: DistanceClassification, distances=(), *, geometry=None
-) -> np.ndarray:
-    """Ordered pair-category counts of the pairs at distance <= each break, then <= each distance.
-
-    One int64 row per break of ``classification``, then one per distance
-    clamped to [breaks[0], breaks[-1]], from one running sum over one
-    ordered tally split further at ``distances``: the first row is all
-    zero, the pairs between two breaks are the difference of their rows,
-    and ``fold_counts`` folds any row.  ``geometry`` is as for
-    ``enumerate_pairs``, built over the split bands.
-    """
-    lo, hi = classification.breaks[0], classification.breaks[-1]
-    ends = classification.breaks + tuple(min(max(float(d), lo), hi) for d in distances)
-    fine = classification.refined(distances)
-    scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
-    tally = enumerate_pairs(grid, fine, scheme, geometry=geometry)
-    within = np.zeros((len(fine.breaks), scheme.num_z_categories), dtype=np.int64)
-    np.cumsum(tally.category_counts, axis=0, out=within[1:])
-    return within[np.searchsorted(fine.breaks, ends)]
+    within = np.zeros((len(fine.breaks), present.size**2), dtype=np.int64)
+    np.cumsum(counts.reshape(len(counts), -1), axis=0, out=within[1:])
+    return within[np.searchsorted(fine.breaks, ends)], present
 
 
 def _inner_band_sums(codes, present, geometry, batch):

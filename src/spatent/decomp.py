@@ -12,9 +12,9 @@ distance).  Both terms split further band by band: H(Z | w_k) is the
 partial residual entropy and PI(Z, w_k) = KL(p(Z | w_k) || p(Z)) the
 partial information of band k, with MI = sum_k p(w_k) PI(Z, w_k).
 
-Every term comes from one table, the pair-category counts per distance
-band (row differences of ``cooccur.pairs_within``), and this module is the
-only place that turns it into laws: p(W), p(Z), the band conditionals and
+Every term comes from one table, the pair counts per band over the present
+categories (row differences of ``cooccur.pairs_within``), and this module is
+the only place that turns it into laws: p(W), p(Z), the band conditionals and
 the joint table, all relative frequencies.  ``decompose_counts`` reads them
 as plain arrays, ``decompose`` tallies a grid and calls it, and
 ``conditional_pmfs`` returns the same arrays as ``Pmf``/``JointPmf``.
@@ -276,7 +276,8 @@ def decompose(
     """
     if classification is None:
         classification = DistanceClassification.default_for(grid)
-    counts = np.diff(pairs_within(grid, classification), axis=0)
+    within, present = pairs_within(grid, classification)
+    counts = np.diff(within, axis=0)
     if not ordered:
-        counts = fold_counts(counts, grid.num_categories)
+        counts = fold_counts(counts, present.size)
     return decompose_counts(counts, classification.labels)

@@ -272,6 +272,18 @@ def test_relative_contagion_unordered_variant():
     assert rc_o == pytest.approx(0.5, abs=1e-12)
 
 
+def test_relative_contagion_normalizes_by_the_declared_categories():
+    # 1 1 2 / 2 2 1 declaring I = 4, with codes 3 and 4 absent; the 7 rook
+    # pairs read (1, 1) once, (1, 2) three times, (2, 1) twice, (2, 2) once
+    g = _grid(2, 3, 4, [1, 1, 2, 2, 2, 1])
+    h_ordered = -(2 * (1 / 7) * math.log(1 / 7) + 3 / 7 * math.log(3 / 7) + 2 / 7 * math.log(2 / 7))
+    h_unordered = -(2 * (1 / 7) * math.log(1 / 7) + 5 / 7 * math.log(5 / 7))
+    assert relative_contagion(g) == pytest.approx(1 - h_ordered / math.log(16), abs=1e-12)
+    assert relative_contagion(g, ordered=False) == pytest.approx(
+        1 - h_unordered / math.log(10), abs=1e-12
+    )
+
+
 def test_contiguity_index_rejects_unknown_names():
     with pytest.raises(ValueError, match="^unknown contiguity index 'contagion'$"):
         contiguity_index("contagion", np.array([0.5, 0.5]))

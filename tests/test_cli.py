@@ -32,7 +32,7 @@ from spatent import (
     shannon,
     write_grid,
 )
-from spatent import ConsistencyError, cli, cooccur, decomp
+from spatent import ConsistencyError, classic, cli, cooccur, decomp
 from spatent.cli import main
 from spatent.decomp import decompose_counts
 
@@ -48,6 +48,20 @@ def _write(tmp_path, name, rows, cols, cats, values):
 def _chessboard_path(tmp_path, n=10):
     vals = ((np.add.outer(np.arange(n), np.arange(n)) % 2) + 1).ravel()
     return _write(tmp_path, "chess.grid", n, n, 2, vals)
+
+
+def _spy_tallies(monkeypatch):
+    """Every ``pairs_within`` tally of the command paths: (grid, split bands, geometry, within, present)."""
+    tallies, real = [], cooccur.pairs_within
+
+    def spy(grid, classification, distances=(), *, geometry=None):
+        within, present = real(grid, classification, distances, geometry=geometry)
+        tallies.append((grid, classification.refined(distances), geometry, within, present))
+        return within, present
+
+    for module in (cooccur, decomp, classic, cli):
+        monkeypatch.setattr(module, "pairs_within", spy)
+    return tallies
 
 
 # --------------------------------------------------------------------------
@@ -368,13 +382,7 @@ def test_measure_rows_keep_their_errors():
 
 
 def test_every_pair_path_makes_one_ordered_tally(monkeypatch):
-    schemes = []
-
-    def recording(grid, classification, scheme, *, geometry=None):
-        schemes.append(scheme)
-        return enumerate_pairs(grid, classification, scheme, geometry=geometry)
-
-    monkeypatch.setattr(cooccur, "enumerate_pairs", recording)
+    tallies = _spy_tallies(monkeypatch)
     grid = CategoricalGrid(6, 6, 3, (np.arange(36) % 3) + 1)
     paths = {
         "decompose": lambda: decompose(grid),
@@ -388,9 +396,10 @@ def test_every_pair_path_makes_one_ordered_tally(monkeypatch):
         "verify": lambda: cli._verify_grid(grid),
     }
     for name, path in paths.items():
-        schemes.clear()
+        tallies.clear()
         path()
-        assert schemes == [CooccurrenceScheme(3, ordered=True)], name
+        # one ordered tally: all 3^2 ordered codes of the three categories
+        assert [(t[3].shape[1], t[4].tolist()) for t in tallies] == [(9, [1, 2, 3])], name
 
 
 def test_measure_prints_no_negative_zero(tmp_path, capsys):
@@ -402,19 +411,13 @@ def test_measure_prints_no_negative_zero(tmp_path, capsys):
 
 
 def test_measure_rows_tally_once_and_only_for_pair_measures(monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return enumerate_pairs(*args, **kwargs)
-
-    monkeypatch.setattr(cooccur, "enumerate_pairs", counting)
+    tallies = _spy_tallies(monkeypatch)
     grid = CategoricalGrid(6, 6, 2, (np.arange(36) % 2) + 1)
     _rows(grid, ("shannon_x",))
-    assert calls == []
+    assert tallies == []
     _rows(grid, cli.MEASURES[:2] + cli.MEASURES[4:], leibovici_distance=3.5)
     # the default bands, split further at the Leibovici distance
-    assert [c.breaks for c in calls] == [(0.0, 1.0, 2.0, 3.5, 5.0, math.hypot(6, 6))]
+    assert [t[1].breaks for t in tallies] == [(0.0, 1.0, 2.0, 3.5, 5.0, math.hypot(6, 6))]
 
 
 # --------------------------------------------------------------------------
@@ -452,6 +455,42 @@ def test_decompose_ordered_flag(tmp_path, capsys):
     assert ordered["bands"][0]["residual_partial"] == pytest.approx(
         math.log(2), abs=1e-12
     )
+
+
+def _run_limited(*argv):
+    """``spatent`` in a child under a 3 GiB address-space limit: a table sized by I fails fast."""
+    limit = 3 << 30
+    start = (
+        "import resource, runpy; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+        "runpy.run_module('spatent.cli', run_name='__main__')"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", start, *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True,
+    )
+
+
+@pytest.mark.parametrize("declared", [300, 20_000, 10**10])
+def test_commands_ignore_the_declared_category_count(tmp_path, capsys, declared):
+    # a 2x2 map of two codes: every table is sized by the codes present, so a
+    # header declaring I = 20000 (a (3, I, I) int64 table would take 8.9 GiB)
+    # or 10^10 runs as I = 2 does; only rc's normaliser log I^2 reads I
+    two, path = tmp_path / "two.grid", tmp_path / "declared.grid"
+    two.write_text("2 2 2\n1 2\n2 1\n")
+    path.write_text(f"2 2 {declared}\n1 2\n2 1\n")
+    assert main(["decompose", str(two)]) == 0
+    run = _run_limited("decompose", str(path))
+    assert (run.returncode, run.stdout) == (0, capsys.readouterr().out), run.stderr
+    assert main(["measure", str(two), "--areas", "1"]) == 0
+    measured = dict(line.rsplit(",", 1) for line in capsys.readouterr().out.splitlines())
+    run = _run_limited("measure", str(path), "--areas", "1")
+    assert run.returncode == 0, run.stderr
+    rows = dict(line.rsplit(",", 1) for line in run.stdout.splitlines())
+    assert rows == {**measured, "rc,": rows["rc,"]}
+    rc = 1 - float(rows["oneill,"]) / math.log(declared**2)
+    assert float(rows["rc,"]) == pytest.approx(rc, abs=1e-11)
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
@@ -493,7 +532,7 @@ def test_verify_compares_the_ordered_table(tmp_path, monkeypatch, capsys):
             counts[0, [1, 2]] = counts[0, [2, 1]]
         return dataclasses.replace(sample, category_counts=counts)
 
-    monkeypatch.setattr(cooccur, "enumerate_pairs", swapped)
+    monkeypatch.setattr(cli, "enumerate_pairs", swapped)
     assert main(["verify", str(path)]) == 1
     out = capsys.readouterr().out
     # the folded decomposition cannot see the swap; the oracle can
@@ -681,10 +720,23 @@ def test_bad_cli_arguments_exit_2():
         "measure g.grid --target-category 0",
         "measure g.grid --target-category -1",
         "measure g.grid --partition-seed -1",
+        # an empty measure list would write a header and nothing else
+        "measure g.grid --measures ,",
+        # integers are ASCII digits only, as in a grid file
+        "generate --scenario random --rows ３ --out x",
+        "experiment --seed ٣ --out x",
+        "measure g.grid --areas ²",
+        "measure g.grid --partition-seed ٣",
+        "experiment --scenarios random:٣ --out x",
+        "experiment --scenarios random:² --out x",
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         assert exc.value.code == 2, argv
+    # split() would drop the blank measure list
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", "--measures", " ", "--out", "x"])
+    assert exc.value.code == 2
 
 
 def test_argument_types_name_what_they_reject(capsys):
@@ -692,6 +744,30 @@ def test_argument_types_name_what_they_reject(capsys):
     assert cli._plan_arg("random:2,,compact:5,") == (("random", 2), ("compact", 5))
     with pytest.raises(argparse.ArgumentTypeError, match="^empty scenario plan$"):
         cli._plan_arg(",")
+    for text in (",", " ", ", ,"):
+        with pytest.raises(argparse.ArgumentTypeError, match="^empty measure list$"):
+            cli._measures_arg(text)
+    # digits outside ASCII are refused by name, never by an int() traceback text
+    for entry in ("random:٣", "random:²", "random:３"):
+        with pytest.raises(
+            argparse.ArgumentTypeError,
+            match=f"^bad plan entry '{entry}': expected kind:categories with kind in ",
+        ):
+            cli._plan_arg(entry)
+    for text in ("３", "٣", "²"):
+        with pytest.raises(
+            argparse.ArgumentTypeError, match=f"^expected a positive integer, got '{text}'$"
+        ):
+            cli._positive_int_arg(text)
+        with pytest.raises(
+            argparse.ArgumentTypeError, match=f"^expected a non-negative integer, got '{text}'$"
+        ):
+            cli._non_negative_int_arg(text)
+        with pytest.raises(
+            argparse.ArgumentTypeError,
+            match=f"^expected a non-negative integer or 'uniform', got '{text}'$",
+        ):
+            cli._partition_seed_arg(text)
     with pytest.raises(argparse.ArgumentTypeError, match="could not convert string to float: 'x'"):
         cli._distances_arg("1,x")
     for text in ("nan", "0,inf", "1e400", "-1"):
@@ -718,17 +794,11 @@ def test_argument_types_name_what_they_reject(capsys):
 
 
 def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return enumerate_pairs(*args, **kwargs)
-
-    monkeypatch.setattr(cooccur, "enumerate_pairs", counting)
+    tallies = _spy_tallies(monkeypatch)
     out = _run_experiment(tmp_path, "once", 1)
     # two scenarios, two replicates each plus the flagged equal-split one
-    assert len(calls) == 6
-    assert len({id(grid) for grid in calls}) == 6
+    assert len(tallies) == 6
+    assert len({id(t[0]) for t in tallies}) == 6
     assert (out / "results_long.csv").exists()
 
 
@@ -790,16 +860,11 @@ def test_experiment_checks_bands_only_for_the_decomposition(tmp_path):
 
 
 def test_experiment_shares_one_geometry_across_replicates(tmp_path, monkeypatch):
-    seen = []
-
-    def recording(grid, classification, scheme, *, geometry=None):
-        seen.append((classification, geometry))
-        return enumerate_pairs(grid, classification, scheme, geometry=geometry)
-
-    monkeypatch.setattr(cooccur, "enumerate_pairs", recording)
+    tallies = _spy_tallies(monkeypatch)
     out = tmp_path / "shared"
     argv = EXP_ARGS.format(workers=1, out=out) + " --leibovici-distance 3.5"
     assert main(argv.split()) == 0
+    seen = [t[1:3] for t in tallies]
     assert len(seen) == 6
     geometry = seen[0][1]
     assert all(g is geometry for _, g in seen)
@@ -809,21 +874,17 @@ def test_experiment_shares_one_geometry_across_replicates(tmp_path, monkeypatch)
 
 
 def test_experiment_finishes_the_band_spectra_once(tmp_path, monkeypatch):
-    geometries, finished = set(), []
-
-    def recording(grid, classification, scheme, *, geometry=None):
-        geometries.add(geometry)
-        return enumerate_pairs(grid, classification, scheme, geometry=geometry)
+    finished = []
 
     def counting(block, p1):
         finished.append(block)
         return finish_band(block, p1)
 
     finish_band = cooccur._finish_band
-    monkeypatch.setattr(cooccur, "enumerate_pairs", recording)
+    tallies = _spy_tallies(monkeypatch)
     monkeypatch.setattr(cooccur, "_finish_band", counting)
     assert main(EXP_ARGS.format(workers=1, out=tmp_path / "finished").split()) == 0
-    (geometry,) = geometries
+    (geometry,) = {t[2] for t in tallies}
     # once per band, over the whole stage-one spectrum, for all six tallies
     assert [id(b) for b in finished] == [id(s) for s in geometry.spectra if s is not None]
     assert len(finished) == 4  # the inner bands of (0, 1, 2, 5, 10, 10 sqrt 2]

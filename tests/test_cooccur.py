@@ -46,6 +46,15 @@ def _chessboard(n=50):
     return _grid(n, n, 2, vals)
 
 
+def _declared_within(grid, *args, **kwargs):
+    """``pairs_within``'s rows laid out over all I^2 ordered codes of the grid's declared I."""
+    within, present = pairs_within(grid, *args, **kwargs)
+    i, ni = grid.num_categories, present.size
+    table = np.zeros((len(within), i, i), dtype=np.int64)
+    table[:, present[:, None] - 1, present - 1] = within.reshape(-1, ni, ni)
+    return table.reshape(-1, i * i)
+
+
 # --------------------------------------------------------------------------
 # scheme category counts: pairs over I categories, with and without order
 
@@ -210,7 +219,7 @@ def test_coverage_enforcement():
         with pytest.raises(CoverageError) as raised:
             enumerate_pairs(grid, DistanceClassification(breaks), CooccurrenceScheme(1))
         assert str(raised.value) == message
-    assert pairs_within(g, DistanceClassification((0.0, 1.0, 5.0)))[1].sum() == 24  # contiguous
+    assert pairs_within(g, DistanceClassification((0.0, 1.0, 5.0)))[0][1].sum() == 24  # contiguous
 
 
 def test_scheme_must_cover_grid_categories():
@@ -225,7 +234,8 @@ def test_tabulate_within_distance_one():
     g = _chessboard(3)
     whole = DistanceClassification((0.0, window_diagonal(g)))
     # 12 contiguous pairs on a 3x3 board, all mixed: 6 read (1, 2) and 6 read (2, 1)
-    within = pairs_within(g, whole, (1.0, 0.5, 0.0, -1.0, math.inf))
+    within, present = pairs_within(g, whole, (1.0, 0.5, 0.0, -1.0, math.inf))
+    assert present.tolist() == [1, 2]
     np.testing.assert_array_equal(within[2], [0, 6, 6, 0])
     np.testing.assert_array_equal(fold_counts(within[2], 2), [0, 12, 0])
     # distances are clamped to the classification: none below it, all 36 pairs above it
@@ -246,7 +256,7 @@ def test_tabulate_within_equals_a_single_band_tally(rows, cols, cats, distance, 
         g, DistanceClassification.single_band(distance), scheme, require_coverage=False
     )
     whole = DistanceClassification((0.0, window_diagonal(g)))
-    near = pairs_within(g, whole, (distance,))[-1]
+    near = _declared_within(g, whole, (distance,))[-1]
     if not ordered:
         near = fold_counts(near, cats)
     assert near.size == len(scheme.category_labels())
@@ -525,14 +535,14 @@ def test_coarsened_and_folded_tally_equals_direct_tallies(case):
     i = grid.num_categories
     ordered, unordered = CooccurrenceScheme(i, ordered=True), CooccurrenceScheme(i)
     tally = enumerate_pairs(grid, fine, ordered)
-    coarsened = np.diff(pairs_within(grid, fine, coarse.breaks)[len(fine.breaks):], axis=0)
+    coarsened = np.diff(_declared_within(grid, fine, coarse.breaks)[len(fine.breaks):], axis=0)
     _assert_same_counts(coarsened, enumerate_pairs(grid, coarse, ordered))
     _assert_same_counts(fold_counts(coarsened, i), enumerate_pairs(grid, coarse, unordered))
     _assert_same_counts(fold_counts(tally.category_counts, i), enumerate_pairs(grid, fine, unordered))
     # a sub-range keeps only its own pairs: the oracle skips the others
     sub = DistanceClassification(fine.breaks[:2])
     _assert_same_counts(
-        np.diff(pairs_within(grid, fine, sub.breaks)[len(fine.breaks):], axis=0),
+        np.diff(_declared_within(grid, fine, sub.breaks)[len(fine.breaks):], axis=0),
         enumerate_pairs_displacement(grid, sub, ordered, require_coverage=False),
     )
 
@@ -546,13 +556,13 @@ def test_coarsen_needs_breaks_of_the_tally():
     g = _chessboard(4)
     cls = DistanceClassification((0, 1, 2, 5))
     # nothing up to the first break, the 24 rook pairs up to 1, all 120 up to 5
-    within = fold_counts(pairs_within(g, cls, (0, 1, 5)), 2)
+    within = fold_counts(pairs_within(g, cls, (0, 1, 5))[0], 2)
     np.testing.assert_array_equal(within[[4, 5, 6]], [[0, 0, 0], [0, 24, 0], [28, 64, 28]])
     np.testing.assert_array_equal(within[:4:3], within[[4, 6]])
     # a distance that is no break splits the tally there
     split = enumerate_pairs(g, DistanceClassification((0, 1.5, 5)), CooccurrenceScheme(2))
     np.testing.assert_array_equal(
-        fold_counts(pairs_within(g, cls, (1.5,))[-1], 2), split.category_counts[0]
+        fold_counts(pairs_within(g, cls, (1.5,))[0][-1], 2), split.category_counts[0]
     )
 
 
@@ -826,6 +836,24 @@ def test_many_category_tally_peak_stays_at_the_fft_route():
     finally:
         tracemalloc.stop()
     assert peak <= 8_449_177
+
+
+def test_tally_peak_ignores_the_declared_category_count():
+    # a 2x2 map of two codes whose header declares I = 300: the tables sized
+    # by I^2 peaked at 7,925,880 (pairs_within) and 10,624,399 traced bytes
+    # (decompose, ordered) here; over the two present codes both stay near
+    # 8,400-8,700 bytes
+    grid = _grid(2, 2, 300, [1, 2, 2, 1])
+    cls = DistanceClassification.default_for(grid)
+    for tally in (partial(pairs_within, grid, cls), partial(decompose, grid, ordered=True)):
+        tally()
+        tracemalloc.start()
+        try:
+            tally()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_000, tally
 
 
 # --------------------------------------------------------------------------

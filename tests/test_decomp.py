@@ -212,7 +212,8 @@ def test_verify_prints_the_residuals_the_decomposition_carries(rows, cols, cats,
         dec.residuals["pmf-mass"] = 0.0
 
     bands = DistanceClassification.default_for(g).refined((1.5,))
-    counts = fold_counts(np.diff(pairs_within(g, bands), axis=0), cats)
+    within, present = pairs_within(g, bands)
+    counts = fold_counts(np.diff(within, axis=0), present.size)
     dec = decompose(g, bands)
     assert dec == decompose_counts(counts, bands.labels)
     assert "residuals" not in repr(dec)
@@ -409,9 +410,10 @@ def test_array_core_equals_the_pmf_route_on_experiment_tables(ordered):
         g = generate(spec)
         cls = DistanceClassification.default_for(g)
         assert len(cls.refined((1.0, 2.0)).breaks) == 8
-        counts = np.diff(pairs_within(g, cls, (1.0, 2.0))[:-2], axis=0)
+        within, present = pairs_within(g, cls, (1.0, 2.0))
+        counts = np.diff(within[:-2], axis=0)
         if not ordered:
-            counts = fold_counts(counts, num_x)
+            counts = fold_counts(counts, present.size)
         dec = decompose_counts(counts, cls.labels)
         assert _terms(dec) == _pmf_route(counts, cls.labels)
         assert max(dec.residuals.values()) <= decomp.MI_AGREEMENT_TOL
