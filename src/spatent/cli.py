@@ -373,9 +373,22 @@ def _cmd_experiment(args) -> int:
                 f"{pixels} pixels; impossible for {','.join(bad)} (use --skip-uniform)"
             )
     # the plan is checked before any replicate runs or any output is made:
-    # each entry by simgen's rules, the bands and the grid size by the tally
-    # geometry that every replicate shares, the areas by the partition
+    # each entry by simgen's rules and by the measures it selects, the bands
+    # and the grid size by the tally geometry that every replicate shares,
+    # the areas by the partition
     specs = [ScenarioSpec(kind, args.rows, args.cols, cats) for kind, cats in args.scenarios]
+    # area-based indices are defined on the two-category scenarios only
+    area_measures = {"batty", "karlstrom"}.intersection(args.measures)
+    selections = [
+        tuple(m for m in args.measures if spec.num_categories == 2 or m not in area_measures)
+        for spec in specs
+    ]
+    if not any(selections):
+        raise ValueError(
+            f"--measures {','.join(args.measures)} selects nothing on --scenarios "
+            f"{','.join(f'{k}:{c}' for k, c in args.scenarios)}: batty and karlstrom are "
+            f"defined on two-category scenarios only"
+        )
     dummy = CategoricalGrid(
         args.rows, args.cols, 1, np.ones(args.rows * args.cols, dtype=np.int64)
     )
@@ -386,7 +399,6 @@ def _cmd_experiment(args) -> int:
         geometry = BandGeometry(args.rows, args.cols, bands.refined(distances))
     partition = None
     karl = ()
-    area_measures = {"batty", "karlstrom"}.intersection(args.measures)
     if area_measures and any(spec.num_categories == 2 for spec in specs):
         seed = np.random.SeedSequence((int(args.seed),), spawn_key=(1,))
         partition = partition_window(dummy, args.areas, seed)
@@ -404,13 +416,11 @@ def _cmd_experiment(args) -> int:
     long_path = out / "results_long.csv"
     with open(long_path, "w", encoding="ascii") as fh:
         fh.write("scenario,replicate,uniform_flag,measure,band,value\n")
-        for spec in specs:
+        for spec, selected in zip(specs, selections):
+            if not selected:
+                continue  # no replicate of an entry whose measures it cannot take
             kind, cats = spec.kind, spec.num_categories
             label = f"{kind}_x{cats}"
-            # area-based indices are defined on the two-category scenarios only
-            selected = args.measures
-            if cats != 2:
-                selected = tuple(m for m in selected if m not in area_measures)
             # the replicates, then the idealized extra one with the exact
             # equal category split, flagged, unless it is skipped
             for rep in range(args.replicates + (not args.skip_uniform)):

@@ -50,8 +50,8 @@ has; neither choice is an option.  An inner band costs a multiply
 of O(ni * P) and a GEMM of O(ni^2 * P), while counting it directly costs
 one O(N) bincount of a * ni + b per displacement, over the overlap of the
 grid and its shift.  So a band with fewer displacements than ni is counted
-directly, its displacements read off the geometry's band map, which keeps
-the float band rule: with the default bands (0, 1] (2 displacements) once
+directly, its displacements read off the geometry's plane, which keeps the
+float band rule: with the default bands (0, 1] (2 displacements) once
 ni >= 3 and (1, 2] (4) once ni >= 5.  And the every-pair table follows with
 ni <= 2 from closed-form identities, which need only the category sizes and
 the index sum of the last category's pixels.  From ni = 3 on it comes from
@@ -75,20 +75,22 @@ every grid, and so does every tally of three or more categories, where one
 inverse per category pair costs more than the GEMMs.
 
 Everything that depends only on the grid shape and the bands is a
-``BandGeometry``: the band of each displacement the inner bands reach (a
-narrow integer map, and the same laid out on the plane as [dc mod p2,
-dr]), the closed-form band totals and the plane size.  The band route
-also reads each inner G_k after its row transform, kept only for the rows
-dr = 0 .. (largest dr in band k) and scaled by w, and the two 1-D factors
-of W; the geometry builds those on first use, so the two-category route
-never pays for them.  A batch of same-shape grids shares one geometry,
-which also keeps each finished G_k once a tally first needs it; a one-shot
-tally by the band route finishes each band's column block as it goes.
-Memory stays near (ni - 1) * N complex values: only the R non-zero rows of
-each transformed category are row-transformed, and the column transforms
-run one column block at a time, each category's block once, then
-multiplied by each band's block or, on the two-category route, inverted
-along p1 into Dr + 1 rows, in buffers allocated once per tally.
+``BandGeometry``.  Its ``plane``, the band of each displacement (dr, dc)
+the inner bands reach at [dc mod p2, dr], is the one place that says which
+displacements link a pixel to a later one; the band sizes, the closed-form
+band totals and every displacement a tally reads come from its live
+entries.  The band route also reads each inner G_k after its row
+transform, kept only for the rows dr = 0 .. (largest dr in band k) and
+scaled by w, and the two 1-D factors of W; the geometry builds those on
+first use, so the two-category route never pays for them.  A batch of
+same-shape grids shares one geometry, which also keeps each finished G_k
+once a tally first needs it; a one-shot tally by the band route finishes
+each band's column block as it goes.  Memory stays near (ni - 1) * N
+complex values: only the R non-zero rows of each transformed category are
+row-transformed, and the column transforms run one column block at a time,
+each category's block once, then multiplied by each band's block or, on
+the two-category route, inverted along p1 into Dr + 1 rows, in buffers
+allocated once per tally.
 
 The inner sums and the outermost band's differences are stacked and
 checked once (``_exact_counts``): each must lie within 0.25 of its integer
@@ -288,6 +290,7 @@ def _fold_index(i: int) -> tuple:
     return index
 
 
+@functools.cache
 def _fast_length(n: int) -> int:
     """Smallest 2^a * 3^b * 5^c >= n: a length pocketfft transforms quickly."""
     best = 1 << (n - 1).bit_length()
@@ -305,20 +308,16 @@ def _fast_length(n: int) -> int:
 
 
 def _band_map(rows, cols, classification):
-    """Band of each displacement the inner bands reach, every band's pair total, inner sizes.
+    """Band of each displacement (dr, |dc|) the inner bands can reach: the quarter map.
 
     The float rule of ``DistanceClassification.band_index`` is even in dc
     and monotone in dr^2 + dc^2, so the inner bands reach only dr, |dc| <=
     floor(breaks[-2]).  Entry [|dc|, dr] of that block, clipped to (cols,
     rows), holds the 0-based band of displacement (dr, dc), or -1 at the
-    zero displacement, which links no pixels (the block's only entry with
-    one band).  An inner band's pair total sums (rows - dr) * (cols - |dc|)
-    over its displacements; the outermost band's is every pair minus theirs.
-    An inner band's size is its number of linking displacements.  Linking
-    distances run from 1 to sqrt((rows-1)^2 + (cols-1)^2), so these
-    two decide coverage; a miss raises ``_coverage_error``.
+    zero displacement.  Linking distances run from 1 to sqrt((rows-1)^2 +
+    (cols-1)^2), so these two decide coverage; a miss raises
+    ``_coverage_error``.
     """
-    nb = classification.num_bands
     breaks = np.asarray(classification.breaks)
     if not (breaks[0] < 1.0 and math.sqrt(float((rows - 1) ** 2 + (cols - 1) ** 2)) <= breaks[-1]):
         raise _coverage_error(rows, cols, breaks)
@@ -326,18 +325,8 @@ def _band_map(rows, cols, classification):
     dc = np.arange(min(cols, reach))[:, None]
     dr = np.arange(min(rows, reach))
     dist = np.sqrt((dc * dc + dr * dr).astype(np.float64))
-    # the type holds band + 1 for the bincounts below
-    half = (np.searchsorted(breaks, dist, side="left") - 1).astype(np.min_scalar_type(-nb - 1))
-    del dist  # no float plane outlives band assignment
-    # (dr, dc) and (dr, -dc) both link pixels when dr > 0; at dr = 0 only dc > 0 does
-    linking = np.where(dc > 0, 2, 1) - (dr == 0)
-    slot = half.ravel() + 1
-    links = (rows - dr) * (cols - dc) * linking
-    totals = np.bincount(slot, weights=links.ravel(), minlength=nb + 1)
-    inner = totals[1:nb].astype(np.int64)
-    sizes = np.bincount(slot, weights=linking.ravel(), minlength=nb + 1)[1:nb].astype(np.int64)
-    total = rows * cols * (rows * cols - 1) // 2 - inner.sum()
-    return half, np.append(inner, total), sizes
+    half = np.searchsorted(breaks, dist, side="left") - 1
+    return half.astype(np.min_scalar_type(-classification.num_bands))  # holds -1 .. nb - 1
 
 
 def _coverage_error(rows, cols, breaks):
@@ -363,19 +352,22 @@ def _coverage_error(rows, cols, breaks):
 class BandGeometry:
     """Everything of a tally that depends only on the grid shape and the bands.
 
-    ``totals[k]`` is band k's closed-form pair total and ``sizes[k]`` inner
-    band k's number of linking displacements.  Only the inner bands 0 ..
-    nb-2 are tallied by displacement, and only the box of displacements
-    they can reach is mapped; the outermost band is every pair minus theirs.
-    ``displacements(k)`` lists band k's (dr, dc), read off that map for the
-    bands a tally counts directly.  The p1 x p2 plane is sized by the
-    largest |dr| and |dc| of the inner bands, Dr and Dc: p1 >= rows + Dr and
-    p2 >= cols + Dc keep every correlation a tally reads free of
-    wrap-around.  ``plane``, read-only (p2, Dr + 1), holds at [dc mod p2,
-    dr] the band of each displacement (dr, dc) with |dc| <= Dc, and -1 where
-    it links no pixel to a later one; an autocorrelation over the plane,
-    kept for the rows dr = 0 .. Dr, has the same layout.  One geometry
-    serves every grid of its shape tallied over its classification.
+    Only the inner bands 0 .. nb-2 are tallied by displacement; the
+    outermost band is every pair minus theirs.  The p1 x p2 plane is sized
+    by the largest |dr| and |dc| of the inner bands, Dr and Dc: p1 >= rows +
+    Dr and p2 >= cols + Dc keep every correlation a tally reads free of
+    wrap-around.  ``plane``, read-only (p2, Dr + 1), is the one layout of
+    the inner bands: it holds at [dc mod p2, dr] the band of each
+    displacement (dr, dc) with |dc| <= Dc, and -1 where it links no pixel to
+    a later one; an autocorrelation over the plane, kept for the rows dr = 0
+    .. Dr, has the same layout.  Its live entries, those of an inner band,
+    are taken once, and every per-displacement fact is read off them:
+    ``sizes[k]``, inner band k's number of displacements; ``totals[k]``,
+    band k's closed-form pair total, the sum of (rows - dr)(cols - |dc|)
+    over an inner band's displacements and every pair minus theirs for the
+    outermost; ``displacements(k)``, band k's (dr, dc), for the bands a
+    tally counts directly; and the two-category route's displacements.  One
+    geometry serves every grid of its shape tallied over its classification.
 
     The band route reads three more, each built on first use, so a
     two-category one-shot tally never builds them.  ``spectra[k]``, one per
@@ -397,23 +389,35 @@ class BandGeometry:
         if rows * cols < 2:
             raise ValueError("need at least two pixels to form a pair")
         self.rows, self.cols, self.classification = rows, cols, classification
-        half, self.totals, self.sizes = _band_map(rows, cols, classification)
-        self.totals.flags.writeable = False
-        self.sizes.flags.writeable = False
+        half = _band_map(rows, cols, classification)
         inner = classification.num_bands - 1
-        dcs, drs = np.nonzero((half >= 0) & (half < inner))
-        reach_r, reach_c = (int(drs.max()), int(dcs.max())) if drs.size else (0, 0)
+        # the band grows with distance, so the inner bands reach farthest at dr = 0 and at dc = 0
+        reach_r, reach_c = (int(np.count_nonzero(h < inner)) - 1 for h in (half[0], half[:, 0]))
         self.p1, self.p2 = _fast_length(rows + reach_r), _fast_length(cols + reach_c)
         # the band of (dr, dc) at [dc mod p2, dr], as far as the inner bands
-        # reach; at dr = 0 only dc > 0 links a pixel to a later one
+        # reach: (dr, dc) and (dr, -dc) link a pixel to a later one when dr > 0,
+        # only dc > 0 does at dr = 0
         reached = half[: reach_c + 1, : reach_r + 1]
-        band = np.full((self.p2, reach_r + 1), -1, dtype=half.dtype)
-        band[: reach_c + 1] = reached
-        band[self.p2 - reach_c:] = reached[:0:-1]
-        band[self.p2 - reach_c:, 0] = -1
-        band.flags.writeable = False
-        self.plane = band
-        self._reached, self._displacements = reached, {}
+        plane = np.full((self.p2, reach_r + 1), -1, dtype=half.dtype)
+        plane[: reach_c + 1] = reached
+        plane[self.p2 - reach_c:] = reached[:0:-1]
+        plane[self.p2 - reach_c:, 0] = -1
+        plane.flags.writeable = False
+        self.plane = plane
+        # the plane's live entries, one per inner displacement: row j, dr, dc, band
+        live = np.flatnonzero((plane >= 0) & (plane < inner))
+        j, dr = np.divmod(live, reach_r + 1)
+        dc = j - self.p2 * (j > self.p2 // 2)
+        band = plane.ravel()[live]
+        self.sizes = np.bincount(band, minlength=inner)
+        links = (rows - dr) * (cols - np.abs(dc))
+        totals = np.bincount(band, weights=links, minlength=inner).astype(np.int64)
+        self.totals = np.append(totals, rows * cols * (rows * cols - 1) // 2 - totals.sum())
+        self.sizes.flags.writeable = False
+        self.totals.flags.writeable = False
+        # int32 holds every j, dr and dc: a plane side of 2^31 would not fit in memory
+        self._entries = (j.astype(np.int32), dr.astype(np.int32), dc.astype(np.int32), band)
+        self._displacements = {}
 
     @functools.cached_property
     def _stage_one(self) -> tuple:
@@ -457,12 +461,11 @@ class BandGeometry:
         return self._stage_one[1]
 
     def displacements(self, k: int) -> tuple:
-        """Inner band k's displacements (dr, dc), read off the band map once per geometry."""
+        """Inner band k's displacements (dr, dc), read off the plane's live entries once."""
         if k not in self._displacements:
-            dcs, drs = (x.tolist() for x in np.nonzero(self._reached == k))
-            # (dr, -dc) links a pixel to a later one too, unless dr = 0
-            mirrored = [(dr, -dc) for dr, dc in zip(drs, dcs) if dr > 0 and dc > 0]
-            self._displacements[k] = tuple(zip(drs, dcs)) + tuple(mirrored)
+            _, dr, dc, band = self._entries
+            at = band == k
+            self._displacements[k] = tuple(zip(dr[at].tolist(), dc[at].tolist()))
         return self._displacements[k]
 
     @functools.cached_property
@@ -648,16 +651,17 @@ def _two_category_sums(codes, a, geometry):
     ``_ROUNDING_TOL`` of its integer (ConsistencyError otherwise), and the
     bands sum the rounded values.  A and B come from the a-pixels per
     column in the rows [0, R - dr) and [dr, R), whose running sums along the
-    columns give each displacement's count as one difference.
+    columns give each displacement's count as one difference.  The
+    displacements, their bands and their rows of the autocorrelation are the
+    geometry's live plane entries.
     """
     nb = len(geometry.sizes)
     sums = np.zeros((nb, 2, 2))
-    plane = geometry.plane
-    live = (plane >= 0) & (plane < nb)
-    if not live.any():
+    j, dr, dc, band = geometry._entries
+    if not band.size:
         return sums
     rows, cols = codes.shape
-    depth = plane.shape[1]
+    depth = geometry.plane.shape[1]
     mask = codes == a
     # a-pixels per column in the rows [0, rows - dr) (top) and [dr, rows) (bottom),
     # with a leading zero column for the running sums along the columns
@@ -668,14 +672,11 @@ def _two_category_sums(codes, a, geometry):
     np.cumsum(top, axis=1, out=top)
     np.cumsum(bottom, axis=1, out=bottom)
 
-    corr = _autocorrelation(mask, geometry)[live]
+    corr = _autocorrelation(mask, geometry)[j, dr]
     rounded = np.rint(corr)
     worst = float(np.max(np.abs(corr - rounded)))
     if worst > _ROUNDING_TOL:
         raise ConsistencyError(f"FFT autocorrelation lies {worst:.3g} from the nearest integer")
-    j, dr = np.nonzero(live)
-    band = plane[j, dr]
-    dc = j - geometry.p2 * (j > geometry.p2 // 2)
     right, left = np.maximum(dc, 0), np.maximum(-dc, 0)
     first = np.bincount(band, top[dr, cols - right] - top[dr, left], nb)
     second = np.bincount(band, bottom[dr, cols - left] - bottom[dr, right], nb)

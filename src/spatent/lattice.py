@@ -181,8 +181,9 @@ def partition_window(grid: CategoricalGrid, num_areas: int, seed) -> AreaPartiti
 
 def write_grid(grid: CategoricalGrid, path) -> None:
     """Write 'rows cols num_categories' then one line of codes per grid row."""
-    # one decimal string per code, indexed by the matrix, not one str() per pixel
-    codes = np.array([str(v) for v in range(grid.num_categories + 1)], dtype=object)
+    # one decimal string per code up to the largest on the grid, indexed by
+    # the matrix, not one str() per pixel nor one per declared code
+    codes = np.array([str(v) for v in range(int(grid.values.max()) + 1)], dtype=object)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{grid.rows} {grid.cols} {grid.num_categories}\n")
         fh.writelines(" ".join(row) + "\n" for row in codes[grid.matrix])

@@ -827,6 +827,11 @@ def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
             "--scenarios random:2 --rows 1 --cols 1 --skip-uniform --measures decomposition",
             "need at least two pixels to form a pair",
         ),
+        (
+            "--scenarios random:5 --replicates 1 --measures batty",
+            "--measures batty selects nothing on --scenarios random:5: "
+            "batty and karlstrom are defined on two-category scenarios only",
+        ),
     ],
     ids=[
         "multicluster-too-small",
@@ -835,6 +840,7 @@ def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
         "areas-not-square",
         "more-areas-than-pixels",
         "one-pixel",
+        "no-measure-selected",
     ],
 )
 def test_experiment_checks_the_plan_before_any_replicate(
@@ -848,6 +854,29 @@ def test_experiment_checks_the_plan_before_any_replicate(
     assert drawn == []
     assert not out.exists()
     assert [r.getMessage() for r in caplog.records] == [f"error: {message}"]
+
+
+def test_experiment_runs_no_replicate_of_an_entry_selecting_nothing(tmp_path, monkeypatch):
+    # batty is defined on random:2 only, so random:5 draws no replicate and
+    # the files hold random:2's bytes alone
+    drawn = []
+
+    def recording(spec):
+        drawn.append((spec.kind, spec.num_categories, spec.seed))
+        return real_generate(spec)
+
+    real_generate = cli.generate
+    monkeypatch.setattr(cli, "generate", recording)
+    argv = "--rows 10 --cols 10 --replicates 2 --areas 4 --measures batty --scenarios"
+    seeds = [("random", 2, cli.replicate_seed(0, "random", 2, rep)) for rep in range(3)]
+    for scenarios in ("random:2,random:5", "random:2"):
+        drawn.clear()
+        out = tmp_path / scenarios.replace(",", "_").replace(":", "")
+        assert main(["experiment", *argv.split(), scenarios, "--out", str(out)]) == 0
+        assert drawn == seeds
+    for name in ("results_long.csv", "summary.csv"):
+        mixed = (tmp_path / "random2_random5" / name).read_bytes()
+        assert mixed == (tmp_path / "random2" / name).read_bytes()
 
 
 def test_experiment_checks_bands_only_for_the_decomposition(tmp_path):

@@ -945,17 +945,38 @@ def test_direct_routes_run_only_for_many_categories(shared, monkeypatch):
         _assert_same_tally(tally, enumerate_pairs_displacement(grid, cls, scheme))
 
 
-@pytest.mark.parametrize("rows,cols", [(1, 9), (2, 9), (9, 9), (9, 40)])
-def test_geometry_sizes_count_each_band_displacements(rows, cols):
-    cls = DistanceClassification((0.0, 1.0, 1.5, 2.0, 2.5, 4.0, 7.5, 100.0))
+_LAYOUT_BANDS = (0.0, 1.0, 1.5, 2.0, 2.5, 4.0, 7.5, 100.0)
+# (3, 4), (4, 3) and (0, 5) lie exactly on the break 5.0, so in (1, 5]
+_TIE_BANDS = (0.0, 1.0, 5.0, 6.0, 100.0)
+
+
+@pytest.mark.parametrize(
+    "rows,cols,breaks",
+    [
+        pytest.param(1, 9, _LAYOUT_BANDS, id="1-9"),
+        pytest.param(2, 9, _LAYOUT_BANDS, id="2-9"),
+        pytest.param(9, 9, _LAYOUT_BANDS, id="9-9"),
+        pytest.param(9, 40, _LAYOUT_BANDS, id="9-40"),
+        pytest.param(9, 1, _LAYOUT_BANDS, id="9-1"),
+        pytest.param(2, 1, _LAYOUT_BANDS, id="2-1"),
+        pytest.param(9, 9, _TIE_BANDS, id="9-9-tie-at-5"),
+        pytest.param(5, 6, _TIE_BANDS, id="5-6-tie-at-5"),
+    ],
+)
+def test_geometry_sizes_count_each_band_displacements(rows, cols, breaks):
+    cls = DistanceClassification(breaks)
     geometry = BandGeometry(rows, cols, cls)
     want = [[] for _ in range(cls.num_bands)]
     for dr, dc in _displacements(rows, cols):
         want[cls.band_index(math.hypot(dr, dc))].append((dr, dc))
     assert geometry.sizes.tolist() == [len(w) for w in want[:-1]]
+    inner = [sum((rows - dr) * (cols - abs(dc)) for dr, dc in w) for w in want[:-1]]
+    assert geometry.totals.tolist() == inner + [math.comb(rows * cols, 2) - sum(inner)]
     for k, w in enumerate(want[:-1]):
         assert sorted(geometry.displacements(k)) == sorted(w)
         assert geometry.displacements(k) is geometry.displacements(k)
+    if breaks == _TIE_BANDS and rows > 4:
+        assert {(3, 4), (3, -4), (4, 3), (4, -3), (0, 5)} <= set(geometry.displacements(1))
 
 
 # a partial last block, one band of blocks (9360 pixels), several with a
@@ -985,7 +1006,7 @@ def test_block_pair_table_equals_a_one_hot_count(n, cats):
 
 
 def test_a_128_band_map_keeps_its_last_band():
-    # 128 bands put band + 1 = 128 past the int8 range of a -1 .. 127 map
+    # 128 bands put band 127 at the top of the int8 range of a -1 .. 127 map
     grid = _grid(2, 130, 3, np.random.default_rng(128).integers(1, 4, size=260))
     cls = DistanceClassification(tuple(range(128)) + (130.0,))
     assert cls.num_bands == 128

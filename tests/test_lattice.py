@@ -372,6 +372,21 @@ def test_read_grid_peak_allocation_stays_bounded(tmp_path):
     assert peak <= 4.5 * back.values.nbytes
 
 
+def test_write_grid_table_is_sized_by_the_codes_on_the_grid(tmp_path):
+    # a table of every declared code 0..I peaked at 7.0 MB traced here
+    grid = _grid(2, 2, 10**5, [1, 2, 2, 1])
+    path = tmp_path / "g.grid"
+    write_grid(grid, path)
+    tracemalloc.start()
+    try:
+        write_grid(grid, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == "2 2 100000\n1 2\n2 1\n"
+    assert peak <= 100_000
+
+
 def test_partition_roundtrip(tmp_path):
     g = _grid(10, 10, 1, np.ones(100))
     part = partition_window(g, 4, 3)
