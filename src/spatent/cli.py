@@ -42,7 +42,6 @@ from .cooccur import (
     BandGeometry,
     CooccurrenceScheme,
     DistanceClassification,
-    enumerate_pairs,
     enumerate_pairs_bruteforce,
     fold_counts,
     pairs_within,
@@ -290,16 +289,27 @@ def _write_json(doc, path) -> None:
     _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", path)
 
 
-def _karlstrom_neighbourhoods(partition, distances):
-    labels = [f"d{d:g}" for d in distances]
+def _area_plan(grid, measures, args, seed):
+    """(partition, Karlstrom neighbourhoods) of the area measures among ``measures``.
+
+    The partition of ``grid`` into ``args.areas`` areas, drawn from
+    ``seed``, is built only when batty or karlstrom is among ``measures``,
+    else it is None; the neighbourhoods at ``args.karlstrom_distances``,
+    labelled d<distance>, only for karlstrom, else there are none.
+    """
+    if not {"batty", "karlstrom"}.intersection(measures):
+        return None, ()
+    partition = partition_window(grid, args.areas, seed)
+    if "karlstrom" not in measures:
+        return partition, ()
+    labels = [f"d{d:g}" for d in args.karlstrom_distances]
     for label in labels:
         if labels.count(label) > 1:
             raise ValueError(
                 f"--karlstrom-distances gives more than one distance the label {label}"
             )
-    return tuple(
-        (label, build_area_neighbourhood(partition, d)) for label, d in zip(labels, distances)
-    )
+    nbs = [build_area_neighbourhood(partition, d) for d in args.karlstrom_distances]
+    return partition, tuple(zip(labels, nbs))
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +344,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_measure(args) -> int:
     grid = read_grid(args.grid)
-    partition = None
-    karl = ()
-    if "batty" in args.measures or "karlstrom" in args.measures:
-        partition = partition_window(grid, args.areas, args.partition_seed)
-        if "karlstrom" in args.measures:
-            karl = _karlstrom_neighbourhoods(partition, args.karlstrom_distances)
+    partition, karl = _area_plan(grid, args.measures, args, args.partition_seed)
     rows = _measure_rows(
         grid,
         args.measures,
@@ -364,25 +369,26 @@ def _cmd_experiment(args) -> int:
     for entry in args.scenarios:
         if args.scenarios.count(entry) > 1:
             raise ValueError(f"--scenarios lists {entry[0]}:{entry[1]} more than once")
+    # the plan is checked before any replicate runs or any output is made:
+    # the equal split of each entry that selects a measure (area-based
+    # indices are defined on two categories only), each entry by simgen's
+    # rules, the selections for one that is not empty, the bands and the
+    # grid size by the tally geometry that every replicate shares, the areas
+    # by the partition
+    area_measures = {"batty", "karlstrom"}.intersection(args.measures)
+    selections = [
+        tuple(m for m in args.measures if cats == 2 or m not in area_measures)
+        for _, cats in args.scenarios
+    ]
     if not args.skip_uniform:
         pixels = args.rows * args.cols
-        bad = [f"{kind}:{cats}" for kind, cats in args.scenarios if pixels % cats]
+        bad = [f"{k}:{c}" for (k, c), sel in zip(args.scenarios, selections) if sel and pixels % c]
         if bad:
             raise ValueError(
                 f"the equal-split replicate needs the category count to divide "
                 f"{pixels} pixels; impossible for {','.join(bad)} (use --skip-uniform)"
             )
-    # the plan is checked before any replicate runs or any output is made:
-    # each entry by simgen's rules and by the measures it selects, the bands
-    # and the grid size by the tally geometry that every replicate shares,
-    # the areas by the partition
     specs = [ScenarioSpec(kind, args.rows, args.cols, cats) for kind, cats in args.scenarios]
-    # area-based indices are defined on the two-category scenarios only
-    area_measures = {"batty", "karlstrom"}.intersection(args.measures)
-    selections = [
-        tuple(m for m in args.measures if spec.num_categories == 2 or m not in area_measures)
-        for spec in specs
-    ]
     if not any(selections):
         raise ValueError(
             f"--measures {','.join(args.measures)} selects nothing on --scenarios "
@@ -397,13 +403,8 @@ def _cmd_experiment(args) -> int:
     if pair_bands is not None:
         bands, distances = pair_bands
         geometry = BandGeometry(args.rows, args.cols, bands.refined(distances))
-    partition = None
-    karl = ()
-    if area_measures and any(spec.num_categories == 2 for spec in specs):
-        seed = np.random.SeedSequence((int(args.seed),), spawn_key=(1,))
-        partition = partition_window(dummy, args.areas, seed)
-        if "karlstrom" in args.measures:
-            karl = _karlstrom_neighbourhoods(partition, args.karlstrom_distances)
+    seed = np.random.SeedSequence((int(args.seed),), spawn_key=(1,))
+    partition, karl = _area_plan(dummy, set().union(*selections), args, seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if partition is not None:
@@ -507,32 +508,37 @@ def _cmd_experiment(args) -> int:
 def _verify_grid(grid) -> list:
     """(name, passed, detail) for every check on one grid.
 
-    The pair total and, up to 64 pixels, the brute-force oracle check the
-    ordered ``enumerate_pairs`` table, laid out over the oracle's I^2 codes,
-    and the decomposition of its folded bands reports its identity
-    ``residuals``, each one within ``decompose_counts``'s tolerance.  A
-    decomposition that raises on its identities is one failed check.
+    The checks read the table every other command reads: one
+    ``pairs_within`` tally over the ni codes on the grid.  Its last row
+    gives the pair total, and its folded bands the decomposition, as
+    ``decompose`` computes it, whose identity ``residuals`` are reported,
+    each within ``decompose_counts``'s tolerance; a decomposition that
+    raises on its identities is one failed check.  Up to 64 pixels the
+    brute-force oracle counts the grid relabelled to the ranks 1..ni of its
+    codes, taken by ``np.unique`` and not from the tally, and must match the
+    tally's codes and its ordered bands.
     """
     checks = []
     cls = DistanceClassification.default_for(grid)
-    scheme = CooccurrenceScheme(grid.num_categories, ordered=True)
-    ordered = enumerate_pairs(grid, cls, scheme).category_counts
-    counts = fold_counts(ordered, grid.num_categories)
+    within, present = pairs_within(grid, cls)
+    ordered = np.diff(within, axis=0)
 
     n = grid.size
-    total = int(ordered.sum())
+    total = int(within[-1].sum())
     checks.append(("pair-total", total == n * (n - 1) // 2, f"count={total}"))
 
     try:
-        dec = decompose_counts(counts, cls.labels)
+        dec = decompose_counts(fold_counts(ordered, present.size), cls.labels)
     except ConsistencyError as exc:
         checks.append(("decomposition", False, str(exc)))
     else:
         checks += [(name, True, f"residual={r:.3e}") for name, r in dec.residuals.items()]
 
     if n <= 64:
-        ref = enumerate_pairs_bruteforce(grid, cls, scheme)
-        same = np.array_equal(ref.category_counts, ordered)
+        codes, ranks = np.unique(grid.values, return_inverse=True)
+        ranked = CategoricalGrid(grid.rows, grid.cols, codes.size, ranks + 1)
+        ref = enumerate_pairs_bruteforce(ranked, cls, CooccurrenceScheme(codes.size, ordered=True))
+        same = np.array_equal(codes, present) and np.array_equal(ref.category_counts, ordered)
         checks.append(("bruteforce-oracle", same, "exact integer comparison"))
 
     return checks

@@ -13,7 +13,9 @@ grid, and every pair measure reads one through ``pairs_within``: its running
 sum over the bands makes the pairs between two breaks a difference of two
 rows, and ``fold_counts`` adds (a, b) to (b, a) for the unordered coding.
 Both are exact integer sums.  A tally spans the ni categories on the grid,
-not the declared count I; ``enumerate_pairs`` scatters it to all I^2 codes.
+not the declared count I, and every command reads it at that width;
+``enumerate_pairs``, which no command path calls, scatters it to all I^2
+codes for library callers.
 
 Enumeration never materializes the pair list.  For categories a and b, the
 number of ordered pairs (a at x, b at x + d) at displacement d is the
@@ -154,6 +156,10 @@ class CooccurrenceScheme:
     sorted.  ``ordered=True`` keeps orientation; for pairs the first element
     is the pixel that comes first in row-major order, i.e. the pair is read
     moving rightward and downward.
+
+    The coding of the declared-width tables of ``enumerate_pairs`` and the
+    brute-force oracle.  No command path tallies by a scheme: ``verify``
+    builds an ordered one only for the oracle, over the codes it relabels.
     """
 
     num_x_categories: int
@@ -240,6 +246,8 @@ class PairSample:
 
     ``pair_counts[k]`` is the number of pairs in band k; ``category_counts``
     is the (num_bands, num_z_categories) table of pair-category counts.
+    Returned by ``enumerate_pairs`` and the brute-force oracle; on a command
+    path only ``verify`` reads one, the oracle's.
     """
 
     scheme: CooccurrenceScheme
@@ -520,7 +528,9 @@ def enumerate_pairs(
     Pairs are unordered {u, v} with no self-pairs; for an ordered scheme the
     category tuple is read from the row-major-first pixel.  The bands of one
     ``pairs_within`` tally (errors and ``geometry`` as there) scattered to all
-    I^2 codes of the scheme, and folded for an unordered one.
+    I^2 codes of the scheme, and folded for an unordered one.  The public
+    adapter to the declared width: no command path calls it, the acceptance
+    gate and the tests do.
     """
     if scheme.num_x_categories < grid.num_categories:
         raise ValueError("scheme has fewer categories than the grid")

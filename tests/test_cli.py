@@ -1,7 +1,6 @@
 """End-to-end command line coverage on tiny inputs."""
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import logging
@@ -16,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_golden_digests import EXPERIMENTS, _corpus
 
 from spatent import (
     CategoricalGrid,
@@ -476,7 +476,8 @@ def _run_limited(*argv):
 def test_commands_ignore_the_declared_category_count(tmp_path, capsys, declared):
     # a 2x2 map of two codes: every table is sized by the codes present, so a
     # header declaring I = 20000 (a (3, I, I) int64 table would take 8.9 GiB)
-    # or 10^10 runs as I = 2 does; only rc's normaliser log I^2 reads I
+    # or 10^10 runs as I = 2 does, verify's brute-force oracle included; only
+    # rc's normaliser log I^2 reads I
     two, path = tmp_path / "two.grid", tmp_path / "declared.grid"
     two.write_text("2 2 2\n1 2\n2 1\n")
     path.write_text(f"2 2 {declared}\n1 2\n2 1\n")
@@ -491,6 +492,10 @@ def test_commands_ignore_the_declared_category_count(tmp_path, capsys, declared)
     assert rows == {**measured, "rc,": rows["rc,"]}
     rc = 1 - float(rows["oneill,"]) / math.log(declared**2)
     assert float(rows["rc,"]) == pytest.approx(rc, abs=1e-11)
+    assert main(["verify", str(two)]) == 0
+    verified = capsys.readouterr().out.replace(str(two), str(path))
+    run = _run_limited("verify", str(path))
+    assert (run.returncode, run.stdout) == (0, verified), run.stderr
 
 
 def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
@@ -525,20 +530,47 @@ def test_verify_compares_the_ordered_table(tmp_path, monkeypatch, capsys):
     # left half 1, right half 2: the 4 mixed rook pairs all read (1, 2), none (2, 1)
     path = _write(tmp_path, "halves.grid", 4, 4, 2, np.tile([1, 1, 2, 2], 4))
 
-    def swapped(grid, classification, scheme, *, geometry=None):
-        sample = enumerate_pairs(grid, classification, scheme, geometry=geometry)
-        counts = sample.category_counts.copy()
-        if scheme.ordered:  # swap (1, 2) and (2, 1) in the first band
-            counts[0, [1, 2]] = counts[0, [2, 1]]
-        return dataclasses.replace(sample, category_counts=counts)
+    def swapped(grid, classification, distances=(), *, geometry=None):
+        within, present = pairs_within(grid, classification, distances, geometry=geometry)
+        # swap (1, 2) and (2, 1) in the first band's row difference, and so in
+        # every running sum from it on
+        within = within.copy()
+        first = within[1] - within[0]
+        within[1:, [1, 2]] += first[[2, 1]] - first[[1, 2]]
+        return within, present
 
-    monkeypatch.setattr(cli, "enumerate_pairs", swapped)
-    assert main(["verify", str(path)]) == 1
-    out = capsys.readouterr().out
-    # the folded decomposition cannot see the swap; the oracle can
-    assert [line.split()[2] for line in out.splitlines() if line.startswith("FAIL")] == [
-        "bruteforce-oracle"
-    ]
+    def relabelled(grid, classification, distances=(), *, geometry=None):
+        within, present = pairs_within(grid, classification, distances, geometry=geometry)
+        return within, present[::-1]  # the right counts under the wrong codes
+
+    pairs_within = cooccur.pairs_within
+    for tampered in (swapped, relabelled):
+        monkeypatch.setattr(cli, "pairs_within", tampered)
+        assert main(["verify", str(path)]) == 1
+        out = capsys.readouterr().out
+        # the folded decomposition cannot see the swap or the codes; the oracle can
+        assert [line.split()[2] for line in out.splitlines() if line.startswith("FAIL")] == [
+            "bruteforce-oracle"
+        ]
+
+
+def test_verify_reports_the_residuals_decompose_carries(tmp_path, capsys):
+    # grids with absent codes, among them the golden corpus's r60x1_i20,
+    # r5x7_i20 and r8x8_i5_nolow, where a table over all I^2 codes sums
+    # the pmf mass in another order than decompose's table over the present ones
+    corpus = [p for p in _corpus(tmp_path) if p.stem.endswith(("_i20", "_nolow", "_nohigh"))]
+    corpus.append(_write(tmp_path, "gaps.grid", 6, 7, 9, (np.arange(42) % 3) * 4 + 1))
+    assert {"r60x1_i20", "r5x7_i20", "r8x8_i5_nolow"} < {p.stem for p in corpus}
+    assert main(["verify", *map(str, corpus)]) == 0
+    reported = {}
+    for line in capsys.readouterr().out.splitlines()[:-1]:
+        _, path, name, detail = line.split(maxsplit=3)
+        reported.setdefault(path, {})[name] = detail
+    for path in corpus:
+        residuals = decompose(read_grid(path)).residuals
+        assert len(residuals) == 6
+        want = {name: f"(residual={r:.3e})" for name, r in residuals.items()}
+        assert {k: v for k, v in reported[str(path)].items() if k in want} == want, path.stem
 
 
 def test_verify_flags_corrupt_file(tmp_path, capsys):
@@ -858,7 +890,8 @@ def test_experiment_checks_the_plan_before_any_replicate(
 
 def test_experiment_runs_no_replicate_of_an_entry_selecting_nothing(tmp_path, monkeypatch):
     # batty is defined on random:2 only, so random:5 draws no replicate and
-    # the files hold random:2's bytes alone
+    # the files hold random:2's bytes alone; nor is its equal split checked,
+    # which 36 pixels cannot give five categories
     drawn = []
 
     def recording(spec):
@@ -867,16 +900,18 @@ def test_experiment_runs_no_replicate_of_an_entry_selecting_nothing(tmp_path, mo
 
     real_generate = cli.generate
     monkeypatch.setattr(cli, "generate", recording)
-    argv = "--rows 10 --cols 10 --replicates 2 --areas 4 --measures batty --scenarios"
-    seeds = [("random", 2, cli.replicate_seed(0, "random", 2, rep)) for rep in range(3)]
-    for scenarios in ("random:2,random:5", "random:2"):
-        drawn.clear()
-        out = tmp_path / scenarios.replace(",", "_").replace(":", "")
-        assert main(["experiment", *argv.split(), scenarios, "--out", str(out)]) == 0
-        assert drawn == seeds
-    for name in ("results_long.csv", "summary.csv"):
-        mixed = (tmp_path / "random2_random5" / name).read_bytes()
-        assert mixed == (tmp_path / "random2" / name).read_bytes()
+    for side, replicates in ((10, 2), (6, 1)):
+        argv = f"--rows {side} --cols {side} --replicates {replicates} --areas 4 --measures batty"
+        seeds = [cli.replicate_seed(0, "random", 2, rep) for rep in range(replicates + 1)]
+        for scenarios in ("random:2,random:5", "random:2"):
+            drawn.clear()
+            out = tmp_path / f"{side}_{scenarios}"
+            argv_out = [*argv.split(), "--scenarios", scenarios, "--out", str(out)]
+            assert main(["experiment", *argv_out]) == 0
+            assert drawn == [("random", 2, seed) for seed in seeds]
+        for name in ("results_long.csv", "summary.csv"):
+            mixed = (tmp_path / f"{side}_random:2,random:5" / name).read_bytes()
+            assert mixed == (tmp_path / f"{side}_random:2" / name).read_bytes()
 
 
 def test_experiment_checks_bands_only_for_the_decomposition(tmp_path):
@@ -1021,6 +1056,8 @@ def test_experiment_plan_records_bands_only_when_tallied(tmp_path, measures, rec
         ("random:2", "oneill", (None, None)),
         ("random:2", "oneill,leibovici", (3.0, None)),
         ("random:2", "batty,karlstrom", (None, [0.0, 1.5])),
+        # the neighbourhoods are built for the smoothed index only
+        ("random:2", "batty", (None, None)),
         # the smoothed index runs on two-category scenarios only
         ("random:3", "leibovici,karlstrom", (3.0, None)),
         ("random:2,random:3", "leibovici,karlstrom", (3.0, [0.0, 1.5])),
@@ -1036,3 +1073,40 @@ def test_experiment_plan_records_distances_only_where_used(tmp_path, scenarios, 
     assert main(["experiment", *argv]) == 0
     plan = json.loads((out / "plan.json").read_text())
     assert (plan["leibovici_distance"], plan["karlstrom_distances"]) == recorded
+
+
+def _argv_from_plan(plan):
+    """The ``experiment`` arguments that ``plan.json`` records, read from it alone."""
+    argv = [
+        "--scenarios", ",".join(f"{e['kind']}:{e['categories']}" for e in plan["scenarios"]),
+        "--replicates", str(plan["replicates"]),
+        "--rows", str(plan["rows"]),
+        "--cols", str(plan["cols"]),
+        "--seed", str(plan["master_seed"]),
+        "--measures", ",".join(plan["measures"]),
+    ]
+    for key in ("bands", "leibovici_distance", "areas", "karlstrom_distances"):
+        value = plan[key]
+        if value is not None:
+            items = value if isinstance(value, list) else [value]
+            argv += ["--" + key.replace("_", "-"), ",".join(map(str, items))]
+    return argv + ([] if plan["uniform_case"] else ["--skip-uniform"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        *EXPERIMENTS,
+        "--rows 6 --cols 6 --areas 4 --scenarios random:2,random:5 --measures batty"
+        " --replicates 1",
+    ],
+    ids=["golden-0", "golden-1", "equal-split"],
+)
+def test_plan_json_holds_every_input(tmp_path, args):
+    # a run from the arguments plan.json records writes the same four files
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["experiment", *args.split(), "--out", str(first)]) == 0
+    plan = json.loads((first / "plan.json").read_text())
+    assert main(["experiment", *_argv_from_plan(plan), "--out", str(again)]) == 0
+    for name in ("results_long.csv", "summary.csv", "plan.json", "partition.txt"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
