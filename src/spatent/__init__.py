@@ -29,9 +29,6 @@ from .cooccur import (
     enumerate_pairs_bruteforce,
 )
 from .decomp import (
-    BandDecomposition,
-    EntropyDecomposition,
-    PairDistributions,
     conditional_pmfs,
     decompose,
     spatial_mutual_information,
@@ -80,17 +77,14 @@ __all__ = [
     "AreaNeighbourhood",
     "AreaPartition",
     "AreaProbabilities",
-    "BandDecomposition",
     "CategoricalGrid",
     "ConsistencyError",
     "CooccurrenceScheme",
     "CoverageError",
     "DegenerateDistributionWarning",
     "DistanceClassification",
-    "EntropyDecomposition",
     "InvalidDistributionError",
     "JointPmf",
-    "PairDistributions",
     "PairSample",
     "Pmf",
     "SCENARIOS",

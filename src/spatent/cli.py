@@ -23,7 +23,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,7 @@ from .decomp import decompose, decompose_counts
 from .errors import ConsistencyError
 from .lattice import (
     UNIFORM_PARTITION,
+    AreaPartition,
     CategoricalGrid,
     partition_window,
     read_grid,
@@ -178,42 +179,70 @@ def _partition_seed_arg(text: str):
 # ---------------------------------------------------------------------------
 # measurement core shared by `measure` and `experiment`
 
-def _pair_bands(grid, measures, bands, leibovici_distance):
-    """The tally plan of a grid: None when no pair measure is requested.
+@dataclass(frozen=True)
+class _Plan:
+    """What ``_measure_rows`` reads of a run, built by ``_plan``.
 
-    Else (decomposition bands, split distances): the decomposition or
-    shannon_z uses ``bands`` when given; any other request gets the grid's
-    default bands.  The bands are split further at distance 1, the rook
-    contiguity, and at d, the Leibovici distance when ``leibovici`` is
-    requested, else 1.  Both depend on the grid's shape only.
+    ``pair_bands`` is (bands, split distances (1, d)) or None,
+    ``karlstrom`` the (label, neighbourhood) pairs of the smoothed index,
+    and ``geometry`` the tally geometry that every replicate shares, or None.
     """
-    if not _DECOMPOSED.union(CONTIGUITY_INDICES).intersection(measures):
-        return None
-    if bands is None or not _DECOMPOSED.intersection(measures):
-        bands = DistanceClassification.default_for(grid)
-    d = checked_leibovici_distance(leibovici_distance) if "leibovici" in measures else 1.0
-    return bands, (1.0, d)
+
+    pair_bands: tuple | None
+    partition: AreaPartition | None
+    karlstrom: tuple
+    geometry: BandGeometry | None
 
 
-def _measure_rows(
-    grid,
-    measures,
-    pair_bands,
-    *,
-    ordered: bool = False,
-    geometry=None,
-    partition=None,
-    target_category: int = 1,
-    karlstrom_nb=(),
-):
+def _plan(grid, measures, args, seed, shared=False) -> _Plan:
+    """The plan of ``measures`` on grids of ``grid``'s shape, built and checked in this order.
+
+    The pair bands are None when no pair measure is requested.  Else they
+    are (decomposition bands, split distances): the decomposition or
+    shannon_z uses ``args.bands`` when given; any other request gets the
+    grid's default bands.  The bands are split further at distance 1, the
+    rook contiguity, and at d, ``args.leibovici_distance`` when
+    ``leibovici`` is requested, else 1.  With ``shared``, the plan holds the
+    ``BandGeometry`` of the split bands, which every tally of that shape
+    then shares.  The partition into ``args.areas`` areas, drawn from
+    ``seed``, is built only for batty or karlstrom, else it is None; the
+    neighbourhoods at ``args.karlstrom_distances``, labelled d<distance>,
+    only for karlstrom, else there are none.
+    """
+    pair_bands = geometry = partition = None
+    karlstrom = ()
+    if _DECOMPOSED.union(CONTIGUITY_INDICES).intersection(measures):
+        bands = args.bands
+        if bands is None or not _DECOMPOSED.intersection(measures):
+            bands = DistanceClassification.default_for(grid)
+        d = checked_leibovici_distance(args.leibovici_distance) if "leibovici" in measures else 1.0
+        pair_bands = bands, (1.0, d)
+        if shared:
+            geometry = BandGeometry(grid.rows, grid.cols, bands.refined(pair_bands[1]))
+    if {"batty", "karlstrom"}.intersection(measures):
+        partition = partition_window(grid, args.areas, seed)
+    if "karlstrom" in measures:
+        labels = [f"d{d:g}" for d in args.karlstrom_distances]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(
+                    f"--karlstrom-distances gives more than one distance the label {label}"
+                )
+        nbs = [build_area_neighbourhood(partition, d) for d in args.karlstrom_distances]
+        karlstrom = tuple(zip(labels, nbs))
+    return _Plan(pair_bands, partition, karlstrom, geometry)
+
+
+def _measure_rows(grid, measures, plan, *, ordered: bool = False, target_category: int = 1):
     """(measure, band, value) rows for one grid, in canonical measure order.
 
-    ``pair_bands`` is the grid's ``_pair_bands`` plan.  Every pair-based
-    measure reads one ``pairs_within`` table of the grid over the plan's
-    bands, split further at the plan's distances 1 and d: the
-    decomposition takes its bands back (folded to unordered codes unless
-    ``ordered``), the contiguity indices pool the leading bands.
-    ``geometry``, when given, is the ``BandGeometry`` of that tally.
+    ``plan`` is the ``_plan`` of ``measures`` on the grid's shape.  Every
+    pair-based measure reads one ``pairs_within`` table of the grid over
+    the plan's bands, split further at its distances 1 and d, through its
+    shared geometry if it holds one: the decomposition takes its bands back
+    (folded to unordered codes unless ``ordered``), the contiguity indices
+    pool the leading bands.  Batty reads the plan's partition, Karlstrom
+    also its labelled neighbourhoods.
 
     Batty and Karlstrom rows are NaN when the target category is absent from
     the grid (the area probabilities are then undefined).
@@ -221,10 +250,10 @@ def _measure_rows(
     rows = []
     dec = None
     contiguity = {}
-    if pair_bands is not None:
-        cls, distances = pair_bands
+    if plan.pair_bands is not None:
+        cls, distances = plan.pair_bands
         # pairs up to each decomposition break, then up to 1 and up to d
-        within, present = pairs_within(grid, cls, distances, geometry=geometry)
+        within, present = pairs_within(grid, cls, distances, geometry=plan.geometry)
         if _DECOMPOSED.intersection(measures):
             counts = np.diff(within[:-2], axis=0)
             if not ordered:
@@ -246,7 +275,7 @@ def _measure_rows(
         if not 1 <= target_category <= grid.num_categories:
             raise ValueError(f"target category {target_category} out of range")
         if target_category < x_counts.size and x_counts[target_category]:
-            area_probs = estimate_area_probs(grid, partition, target_category)
+            area_probs = estimate_area_probs(grid, plan.partition, target_category)
 
     for m in MEASURES:
         if m not in measures:
@@ -259,7 +288,7 @@ def _measure_rows(
             value = batty_entropy(area_probs) if area_probs else math.nan
             rows.append(("batty", "", value))
         elif m == "karlstrom":
-            for band, nb in karlstrom_nb:
+            for band, nb in plan.karlstrom:
                 value = karlstrom_entropy(area_probs, nb) if area_probs else math.nan
                 rows.append(("karlstrom", band, value))
         elif m in contiguity:
@@ -287,29 +316,6 @@ def _write_text(text: str, path) -> None:
 def _write_json(doc, path) -> None:
     """Write ``doc`` as ASCII JSON, indented by 2, with a trailing newline; nan or inf raises."""
     _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", path)
-
-
-def _area_plan(grid, measures, args, seed):
-    """(partition, Karlstrom neighbourhoods) of the area measures among ``measures``.
-
-    The partition of ``grid`` into ``args.areas`` areas, drawn from
-    ``seed``, is built only when batty or karlstrom is among ``measures``,
-    else it is None; the neighbourhoods at ``args.karlstrom_distances``,
-    labelled d<distance>, only for karlstrom, else there are none.
-    """
-    if not {"batty", "karlstrom"}.intersection(measures):
-        return None, ()
-    partition = partition_window(grid, args.areas, seed)
-    if "karlstrom" not in measures:
-        return partition, ()
-    labels = [f"d{d:g}" for d in args.karlstrom_distances]
-    for label in labels:
-        if labels.count(label) > 1:
-            raise ValueError(
-                f"--karlstrom-distances gives more than one distance the label {label}"
-            )
-    nbs = [build_area_neighbourhood(partition, d) for d in args.karlstrom_distances]
-    return partition, tuple(zip(labels, nbs))
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +350,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_measure(args) -> int:
     grid = read_grid(args.grid)
-    partition, karl = _area_plan(grid, args.measures, args, args.partition_seed)
+    plan = _plan(grid, args.measures, args, args.partition_seed)
     rows = _measure_rows(
-        grid,
-        args.measures,
-        _pair_bands(grid, args.measures, args.bands, args.leibovici_distance),
-        ordered=args.ordered,
-        partition=partition,
-        target_category=args.target_category,
-        karlstrom_nb=karl,
+        grid, args.measures, plan, ordered=args.ordered, target_category=args.target_category
     )
     text = "measure,band,value\n" + "".join(f"{m},{b},{_fmt(v)}\n" for m, b, v in rows)
     _write_text(text, args.out)
@@ -395,20 +395,17 @@ def _cmd_experiment(args) -> int:
             f"{','.join(f'{k}:{c}' for k, c in args.scenarios)}: batty and karlstrom are "
             f"defined on two-category scenarios only"
         )
+    # one plan for every replicate: the selections' union holds the area
+    # measures when some entry takes them, and every non-area measure
     dummy = CategoricalGrid(
         args.rows, args.cols, 1, np.ones(args.rows * args.cols, dtype=np.int64)
     )
-    pair_bands = _pair_bands(dummy, args.measures, args.bands, args.leibovici_distance)
-    geometry = None
-    if pair_bands is not None:
-        bands, distances = pair_bands
-        geometry = BandGeometry(args.rows, args.cols, bands.refined(distances))
     seed = np.random.SeedSequence((int(args.seed),), spawn_key=(1,))
-    partition, karl = _area_plan(dummy, set().union(*selections), args, seed)
+    plan = _plan(dummy, set().union(*selections), args, seed, shared=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if partition is not None:
-        write_partition(partition, out / "partition.txt")
+    if plan.partition is not None:
+        write_partition(plan.partition, out / "partition.txt")
 
     failed = 0
     written = 0
@@ -433,14 +430,7 @@ def _cmd_experiment(args) -> int:
                         pmf_source="uniform" if uflag else "dirichlet",
                         seed=replicate_seed(args.seed, kind, cats, rep),
                     ))
-                    rows = _measure_rows(
-                        grid,
-                        selected,
-                        pair_bands,
-                        geometry=geometry,
-                        partition=partition,
-                        karlstrom_nb=karl,
-                    )
+                    rows = _measure_rows(grid, selected, plan)
                 except Exception as exc:
                     log.error(
                         "replicate %s/%d aborted: %s: %s",
@@ -480,6 +470,7 @@ def _cmd_experiment(args) -> int:
             cells = [label, m, band] + [_fmt(v) for v in quants[key]] + [_fmt(star)]
             fh.write(",".join(cells) + "\n")
 
+    bands, distances = plan.pair_bands or (None, None)
     plan_doc = {
         "version": __version__,
         "scenarios": [{"kind": k, "categories": c} for k, c in args.scenarios],
@@ -490,10 +481,10 @@ def _cmd_experiment(args) -> int:
         "measures": list(args.measures),
         # each number only where a measure uses it: the bands where the
         # decomposition tallies them, the distances where their index runs
-        "bands": list(pair_bands[0].breaks) if _DECOMPOSED.intersection(args.measures) else None,
-        "leibovici_distance": pair_bands[1][-1] if "leibovici" in args.measures else None,
-        "areas": args.areas if partition is not None else None,
-        "karlstrom_distances": list(args.karlstrom_distances) if karl else None,
+        "bands": list(bands.breaks) if _DECOMPOSED.intersection(args.measures) else None,
+        "leibovici_distance": distances[-1] if "leibovici" in args.measures else None,
+        "areas": args.areas if plan.partition is not None else None,
+        "karlstrom_distances": list(args.karlstrom_distances) if plan.karlstrom else None,
         "uniform_case": not args.skip_uniform,
     }
     _write_json(plan_doc, out / "plan.json")

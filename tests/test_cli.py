@@ -280,9 +280,9 @@ def grids_with_bands(draw):
 
 
 def _rows(grid, measures, bands=None, leibovici_distance=2.0, **kwargs):
-    """``_measure_rows`` of a grid, over its ``_pair_bands`` plan."""
-    plan = cli._pair_bands(grid, measures, bands, leibovici_distance)
-    return cli._measure_rows(grid, measures, plan, **kwargs)
+    """``_measure_rows`` of a grid's pair measures, over their ``_plan``."""
+    args = argparse.Namespace(bands=bands, leibovici_distance=leibovici_distance)
+    return cli._measure_rows(grid, measures, cli._plan(grid, measures, args, None), **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -310,12 +310,29 @@ def test_pair_bands_plan_the_one_tally_of_the_pair_measures(measures, bands, d):
     default = DistanceClassification.default_for(grid)
     given = DistanceClassification((0.0, 1.0, 3.0, 9.0))
     want = {None: None, "default": (default, (1.0, d)), "given": (given, (1.0, d))}[bands]
+
+    def plan(bands, leibovici_distance=3.5, shared=False):
+        args = argparse.Namespace(
+            bands=bands, leibovici_distance=leibovici_distance, areas=4,
+            karlstrom_distances=(0.0, 2.0),
+        )
+        return cli._plan(grid, measures, args, cli.UNIFORM_PARTITION, shared)
+
     # no pair measure: no tally; the given bands only for the decomposition
-    assert cli._pair_bands(grid, measures, given, 3.5) == want
-    assert cli._pair_bands(grid, measures, None, 3.5) == (want and (default, (1.0, d)))
+    assert plan(given).pair_bands == want
+    assert plan(None).pair_bands == (want and (default, (1.0, d)))
+    # a geometry of the split bands only for a shared plan
+    assert plan(given).geometry is None
+    geometry = plan(given, shared=True).geometry
+    assert (geometry and geometry.classification) == (want and want[0].refined(want[1]))
+    # the partition for either area measure, the neighbourhoods for karlstrom
+    areas = plan(None)
+    assert (areas.partition is None) == ("batty" not in measures and "karlstrom" not in measures)
+    labels = [label for label, _ in areas.karlstrom]
+    assert labels == (["d0", "d2"] if "karlstrom" in measures else [])
     if "leibovici" in measures:
         # the band label reads the plan's distance, a float for any number given
-        _, (_, given_int) = cli._pair_bands(grid, measures, None, 3)
+        _, (_, given_int) = plan(None, 3).pair_bands
         assert type(given_int) is float and given_int == 3.0
         assert ("leibovici", "d3", leibovici_entropy(grid, 3)) in _rows(
             grid, tuple(m for m in measures if m not in ("batty", "karlstrom")), None, 3
@@ -376,7 +393,7 @@ def test_measure_rows_keep_their_errors():
     rows = _rows(grid, ("oneill", "leibovici"), short)
     assert rows == [("oneill", "", oneill_entropy(grid)), ("leibovici", "d2", leibovici_entropy(grid, 2))]
     with pytest.raises(ValueError, match="max_distance must be >= 1 so that some pair exists"):
-        cli._pair_bands(grid, ("leibovici",), None, 0.5)
+        cli._plan(grid, ("leibovici",), argparse.Namespace(bands=None, leibovici_distance=0.5), 0)
     with pytest.raises(ValueError, match="contagion needs at least two categories"):
         _rows(CategoricalGrid(4, 4, 1, np.ones(16)), ("rc",))
 
@@ -825,6 +842,32 @@ def test_argument_types_name_what_they_reject(capsys):
     )
 
 
+AGREE_MEASURES = "shannon_x,shannon_z,oneill,leibovici,rc,parresol,decomposition"
+
+
+@pytest.mark.parametrize("scenario", ["random:5", "compact:2", "multicluster:2", "random:20"])
+def test_experiment_and_measure_agree_row_for_row(tmp_path, capsys, scenario):
+    # experiment's batch tally through the shared geometry against measure's
+    # one-shot tally of the same grid, written by generate and read back
+    kind, cats = scenario.split(":")
+    common = "--rows 12 --cols 10 --replicates 3 --seed 7 --out {}"
+    argv = f"experiment --scenarios {scenario} --skip-uniform --measures {AGREE_MEASURES}"
+    argv += f" --leibovici-distance 3 {common.format(tmp_path / 'exp')}"
+    assert main(argv.split()) == 0
+    argv = f"generate --scenario {kind} --categories {cats} {common.format(tmp_path / 'gen')}"
+    assert main(argv.split()) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "exp" / "results_long.csv").read_text().splitlines()[1:]
+    for entry in json.loads((tmp_path / "gen" / "manifest.json").read_text())["grids"]:
+        head = f"{kind}_x{cats},{entry['replicate']},0,"
+        want = [line[len(head):] for line in lines if line.startswith(head)]
+        assert want
+        path = tmp_path / "gen" / entry["file"]
+        argv = ["measure", str(path), "--measures", AGREE_MEASURES, "--leibovici-distance", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == want, entry["file"]
+
+
 def test_experiment_tallies_each_grid_once(tmp_path, monkeypatch):
     tallies = _spy_tallies(monkeypatch)
     out = _run_experiment(tmp_path, "once", 1)
@@ -1009,7 +1052,7 @@ def test_experiment_summary_groups_keys_by_value_count(tmp_path, monkeypatch):
     # three decimals survive the 12-digit CSV round trip exactly
     drawn = iter(np.random.default_rng(5).random(1000).round(3))
 
-    def fake_rows(grid, selected, pair_bands, **kwargs):
+    def fake_rows(grid, selected, plan):
         rep = next(drawn)
         return [
             ("a", "", next(drawn)),
