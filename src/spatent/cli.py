@@ -23,7 +23,7 @@ import json
 import logging
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -197,8 +197,10 @@ class _Plan:
 def _plan(grid, measures, args, seed, shared=False) -> _Plan:
     """The plan of ``measures`` on grids of ``grid``'s shape, built and checked in this order.
 
-    The pair bands are None when no pair measure is requested.  Else they
-    are (decomposition bands, split distances): the decomposition or
+    ``args`` is the parsed arguments of ``measure``, or an ``ExperimentPlan``,
+    whose fields carry the same names.  The pair bands are None when no pair
+    measure is requested.  Else they are (decomposition bands, split
+    distances): the decomposition or
     shannon_z uses ``args.bands`` when given; any other request gets the
     grid's default bands.  The bands are split further at distance 1, the
     rook contiguity, and at d, ``args.leibovici_distance`` when
@@ -319,6 +321,155 @@ def _write_json(doc, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the experiment plan: checked once, run, written to plan.json and read back
+
+@dataclass(frozen=True)
+class ExperimentPlan:
+    """What ``experiment`` runs, exactly as ``plan.json`` records it, checked when made.
+
+    The fields carry the names of the ``experiment`` arguments.  The checks
+    run in this order, each raising ValueError: an entry listed twice; the
+    equal split of each entry that selects a measure (area-based indices are
+    defined on two categories only), unless skipped; each entry by simgen's
+    rules; no entry selecting a measure.  Then the bands (the given ones or
+    the window's default), the Leibovici distance, the areas and the
+    Karlstrom distances are each kept only where a selected measure uses
+    them, else None, and ``shared``, the ``_plan`` that every replicate
+    reads, is built from the plan's own fields with ``_plan``'s checks.
+    """
+
+    scenarios: tuple
+    replicates: int
+    rows: int
+    cols: int
+    seed: int
+    measures: tuple
+    bands: DistanceClassification | None
+    leibovici_distance: float | None
+    areas: int | None
+    karlstrom_distances: tuple | None
+    skip_uniform: bool
+    shared: _Plan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        for entry in self.scenarios:
+            if self.scenarios.count(entry) > 1:
+                raise ValueError(f"--scenarios lists {entry[0]}:{entry[1]} more than once")
+        if not self.skip_uniform:
+            pixels = self.rows * self.cols
+            bad = [f"{k}:{c}" for (k, c), sel in zip(self.scenarios, self.selections)
+                   if sel and pixels % c]
+            if bad:
+                raise ValueError(
+                    f"the equal-split replicate needs the category count to divide "
+                    f"{pixels} pixels; impossible for {','.join(bad)} (use --skip-uniform)"
+                )
+        for kind, cats in self.scenarios:
+            ScenarioSpec(kind, self.rows, self.cols, cats)
+        if not any(self.selections):
+            raise ValueError(
+                f"--measures {','.join(self.measures)} selects nothing on --scenarios "
+                f"{','.join(f'{k}:{c}' for k, c in self.scenarios)}: batty and karlstrom are "
+                f"defined on two-category scenarios only"
+            )
+        used = set().union(*self.selections)
+        window = CategoricalGrid(self.rows, self.cols, 1, np.ones(self.rows * self.cols, np.int64))
+        if self.bands is None:
+            object.__setattr__(self, "bands", DistanceClassification.default_for(window))
+        readers = {"bands": _DECOMPOSED, "leibovici_distance": {"leibovici"},
+                   "areas": {"batty", "karlstrom"}, "karlstrom_distances": {"karlstrom"}}
+        for name, measures in readers.items():
+            if not measures & used:
+                object.__setattr__(self, name, None)
+        seed = np.random.SeedSequence((int(self.seed),), spawn_key=(1,))
+        object.__setattr__(self, "shared", _plan(window, used, self, seed, shared=True))
+
+    @functools.cached_property
+    def selections(self) -> tuple:
+        """Each entry's measures: batty and karlstrom run on two-category entries only."""
+        return tuple(
+            tuple(m for m in self.measures if cats == 2 or m not in ("batty", "karlstrom"))
+            for _, cats in self.scenarios
+        )
+
+    @classmethod
+    def from_args(cls, args) -> ExperimentPlan:
+        """The plan of the parsed ``experiment`` arguments ``args``."""
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if f.init})
+
+    @classmethod
+    def from_json(cls, text: str) -> ExperimentPlan:
+        """The plan whose ``to_json()`` is ``text``, rebuilt through ``from_args``.
+
+        Each value is read as ``experiment`` reads its option's text, a
+        missing or null one as the option's default, so a value that
+        ``experiment`` refuses is refused with its message.  Raises
+        ValueError also for a ``version`` other than this package's, and
+        for any key in which ``text`` and the rebuilt plan's ``to_json()``
+        differ: an unknown key, a number that no selected measure uses, or
+        none where one is used.
+        """
+        doc = json.loads(text)
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if version != __version__:
+            raise ValueError(f"plan.json holds a plan of spatent {version}, not {__version__}")
+        args = build_parser().parse_args(["experiment", "--out", ""])  # every option's default
+        args.skip_uniform = not doc.get("uniform_case", True)
+        reads = dict.fromkeys(("replicates", "rows", "cols", "areas"), _positive_int_arg)
+        reads.update(scenarios=_plan_arg, seed=_non_negative_int_arg, measures=_measures_arg,
+                     bands=_breaks_arg, leibovici_distance=_leibovici_distance_arg,
+                     karlstrom_distances=_distances_arg)
+        for name, read in reads.items():
+            key = "master_seed" if name == "seed" else name
+            if doc.get(key) is not None:
+                # a list as one comma list, a scenario {kind, categories} as kind:categories
+                items = doc[key] if isinstance(doc[key], list) else [doc[key]]
+                option = ",".join(":".join(map(str, v.values())) if isinstance(v, dict) else str(v)
+                                  for v in items)
+                try:
+                    setattr(args, name, read(option))
+                except argparse.ArgumentTypeError as exc:
+                    raise ValueError(f"plan.json {key}: {exc}") from None
+        plan = cls.from_args(args)
+        written = json.loads(plan.to_json())
+        moved = sorted(k for k in doc.keys() | written.keys() if doc.get(k) != written.get(k))
+        if moved:
+            raise ValueError(f"plan.json differs from the plan it describes in {', '.join(moved)}")
+        return plan
+
+    def to_json(self) -> str:
+        """The ``plan.json`` text: ASCII JSON, indented by 2, with a trailing newline."""
+        doc = {
+            "version": __version__,
+            "scenarios": [{"kind": k, "categories": c} for k, c in self.scenarios],
+            "replicates": self.replicates,
+            "rows": self.rows,
+            "cols": self.cols,
+            "master_seed": self.seed,
+            "measures": self.measures,
+            "bands": None if self.bands is None else self.bands.breaks,
+            "leibovici_distance": self.leibovici_distance,
+            "areas": self.areas,
+            "karlstrom_distances": self.karlstrom_distances,
+            "uniform_case": not self.skip_uniform,
+        }
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    def run_entry(self, index: int, rep: int) -> tuple:
+        """Replicate ``rep`` of entry ``index``: its grid and the rows ``experiment`` writes.
+
+        The rows are ``_measure_rows`` of the entry's selection over
+        ``shared``.  Replicate ``replicates`` is the idealized one, with the
+        exact equal category split; each draws from its own ``replicate_seed``.
+        """
+        kind, cats = self.scenarios[index]
+        uniform = "uniform" if rep == self.replicates else "dirichlet"
+        seed = replicate_seed(self.seed, kind, cats, rep)
+        grid = generate(ScenarioSpec(kind, self.rows, self.cols, cats, uniform, seed))
+        return grid, _measure_rows(grid, self.selections[index], self.shared)
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def _cmd_generate(args) -> int:
@@ -366,46 +517,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    for entry in args.scenarios:
-        if args.scenarios.count(entry) > 1:
-            raise ValueError(f"--scenarios lists {entry[0]}:{entry[1]} more than once")
-    # the plan is checked before any replicate runs or any output is made:
-    # the equal split of each entry that selects a measure (area-based
-    # indices are defined on two categories only), each entry by simgen's
-    # rules, the selections for one that is not empty, the bands and the
-    # grid size by the tally geometry that every replicate shares, the areas
-    # by the partition
-    area_measures = {"batty", "karlstrom"}.intersection(args.measures)
-    selections = [
-        tuple(m for m in args.measures if cats == 2 or m not in area_measures)
-        for _, cats in args.scenarios
-    ]
-    if not args.skip_uniform:
-        pixels = args.rows * args.cols
-        bad = [f"{k}:{c}" for (k, c), sel in zip(args.scenarios, selections) if sel and pixels % c]
-        if bad:
-            raise ValueError(
-                f"the equal-split replicate needs the category count to divide "
-                f"{pixels} pixels; impossible for {','.join(bad)} (use --skip-uniform)"
-            )
-    specs = [ScenarioSpec(kind, args.rows, args.cols, cats) for kind, cats in args.scenarios]
-    if not any(selections):
-        raise ValueError(
-            f"--measures {','.join(args.measures)} selects nothing on --scenarios "
-            f"{','.join(f'{k}:{c}' for k, c in args.scenarios)}: batty and karlstrom are "
-            f"defined on two-category scenarios only"
-        )
-    # one plan for every replicate: the selections' union holds the area
-    # measures when some entry takes them, and every non-area measure
-    dummy = CategoricalGrid(
-        args.rows, args.cols, 1, np.ones(args.rows * args.cols, dtype=np.int64)
-    )
-    seed = np.random.SeedSequence((int(args.seed),), spawn_key=(1,))
-    plan = _plan(dummy, set().union(*selections), args, seed, shared=True)
     out = Path(args.out)
+    plan = ExperimentPlan.from_args(args)  # checked before any output is made
     out.mkdir(parents=True, exist_ok=True)
-    if plan.partition is not None:
-        write_partition(plan.partition, out / "partition.txt")
+    if plan.shared.partition is not None:
+        write_partition(plan.shared.partition, out / "partition.txt")
 
     failed = 0
     written = 0
@@ -414,23 +530,17 @@ def _cmd_experiment(args) -> int:
     long_path = out / "results_long.csv"
     with open(long_path, "w", encoding="ascii") as fh:
         fh.write("scenario,replicate,uniform_flag,measure,band,value\n")
-        for spec, selected in zip(specs, selections):
+        for index, ((kind, cats), selected) in enumerate(zip(plan.scenarios, plan.selections)):
             if not selected:
                 continue  # no replicate of an entry whose measures it cannot take
-            kind, cats = spec.kind, spec.num_categories
             label = f"{kind}_x{cats}"
             # the replicates, then the idealized extra one with the exact
             # equal category split, flagged, unless it is skipped
-            for rep in range(args.replicates + (not args.skip_uniform)):
-                uflag = int(rep == args.replicates)
+            for rep in range(plan.replicates + (not plan.skip_uniform)):
+                uflag = int(rep == plan.replicates)
                 # one failing replicate is reported and skipped, the others are written
                 try:
-                    grid = generate(replace(
-                        spec,
-                        pmf_source="uniform" if uflag else "dirichlet",
-                        seed=replicate_seed(args.seed, kind, cats, rep),
-                    ))
-                    rows = _measure_rows(grid, selected, plan)
+                    _, rows = plan.run_entry(index, rep)
                 except Exception as exc:
                     log.error(
                         "replicate %s/%d aborted: %s: %s",
@@ -470,24 +580,7 @@ def _cmd_experiment(args) -> int:
             cells = [label, m, band] + [_fmt(v) for v in quants[key]] + [_fmt(star)]
             fh.write(",".join(cells) + "\n")
 
-    bands, distances = plan.pair_bands or (None, None)
-    plan_doc = {
-        "version": __version__,
-        "scenarios": [{"kind": k, "categories": c} for k, c in args.scenarios],
-        "replicates": args.replicates,
-        "rows": args.rows,
-        "cols": args.cols,
-        "master_seed": args.seed,
-        "measures": list(args.measures),
-        # each number only where a measure uses it: the bands where the
-        # decomposition tallies them, the distances where their index runs
-        "bands": list(bands.breaks) if _DECOMPOSED.intersection(args.measures) else None,
-        "leibovici_distance": distances[-1] if "leibovici" in args.measures else None,
-        "areas": args.areas if plan.partition is not None else None,
-        "karlstrom_distances": list(args.karlstrom_distances) if plan.karlstrom else None,
-        "uniform_case": not args.skip_uniform,
-    }
-    _write_json(plan_doc, out / "plan.json")
+    _write_text(plan.to_json(), out / "plan.json")
 
     print(f"wrote {written} rows to {long_path} and quantiles to {summary_path}")
     if failed:

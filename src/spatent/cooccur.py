@@ -554,9 +554,10 @@ def pairs_within(
     absent one adds 0 log 0 = 0 to every entropy), and one int64 row of ni^2
     ordered codes, (a, b) at a * ni + b for the ranks of a and b in
     ``present``, per break of ``classification``, then per distance clamped
-    to [breaks[0], breaks[-1]].  The rows are one running sum over one tally
-    split further at ``distances``: the first is zero, the pairs between two
-    breaks a row difference; ``fold_counts(row, ni)`` folds a row.  Inner
+    to [breaks[0], breaks[-1]]; a NaN distance raises ValueError.  The rows
+    are one running sum over one tally split further at ``distances``: the
+    first is zero, the pairs between two breaks a row difference;
+    ``fold_counts(row, ni)`` folds a row.  Inner
     bands are the module docstring's FFT band sums, the outermost every pair
     minus them; an uncovered pair raises CoverageError, counts failing the
     exactness checks ConsistencyError.  ``geometry``, when given, must fit
@@ -565,6 +566,8 @@ def pairs_within(
     the tally finishes each band's column block as it goes, peaking near
     ni * N, or, with two present categories, reads one autocorrelation.
     """
+    if any(math.isnan(d) for d in distances):
+        raise ValueError(f"split distances must not be NaN, got {tuple(distances)}")
     lo, hi = classification.breaks[0], classification.breaks[-1]
     ends = classification.breaks + tuple(min(max(float(d), lo), hi) for d in distances)
     fine = classification.refined(distances)

@@ -180,9 +180,17 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
     = Q_k / Q, p(Z) the pooled counts over Q, p(Z | w_k) band k's counts
     over Q_k.  The result carries its six identity ``residuals``; raises
     ConsistencyError, naming the worst identity, when any exceeds
-    MI_AGREEMENT_TOL.  A label holding a comma, a double quote, CR or LF
-    raises ValueError, since the CSV row could not carry it.
+    MI_AGREEMENT_TOL.  Raises ValueError before any work for a table that
+    is not 2-D or holds a negative count, for a label count other than the
+    table's band count, and for a label holding a comma, a double quote, CR
+    or LF, since the CSV row could not carry it.
     """
+    if counts.ndim != 2:
+        raise ValueError(f"expected a (bands, pair categories) table, got shape {counts.shape}")
+    if len(labels) != counts.shape[0]:
+        raise ValueError(f"{len(labels)} band labels for a table of {counts.shape[0]} bands")
+    if (counts < 0).any():
+        raise ValueError("pair counts must be non-negative")
     for label in labels:
         if not _CSV_SPECIAL.isdisjoint(label):
             raise ValueError(f"band label {label!r} holds a comma, quote or line break")

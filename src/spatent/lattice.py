@@ -148,6 +148,8 @@ def partition_window(grid: CategoricalGrid, num_areas: int, seed) -> AreaPartiti
     unequal rectangles with side >= 1.  With ``seed=UNIFORM_PARTITION`` the
     cuts are evenly spaced, which requires g0 to divide both dimensions.
     """
+    if num_areas < 1:
+        raise ValueError(f"num_areas must be at least 1, got {num_areas}")
     g0 = math.isqrt(num_areas)
     if g0 * g0 != num_areas:
         raise ValueError(f"num_areas must be a perfect square, got {num_areas}")

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 from test_golden_digests import EXPERIMENTS, _corpus
 
@@ -28,12 +28,13 @@ from spatent import (
     oneill_entropy,
     parresol_edwards_entropy,
     read_grid,
+    read_partition,
     relative_contagion,
     shannon,
     write_grid,
 )
 from spatent import ConsistencyError, classic, cli, cooccur, decomp
-from spatent.cli import main
+from spatent.cli import ExperimentPlan, build_parser, main
 from spatent.decomp import decompose_counts
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -1136,7 +1137,7 @@ def _argv_from_plan(plan):
     return argv + ([] if plan["uniform_case"] else ["--skip-uniform"])
 
 
-@pytest.mark.parametrize(
+REPLAYED = pytest.mark.parametrize(
     "args",
     [
         *EXPERIMENTS,
@@ -1145,6 +1146,9 @@ def _argv_from_plan(plan):
     ],
     ids=["golden-0", "golden-1", "equal-split"],
 )
+
+
+@REPLAYED
 def test_plan_json_holds_every_input(tmp_path, args):
     # a run from the arguments plan.json records writes the same four files
     first, again = tmp_path / "first", tmp_path / "again"
@@ -1153,3 +1157,141 @@ def test_plan_json_holds_every_input(tmp_path, args):
     assert main(["experiment", *_argv_from_plan(plan), "--out", str(again)]) == 0
     for name in ("results_long.csv", "summary.csv", "plan.json", "partition.txt"):
         assert (again / name).read_bytes() == (first / name).read_bytes(), name
+
+
+def _experiment_plan(argv):
+    return ExperimentPlan.from_args(build_parser().parse_args(["experiment", *argv, "--out", "x"]))
+
+
+@REPLAYED
+def test_plan_json_replays_from_python(tmp_path, monkeypatch, args):
+    # the files a finished run leaves are all a later check needs: the
+    # partition file holds the plan's partition, the plan read back from
+    # plan.json runs the same four files, and each replicate's rows
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["experiment", *args.split(), "--out", str(first)]) == 0
+    plan = ExperimentPlan.from_json((first / "plan.json").read_text())
+    assert plan == _experiment_plan(args.split())
+    partition = read_partition(first / "partition.txt", plan.rows, plan.cols)
+    assert partition.num_areas == plan.shared.partition.num_areas == plan.areas
+    np.testing.assert_array_equal(partition.assignment, plan.shared.partition.assignment)
+    # the command reads nothing of its arguments but --out once the plan is built
+    monkeypatch.setattr(ExperimentPlan, "from_args", staticmethod(lambda args: plan))
+    assert main(["experiment", "--out", str(again)]) == 0
+    for name in ("results_long.csv", "summary.csv", "plan.json", "partition.txt"):
+        assert (again / name).read_bytes() == (first / name).read_bytes(), name
+    lines = (first / "results_long.csv").read_text().splitlines()[1:]
+    for index, ((kind, cats), selected) in enumerate(zip(plan.scenarios, plan.selections)):
+        for rep in range(plan.replicates + (not plan.skip_uniform)) if selected else ():
+            head = f"{kind}_x{cats},{rep},{int(rep == plan.replicates)},"
+            grid, rows = plan.run_entry(index, rep)
+            assert (grid.rows, grid.cols, grid.num_categories) == (plan.rows, plan.cols, cats)
+            want = [line[len(head):] for line in lines if line.startswith(head)]
+            assert want
+            assert [f"{m},{band},{cli._fmt(v)}" for m, band, v in rows] == want
+
+
+@st.composite
+def experiment_argv(draw):
+    """``experiment`` arguments over small grids, most of which make a plan."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    entries = draw(st.lists(
+        st.sampled_from(["random:2", "compact:2", "repulsive:2", "multicluster:2", "random:3",
+                         "compact:5", "random:20"]),
+        min_size=1, max_size=4, unique=True,
+    ))
+    measures = draw(st.lists(st.sampled_from(cli.MEASURES), min_size=1, unique=True))
+    argv = [
+        "--rows", str(rows), "--cols", str(cols),
+        "--scenarios", ",".join(entries), "--measures", ",".join(measures),
+        "--replicates", str(draw(st.integers(1, 5))), "--seed", str(draw(st.integers(0, 2**40))),
+    ]
+    if draw(st.booleans()):
+        diagonal = math.hypot(rows, cols)
+        inner = draw(st.lists(st.floats(0.0, diagonal, exclude_min=True), max_size=3, unique=True))
+        top = draw(st.floats(diagonal, 2 * diagonal))
+        argv += ["--bands", ",".join(map(str, [0.0, *sorted(set(inner) - {top}), top]))]
+    if draw(st.booleans()):
+        argv += ["--leibovici-distance", str(draw(st.floats(1.0, 30.0)))]
+    if draw(st.booleans()):
+        argv += ["--areas", str(draw(st.sampled_from([1, 4, 9])))]
+    if draw(st.booleans()):
+        distances = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4, unique=True))
+        argv += ["--karlstrom-distances", ",".join(str(d / 4) for d in distances)]
+    return argv + (["--skip-uniform"] if draw(st.booleans()) else [])
+
+
+@settings(max_examples=80)
+@given(experiment_argv())
+def test_a_plan_is_the_plan_its_json_reads_back(argv):
+    try:
+        plan = _experiment_plan(argv)
+    except ValueError:
+        reject()
+    text = plan.to_json()
+    again = ExperimentPlan.from_json(text)
+    assert again == plan
+    assert again.to_json() == text
+    # each number is recorded only where a selected measure uses it
+    used = set().union(*plan.selections)
+    assert (plan.bands is None) == (not {"shannon_z", "decomposition"} & used)
+    assert (plan.leibovici_distance is None) == ("leibovici" not in used)
+    assert (plan.areas is None) == (not {"batty", "karlstrom"} & used)
+    assert (plan.areas is None) == (plan.shared.partition is None)
+    assert (plan.karlstrom_distances is None) == ("karlstrom" not in used)
+
+
+EDITED_ARGV = (
+    "--scenarios random:2 --rows 10 --cols 10 --replicates 1 --areas 4"
+    " --measures decomposition,batty"
+).split()
+
+
+@pytest.mark.parametrize(
+    "key,value,flags",
+    [
+        ("scenarios", [{"kind": "random", "categories": 2}] * 2, "--scenarios random:2,random:2"),
+        ("areas", 50, "--areas 50"),
+        ("bands", [0.0, 1.0, 2.0], "--bands 0,1,2"),
+    ],
+    ids=["duplicate-entry", "areas-not-square", "uncovered-bands"],
+)
+def test_an_edited_plan_json_is_refused_as_experiment_refuses_it(
+    tmp_path, caplog, key, value, flags
+):
+    assert main(["experiment", *EDITED_ARGV, "--out", str(tmp_path / "ok")]) == 0
+    doc = json.loads((tmp_path / "ok" / "plan.json").read_text())
+    with pytest.raises(ValueError) as refused:
+        ExperimentPlan.from_json(json.dumps({**doc, key: value}))
+    argv = ["experiment", *EDITED_ARGV, *flags.split(), "--out", str(tmp_path / "bad")]
+    with caplog.at_level(logging.ERROR, logger="spatent"):
+        assert main(argv) == 2
+    assert [r.getMessage() for r in caplog.records] == [f"error: {refused.value}"]
+
+
+def test_plan_json_is_read_back_only_as_its_plan_writes_it():
+    text = _experiment_plan(EDITED_ARGV).to_json()
+    doc = json.loads(text)
+    for edit, message in [
+        ({"version": "0.0.1"}, "^plan.json holds a plan of spatent 0.0.1, not "),
+        # a number no selected measure uses, or none where one is used
+        ({"leibovici_distance": 3.0}, "^plan.json differs from the plan it describes in leib"),
+        ({"areas": None}, "^plan.json differs from the plan it describes in areas$"),
+        ({"measures": ["decomposition", "batty"]}, "in measures$"),  # not in canonical order
+        ({"extra": 1}, "in extra$"),
+        # a value the parser refuses, with the parser's reason
+        ({"rows": 0}, "^plan.json rows: expected a positive integer, got '0'$"),
+        ({"rows": True}, "^plan.json rows: expected a positive integer, got 'True'$"),
+        ({"measures": ["nonsense"]}, "^plan.json measures: unknown measures"),
+        ({"scenarios": [{"kind": "random", "categories": 2, "x": 1}]}, "^plan.json scenarios: "),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan.from_json(json.dumps({**doc, **edit}))
+    for missing in ("replicates", "uniform_case", "master_seed"):
+        with pytest.raises(ValueError, match=f"in {missing}$"):
+            ExperimentPlan.from_json(json.dumps({k: v for k, v in doc.items() if k != missing}))
+    for other in ("[]", "{}"):
+        with pytest.raises(ValueError, match="^plan.json holds a plan of spatent None, not "):
+            ExperimentPlan.from_json(other)
+    # JSON formatting is not part of the plan
+    assert ExperimentPlan.from_json(json.dumps(doc)) == ExperimentPlan.from_json(text)

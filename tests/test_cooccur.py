@@ -244,6 +244,17 @@ def test_tabulate_within_distance_one():
     assert within[6].sum() == 36
 
 
+def test_tabulate_within_rejects_a_nan_distance():
+    # NaN has no place among the breaks; +-inf still clamps to them
+    g = _chessboard(3)
+    whole = DistanceClassification((0.0, window_diagonal(g)))
+    for distances in ((math.nan,), (1.0, math.nan), (np.float64("nan"), math.inf)):
+        with pytest.raises(ValueError, match="^split distances must not be NaN"):
+            pairs_within(g, whole, distances)
+    within, _ = pairs_within(g, whole, (-math.inf, math.inf))
+    np.testing.assert_array_equal(within[2:], within[[0, 1]])
+
+
 @pytest.mark.parametrize("ordered", [False, True])
 @pytest.mark.parametrize("rows,cols,cats", [(1, 7, 2), (6, 1, 3), (9, 13, 5), (20, 20, 2)])
 @pytest.mark.parametrize("distance", [1.0, 1.5, 2.0, 3.0, 7.5, 100.0])

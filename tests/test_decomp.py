@@ -283,6 +283,27 @@ def test_labels_the_csv_row_cannot_carry_are_rejected(label):
     assert len(header.split(",")) == len(row.split(",")) == 4 + 2 * 3
 
 
+@pytest.mark.parametrize(
+    "counts,labels,message",
+    [
+        # too few labels used to drop a band from the output, but not from MI or H(Z)_W
+        ([[1, 1, 0], [0, 1, 1], [2, 0, 1]], ("w1", "w2"),
+         "^2 band labels for a table of 3 bands$"),
+        # too many used to drop the surplus label
+        ([[1, 1, 0], [0, 1, 1], [2, 0, 1]], ("w1", "w2", "w3", "w4"),
+         "^4 band labels for a table of 3 bands$"),
+        ([1, 1, 0], ("w1",), r"^expected a \(bands, pair categories\) table, got shape \(3,\)$"),
+        ([[[1, 1]], [[0, 1]]], ("w1", "w2"), r"^expected a .* got shape \(2, 1, 2\)$"),
+        # a negative count used to surface as an identity ConsistencyError
+        ([[1, -1, 3], [0, 1, 1]], ("w1", "w2"), "^pair counts must be non-negative$"),
+    ],
+    ids=["two-labels", "four-labels", "1-d", "3-d", "negative"],
+)
+def test_decompose_counts_rejects_a_table_its_labels_do_not_fit(counts, labels, message):
+    with pytest.raises(ValueError, match=message):
+        decompose_counts(np.array(counts, dtype=np.int64), labels)
+
+
 # --------------------------------------------------------------------------
 # identity properties on random grids
 

@@ -129,6 +129,15 @@ def test_partition_needs_square_area_count():
         partition_window(g, 8, UNIFORM_PARTITION)
 
 
+@pytest.mark.parametrize("seed", [UNIFORM_PARTITION, 0, 7])
+@pytest.mark.parametrize("num_areas", [0, -1, -4])
+def test_partition_needs_at_least_one_area(seed, num_areas):
+    g = _grid(4, 4, 1, np.ones(16))
+    with pytest.raises(ValueError, match=f"^num_areas must be at least 1, got {num_areas}$"):
+        partition_window(g, num_areas, seed)
+    assert partition_window(g, 1, seed).assignment.tolist() == [1] * 16
+
+
 def test_seeded_partition_covers_and_reproduces():
     g = _grid(50, 50, 1, np.ones(2500))
     a = partition_window(g, 100, 7)
