@@ -43,10 +43,9 @@ from .cooccur import (
     CooccurrenceScheme,
     DistanceClassification,
     enumerate_pairs_bruteforce,
-    fold_counts,
     pairs_within,
 )
-from .decomp import decompose, decompose_counts
+from .decomp import decompose, decompose_within
 from .errors import ConsistencyError
 from .lattice import (
     UNIFORM_PARTITION,
@@ -83,8 +82,18 @@ DEFAULT_DESIGN = (
 
 DEFAULT_KARLSTROM_DISTANCES = "0,2,5,10"
 
-# the measures read from the decomposition's bands
-_DECOMPOSED = frozenset({"shannon_z", "decomposition"})
+# the area-based indices: they read the partition, and `experiment` runs them
+# on two-category scenarios only
+_AREA = frozenset({"batty", "karlstrom"})
+
+# each number of a plan and the measures that read it: a plan reads, and
+# plan.json records, a number only when one of them is selected
+_READERS = {
+    "bands": frozenset({"shannon_z", "decomposition"}),
+    "leibovici_distance": frozenset({"leibovici"}),
+    "areas": _AREA,
+    "karlstrom_distances": frozenset({"karlstrom"}),
+}
 
 _FMT = "%.12g"
 
@@ -198,39 +207,40 @@ def _plan(grid, measures, args, seed, shared=False) -> _Plan:
     """The plan of ``measures`` on grids of ``grid``'s shape, built and checked in this order.
 
     ``args`` is the parsed arguments of ``measure``, or an ``ExperimentPlan``,
-    whose fields carry the same names.  The pair bands are None when no pair
-    measure is requested.  Else they are (decomposition bands, split
-    distances): the decomposition or
-    shannon_z uses ``args.bands`` when given; any other request gets the
-    grid's default bands.  The bands are split further at distance 1, the
-    rook contiguity, and at d, ``args.leibovici_distance`` when
-    ``leibovici`` is requested, else 1.  With ``shared``, the plan holds the
-    ``BandGeometry`` of the split bands, which every tally of that shape
-    then shares.  The partition into ``args.areas`` areas, drawn from
-    ``seed``, is built only for batty or karlstrom, else it is None; the
-    neighbourhoods at ``args.karlstrom_distances``, labelled d<distance>,
-    only for karlstrom, else there are none.
+    whose fields carry the same names; of its numbers, only those that
+    ``_READERS`` gives a requested reader are read.  The pair bands are None
+    when no pair measure is requested.  Else they are (decomposition bands,
+    split distances): the decomposition or shannon_z uses ``args.bands``
+    when given; any other request gets the grid's default bands.  The bands
+    are split further at distance 1, the rook contiguity, and at d,
+    ``args.leibovici_distance`` when ``leibovici`` is requested, else 1.
+    With ``shared``, the plan holds the ``BandGeometry`` of the split bands,
+    which every tally of that shape then shares.  The partition into
+    ``args.areas`` areas, drawn from ``seed``, is built only for batty or
+    karlstrom, else it is None; the neighbourhoods at
+    ``args.karlstrom_distances``, labelled d<distance>, only for karlstrom,
+    else there are none.
     """
+    reads = {name: getattr(args, name) for name, readers in _READERS.items()
+             if readers.intersection(measures)}
     pair_bands = geometry = partition = None
     karlstrom = ()
-    if _DECOMPOSED.union(CONTIGUITY_INDICES).intersection(measures):
-        bands = args.bands
-        if bands is None or not _DECOMPOSED.intersection(measures):
-            bands = DistanceClassification.default_for(grid)
-        d = checked_leibovici_distance(args.leibovici_distance) if "leibovici" in measures else 1.0
+    if _READERS["bands"].union(CONTIGUITY_INDICES).intersection(measures):
+        bands = reads.get("bands") or DistanceClassification.default_for(grid)
+        d = checked_leibovici_distance(reads.get("leibovici_distance", 1.0))
         pair_bands = bands, (1.0, d)
         if shared:
             geometry = BandGeometry(grid.rows, grid.cols, bands.refined(pair_bands[1]))
-    if {"batty", "karlstrom"}.intersection(measures):
-        partition = partition_window(grid, args.areas, seed)
-    if "karlstrom" in measures:
-        labels = [f"d{d:g}" for d in args.karlstrom_distances]
+    if "areas" in reads:
+        partition = partition_window(grid, reads["areas"], seed)
+    if "karlstrom_distances" in reads:
+        labels = [f"d{d:g}" for d in reads["karlstrom_distances"]]
         for label in labels:
             if labels.count(label) > 1:
                 raise ValueError(
                     f"--karlstrom-distances gives more than one distance the label {label}"
                 )
-        nbs = [build_area_neighbourhood(partition, d) for d in args.karlstrom_distances]
+        nbs = [build_area_neighbourhood(partition, d) for d in reads["karlstrom_distances"]]
         karlstrom = tuple(zip(labels, nbs))
     return _Plan(pair_bands, partition, karlstrom, geometry)
 
@@ -238,73 +248,57 @@ def _plan(grid, measures, args, seed, shared=False) -> _Plan:
 def _measure_rows(grid, measures, plan, *, ordered: bool = False, target_category: int = 1):
     """(measure, band, value) rows for one grid, in canonical measure order.
 
-    ``plan`` is the ``_plan`` of ``measures`` on the grid's shape.  Every
-    pair-based measure reads one ``pairs_within`` table of the grid over
-    the plan's bands, split further at its distances 1 and d, through its
-    shared geometry if it holds one: the decomposition takes its bands back
-    (folded to unordered codes unless ``ordered``), the contiguity indices
-    pool the leading bands.  Batty reads the plan's partition, Karlstrom
-    also its labelled neighbourhoods.
+    ``plan`` is the ``_plan`` of ``measures`` on the grid's shape.  The
+    stages run in order, each filling the rows of its measures: the tally,
+    one ``pairs_within`` table of the grid over the plan's bands, split
+    further at its distances 1 and d, through its shared geometry if it
+    holds one; the decomposition of its bands (``decompose_within``, folded
+    unless ``ordered``); the contiguity entropies, from the laws up to 1 and
+    up to d; the area indices, Batty from the plan's partition and Karlstrom
+    also from its labelled neighbourhoods.  Shannon's entropy of the
+    categories and Batty's index are computed whenever their stage runs; the
+    rows of ``measures`` alone are returned.
 
     Batty and Karlstrom rows are NaN when the target category is absent from
     the grid (the area probabilities are then undefined).
     """
-    rows = []
-    dec = None
-    contiguity = {}
+    x_counts = np.bincount(grid.values)  # per code up to the largest present
+    rows = {"shannon_x": [("shannon_x", "", _plogp(x_counts / grid.size))]}
     if plan.pair_bands is not None:
         cls, distances = plan.pair_bands
         # pairs up to each decomposition break, then up to 1 and up to d
         within, present = pairs_within(grid, cls, distances, geometry=plan.geometry)
-        if _DECOMPOSED.intersection(measures):
-            counts = np.diff(within[:-2], axis=0)
-            if not ordered:
-                counts = fold_counts(counts, present.size)
-            dec = decompose_counts(counts, cls.labels)
+        if _READERS["bands"].intersection(measures):
+            dec = decompose_within(within[:-2], present, cls.labels, ordered=ordered)
+            rows["shannon_z"] = [("shannon_z", "", dec.marginal)]
+            # each row is named after the term it reads
+            whole = ("mutual_information", "residual_global", "mi_proportional")
+            per_band = ("p_w", "residual_partial", "info_partial")
+            rows["decomposition"] = [(t, "", getattr(dec, t)) for t in whole] + [
+                (t, b.label, getattr(b, t)) for b in dec.bands for t in per_band
+            ]
         # one entropy per pair law: O'Neill, rc and Parresol-Edwards share the
         # rook law's, Leibovici takes the law up to d; rc divides by log I^2
         entropies = {}
-        for m in [m for m in CONTIGUITY_INDICES if m in measures]:
-            far = m == "leibovici"
-            if far not in entropies:
-                law = within[-1 if far else -2]
-                entropies[far] = _plogp(law / law.sum())
-            contiguity[m] = _index_of_entropy(m, entropies[far], int(grid.num_categories) ** 2)
-
-    area_probs = None
-    x_counts = np.bincount(grid.values)  # per code up to the largest present
-    if "batty" in measures or "karlstrom" in measures:
+        for m in CONTIGUITY_INDICES:
+            if m in measures:
+                k = -1 if m == "leibovici" else -2
+                if k not in entropies:
+                    entropies[k] = _plogp(within[k] / within[k].sum())
+                value = _index_of_entropy(m, entropies[k], int(grid.num_categories) ** 2)
+                rows[m] = [(m, f"d{distances[-1]:g}" if k == -1 else "", value)]
+    if _AREA.intersection(measures):
         if not 1 <= target_category <= grid.num_categories:
             raise ValueError(f"target category {target_category} out of range")
+        area_probs = None
         if target_category < x_counts.size and x_counts[target_category]:
             area_probs = estimate_area_probs(grid, plan.partition, target_category)
-
-    for m in MEASURES:
-        if m not in measures:
-            continue
-        if m == "shannon_x":
-            rows.append(("shannon_x", "", _plogp(x_counts / grid.size)))
-        elif m == "shannon_z":
-            rows.append(("shannon_z", "", dec.marginal))
-        elif m == "batty":
-            value = batty_entropy(area_probs) if area_probs else math.nan
-            rows.append(("batty", "", value))
-        elif m == "karlstrom":
-            for band, nb in plan.karlstrom:
-                value = karlstrom_entropy(area_probs, nb) if area_probs else math.nan
-                rows.append(("karlstrom", band, value))
-        elif m in contiguity:
-            band = f"d{distances[-1]:g}" if m == "leibovici" else ""
-            rows.append((m, band, contiguity[m]))
-        elif m == "decomposition":
-            rows.append(("mutual_information", "", dec.mutual_information))
-            rows.append(("residual_global", "", dec.residual_global))
-            rows.append(("mi_proportional", "", dec.mi_proportional))
-            for b in dec.bands:
-                rows.append(("p_w", b.label, b.p_w))
-                rows.append(("residual_partial", b.label, b.residual_partial))
-                rows.append(("info_partial", b.label, b.info_partial))
-    return rows
+        rows["batty"] = [("batty", "", batty_entropy(area_probs) if area_probs else math.nan)]
+        rows["karlstrom"] = [
+            ("karlstrom", band, karlstrom_entropy(area_probs, nb) if area_probs else math.nan)
+            for band, nb in plan.karlstrom
+        ]
+    return [row for m in MEASURES if m in measures for row in rows[m]]
 
 
 def _write_text(text: str, path) -> None:
@@ -333,9 +327,10 @@ class ExperimentPlan:
     defined on two categories only), unless skipped; each entry by simgen's
     rules; no entry selecting a measure.  Then the bands (the given ones or
     the window's default), the Leibovici distance, the areas and the
-    Karlstrom distances are each kept only where a selected measure uses
-    them, else None, and ``shared``, the ``_plan`` that every replicate
-    reads, is built from the plan's own fields with ``_plan``'s checks.
+    Karlstrom distances are each kept only where ``_READERS`` names a
+    selected measure as their reader, else None, and ``shared``, the
+    ``_plan`` that every replicate reads, is built from the plan's own
+    fields with ``_plan``'s checks.
     """
 
     scenarios: tuple
@@ -376,9 +371,7 @@ class ExperimentPlan:
         window = CategoricalGrid(self.rows, self.cols, 1, np.ones(self.rows * self.cols, np.int64))
         if self.bands is None:
             object.__setattr__(self, "bands", DistanceClassification.default_for(window))
-        readers = {"bands": _DECOMPOSED, "leibovici_distance": {"leibovici"},
-                   "areas": {"batty", "karlstrom"}, "karlstrom_distances": {"karlstrom"}}
-        for name, measures in readers.items():
+        for name, measures in _READERS.items():
             if not measures & used:
                 object.__setattr__(self, name, None)
         seed = np.random.SeedSequence((int(self.seed),), spawn_key=(1,))
@@ -388,7 +381,7 @@ class ExperimentPlan:
     def selections(self) -> tuple:
         """Each entry's measures: batty and karlstrom run on two-category entries only."""
         return tuple(
-            tuple(m for m in self.measures if cats == 2 or m not in ("batty", "karlstrom"))
+            tuple(m for m in self.measures if cats == 2 or m not in _AREA)
             for _, cats in self.scenarios
         )
 
@@ -557,6 +550,26 @@ def _cmd_experiment(args) -> int:
                     for m, band, value in rows:
                         ensemble.setdefault((label, m, band), []).append(value)
 
+    summary_path = out / "summary.csv"
+    _write_text(_summary_csv(ensemble, uniform_values), summary_path)
+    _write_text(plan.to_json(), out / "plan.json")
+
+    print(f"wrote {written} rows to {long_path} and quantiles to {summary_path}")
+    if failed:
+        log.error("%d replicate(s) aborted", failed)
+        return 1
+    return 0
+
+
+def _summary_csv(ensemble: dict, uniform: dict) -> str:
+    """The ``summary.csv`` text of an experiment's collected values.
+
+    ``ensemble`` maps each (scenario, measure, band) key, in row order, to
+    its values over the unflagged replicates, and ``uniform`` a key to its
+    flagged replicate's value.  Each row holds the quantiles 0, 1/4, 1/2,
+    3/4 and 1 of the key's non-NaN values (NaN without any) and its flagged
+    value (NaN without one).
+    """
     # keys with equally many non-NaN values share one quantile call; each
     # key's array replaces its list of floats, and the quantile partitions
     # its stacked copy in place, so the summary adds little memory
@@ -571,22 +584,11 @@ def _cmd_experiment(args) -> int:
             table = np.array([ensemble[k] for k in keys])
             table = np.quantile(table, (0.0, 0.25, 0.5, 0.75, 1.0), axis=1, overwrite_input=True)
             quants.update(zip(keys, table.T))
-    summary_path = out / "summary.csv"
-    with open(summary_path, "w", encoding="ascii") as fh:
-        fh.write("scenario,measure,band,min,q1,median,q3,max,uniform\n")
-        for key in ensemble:
-            star = uniform_values.get(key, math.nan)
-            label, m, band = key
-            cells = [label, m, band] + [_fmt(v) for v in quants[key]] + [_fmt(star)]
-            fh.write(",".join(cells) + "\n")
-
-    _write_text(plan.to_json(), out / "plan.json")
-
-    print(f"wrote {written} rows to {long_path} and quantiles to {summary_path}")
-    if failed:
-        log.error("%d replicate(s) aborted", failed)
-        return 1
-    return 0
+    lines = ["scenario,measure,band,min,q1,median,q3,max,uniform\n"]
+    for key in ensemble:
+        cells = [*key, *map(_fmt, quants[key]), _fmt(uniform.get(key, math.nan))]
+        lines.append(",".join(cells) + "\n")
+    return "".join(lines)
 
 
 def _verify_grid(grid) -> list:
@@ -612,7 +614,7 @@ def _verify_grid(grid) -> list:
     checks.append(("pair-total", total == n * (n - 1) // 2, f"count={total}"))
 
     try:
-        dec = decompose_counts(fold_counts(ordered, present.size), cls.labels)
+        dec = decompose_within(within, present, cls.labels)
     except ConsistencyError as exc:
         checks.append(("decomposition", False, str(exc)))
     else:

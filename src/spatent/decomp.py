@@ -16,7 +16,8 @@ Every term comes from one table, the pair counts per band over the present
 categories (row differences of ``cooccur.pairs_within``), and this module is
 the only place that turns it into laws: p(W), p(Z), the band conditionals and
 the joint table, all relative frequencies.  ``decompose_counts`` reads them
-as plain arrays, ``decompose`` tallies a grid and calls it, and
+as plain arrays, ``decompose_within`` is the one way to it from a
+``pairs_within`` tally, ``decompose`` tallies a grid and calls that, and
 ``conditional_pmfs`` returns the same arrays as ``Pmf``/``JointPmf``.
 
 ``decompose_counts`` checks every decomposition against six identities
@@ -285,7 +286,20 @@ def decompose(
     if classification is None:
         classification = DistanceClassification.default_for(grid)
     within, present = pairs_within(grid, classification)
+    return decompose_within(within, present, classification.labels, ordered=ordered)
+
+
+def decompose_within(
+    within: np.ndarray, present: np.ndarray, labels, *, ordered: bool = False
+) -> EntropyDecomposition:
+    """The decomposition of a ``pairs_within`` table ``(within, present)`` over its bands.
+
+    ``within`` holds one row per break, ``labels`` one label per band
+    between two rows.  The bands are the row differences, folded to
+    unordered codes by ``fold_counts`` unless ``ordered``, and
+    ``decompose_counts`` decomposes them.
+    """
     counts = np.diff(within, axis=0)
     if not ordered:
         counts = fold_counts(counts, present.size)
-    return decompose_counts(counts, classification.labels)
+    return decompose_counts(counts, labels)

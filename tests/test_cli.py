@@ -384,6 +384,54 @@ def test_measure_rows_equal_the_direct_measures(case, leibovici, ordered):
     assert not table
 
 
+def _owner(name):
+    """The measure that emits a row named ``name``: the decomposition's rows carry term names."""
+    return name if name in cli.MEASURES else "decomposition"
+
+
+@given(
+    st.sets(st.sampled_from(cli.MEASURES), min_size=1),
+    st.sampled_from([2, 5, 20]),
+    st.booleans(),
+    st.integers(4, 12),
+    st.integers(4, 12),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60)
+def test_measure_rows_emit_exactly_the_selection(subset, cats, ordered, rows, cols, seed):
+    # every stage computes some values it may not emit (shannon_x, batty);
+    # a subset's rows are the full table's rows of that subset, in order
+    values = np.random.default_rng(seed).integers(1, cats + 1, size=rows * cols)
+    values[0] = 1  # the target category is present: no NaN area rows
+    grid = CategoricalGrid(rows, cols, cats, values)
+    args = argparse.Namespace(
+        bands=DistanceClassification((0.0, 1.0, 2.5, 4.0, math.hypot(rows, cols))),
+        leibovici_distance=3.0, areas=4, karlstrom_distances=(0.0, 2.0),
+    )
+
+    def measure_rows(measures):
+        plan = cli._plan(grid, measures, args, seed)  # one random partition
+        return cli._measure_rows(grid, measures, plan, ordered=ordered)
+
+    every = measure_rows(cli.MEASURES)
+    selected = tuple(m for m in cli.MEASURES if m in subset)
+    assert measure_rows(selected) == [row for row in every if _owner(row[0]) in subset]
+    assert [_owner(m) for m, _, _ in every] == sorted(
+        (_owner(m) for m, _, _ in every), key=cli.MEASURES.index
+    )
+    dec = decompose(grid, args.bands, ordered=ordered)
+    want = [
+        ("mutual_information", "", dec.mutual_information),
+        ("residual_global", "", dec.residual_global),
+        ("mi_proportional", "", dec.mi_proportional),
+    ]
+    for b in dec.bands:
+        want += [("p_w", b.label, b.p_w), ("residual_partial", b.label, b.residual_partial),
+                 ("info_partial", b.label, b.info_partial)]
+    assert [row for row in every if _owner(row[0]) == "decomposition"] == want
+    assert [row for row in every if row[0] == "shannon_z"] == [("shannon_z", "", dec.marginal)]
+
+
 def test_measure_rows_keep_their_errors():
     grid = CategoricalGrid(4, 4, 2, (np.arange(16) % 2) + 1)
     short = DistanceClassification((0, 1, 2))  # the corner pair lies beyond 2
@@ -1189,6 +1237,31 @@ def test_plan_json_replays_from_python(tmp_path, monkeypatch, args):
             want = [line[len(head):] for line in lines if line.startswith(head)]
             assert want
             assert [f"{m},{band},{cli._fmt(v)}" for m, band, v in rows] == want
+
+
+@REPLAYED
+def test_summary_is_the_summary_of_every_replicate_rerun(tmp_path, monkeypatch, args):
+    # summary.csv is _summary_csv of the values that run_entry gives for
+    # every replicate of the plan read back from plan.json, with one
+    # quantile call per count of non-NaN values
+    out = tmp_path / "run"
+    assert main(["experiment", *args.split(), "--out", str(out)]) == 0
+    plan = ExperimentPlan.from_json((out / "plan.json").read_text())
+    ensemble: dict = {}
+    uniform: dict = {}
+    for index, ((kind, cats), selected) in enumerate(zip(plan.scenarios, plan.selections)):
+        for rep in range(plan.replicates + (not plan.skip_uniform)) if selected else ():
+            for m, band, value in plan.run_entry(index, rep)[1]:
+                key = (f"{kind}_x{cats}", m, band)
+                if rep == plan.replicates:
+                    uniform[key] = value
+                else:
+                    ensemble.setdefault(key, []).append(value)
+    sizes = {int(np.count_nonzero(~np.isnan(v))) for v in ensemble.values()} - {0}
+    calls, real = [], np.quantile
+    monkeypatch.setattr(np, "quantile", lambda *a, **k: calls.append(a[0].shape) or real(*a, **k))
+    assert cli._summary_csv(ensemble, uniform) == (out / "summary.csv").read_text()
+    assert sorted(shape[1] for shape in calls) == sorted(sizes)
 
 
 @st.composite

@@ -459,15 +459,16 @@ def test_every_entry_point_shares_the_core(num_x, ordered, monkeypatch):
         assert decompose(g, bands) == dec
 
     # verify decomposes the grid's default unordered tally, as decompose does
+    want = decompose(g)
     seen = []
 
     def recording(counts, labels):
         seen.append(decompose_counts(counts, labels))
         return seen[-1]
 
-    monkeypatch.setattr(cli, "decompose_counts", recording)
+    monkeypatch.setattr(decomp, "decompose_counts", recording)
     checks = cli._verify_grid(g)
-    assert seen == [decompose(g)]
+    assert seen == [want]
     assert [name for name, passed, _ in checks if not passed] == []
     assert [name for name, _, _ in checks][1:] == list(IDENTITIES)
 
