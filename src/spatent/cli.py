@@ -51,6 +51,8 @@ from .lattice import (
     UNIFORM_PARTITION,
     AreaPartition,
     CategoricalGrid,
+    _fmt,
+    _json_text,
     partition_window,
     read_grid,
     write_grid,
@@ -95,13 +97,6 @@ _READERS = {
     "karlstrom_distances": frozenset({"karlstrom"}),
 }
 
-_FMT = "%.12g"
-
-
-def _fmt(value: float) -> str:
-    return _FMT % float(value)
-
-
 # ---------------------------------------------------------------------------
 # argument parsing helpers (argparse type= callbacks)
 
@@ -135,7 +130,7 @@ def _plan_arg(text: str) -> tuple:
             continue
         kind, sep, cats = item.partition(":")
         try:
-            if not sep or kind not in SCENARIOS or not (cats.isascii() and cats.isdecimal()):
+            if not sep or kind not in SCENARIOS or not _digits(cats):
                 raise ValueError(f"expected kind:categories with kind in {SCENARIOS}")
             check_categories(kind, int(cats))
         except ValueError as exc:
@@ -163,14 +158,19 @@ def _leibovici_distance_arg(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _digits(text: str) -> bool:
+    """Whether ``text`` is ASCII digits and nothing else, as a number in a grid file."""
+    return text.isascii() and text.isdecimal()
+
+
 def _positive_int_arg(text: str) -> int:
-    if not (text.isascii() and text.strip().isdecimal()) or int(text) < 1:
+    if not _digits(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
 def _non_negative_int_arg(text: str) -> int:
-    if not (text.isascii() and text.strip().isdecimal()):
+    if not _digits(text):
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return int(text)
 
@@ -178,7 +178,7 @@ def _non_negative_int_arg(text: str) -> int:
 def _partition_seed_arg(text: str):
     if text == UNIFORM_PARTITION:
         return UNIFORM_PARTITION
-    if not (text.isascii() and text.strip().isdecimal()):
+    if not _digits(text):
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer or '{UNIFORM_PARTITION}', got {text!r}"
         )
@@ -309,9 +309,9 @@ def _write_text(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _write_json(doc, path) -> None:
-    """Write ``doc`` as ASCII JSON, indented by 2, with a trailing newline; nan or inf raises."""
-    _write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n", path)
+def _row_lines(rows, head: str = "") -> str:
+    """The CSV lines of (measure, band, value) rows, each line after ``head``."""
+    return "".join(f"{head}{m},{band},{_fmt(value)}\n" for m, band, value in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +431,7 @@ class ExperimentPlan:
         return plan
 
     def to_json(self) -> str:
-        """The ``plan.json`` text: ASCII JSON, indented by 2, with a trailing newline."""
+        """The ``plan.json`` text, as ``_json_text``."""
         doc = {
             "version": __version__,
             "scenarios": [{"kind": k, "categories": c} for k, c in self.scenarios],
@@ -446,7 +446,7 @@ class ExperimentPlan:
             "karlstrom_distances": self.karlstrom_distances,
             "uniform_case": not self.skip_uniform,
         }
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return _json_text(doc)
 
     def run_entry(self, index: int, rep: int) -> tuple:
         """Replicate ``rep`` of entry ``index``: its grid and the rows ``experiment`` writes.
@@ -487,7 +487,7 @@ def _cmd_generate(args) -> int:
         "master_seed": args.seed,
         "grids": entries,
     }
-    _write_json(manifest, out / "manifest.json")
+    _write_text(_json_text(manifest), out / "manifest.json")
     print(f"wrote {len(entries)} grid(s) and manifest.json to {out}")
     return 0
 
@@ -498,14 +498,13 @@ def _cmd_measure(args) -> int:
     rows = _measure_rows(
         grid, args.measures, plan, ordered=args.ordered, target_category=args.target_category
     )
-    text = "measure,band,value\n" + "".join(f"{m},{b},{_fmt(v)}\n" for m, b, v in rows)
-    _write_text(text, args.out)
+    _write_text("measure,band,value\n" + _row_lines(rows), args.out)
     return 0
 
 
 def _cmd_decompose(args) -> int:
     dec = decompose(read_grid(args.grid), args.bands, ordered=args.ordered)
-    _write_text(dec.to_csv_row() if args.format == "csv" else dec.to_json() + "\n", args.out)
+    _write_text(dec.to_csv_row() if args.format == "csv" else dec.to_json(), args.out)
     return 0
 
 
@@ -541,8 +540,7 @@ def _cmd_experiment(args) -> int:
                     )
                     failed += 1
                     continue
-                head = f"{label},{rep},{uflag},"
-                fh.write("".join([f"{head}{m},{band},{_fmt(value)}\n" for m, band, value in rows]))
+                fh.write(_row_lines(rows, f"{label},{rep},{uflag},"))
                 written += len(rows)
                 if uflag:
                     uniform_values.update(((label, m, band), value) for m, band, value in rows)

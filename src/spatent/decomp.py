@@ -31,7 +31,6 @@ raises ConsistencyError instead of returning the numbers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from .cooccur import DistanceClassification, PairSample, fold_counts, pairs_within
 from .errors import ConsistencyError
-from .lattice import CategoricalGrid
+from .lattice import CategoricalGrid, _fmt, _json_text
 from .prob import JointPmf, Pmf, _plogp, mutual_information
 
 MI_AGREEMENT_TOL = 1e-10
@@ -95,6 +94,7 @@ class EntropyDecomposition:
         raise KeyError(label)
 
     def to_json(self) -> str:
+        """The terms as ``_json_text``: strict JSON, so a NaN or infinite term raises ValueError."""
         payload = {
             "marginal": self.marginal,
             "residual_global": self.residual_global,
@@ -111,7 +111,7 @@ class EntropyDecomposition:
                 for b in self.bands
             ],
         }
-        return json.dumps(payload, indent=2)
+        return _json_text(payload)
 
     def to_csv_row(self) -> str:
         """Flat one-row CSV with a header, wide over bands."""
@@ -126,7 +126,7 @@ class EntropyDecomposition:
             header += [f"{b.label}_p_w", f"{b.label}_residual_partial", f"{b.label}_info_partial"]
             row += [b.p_w, b.residual_partial, b.info_partial]
         # decompose_counts admits no label that needs quoting
-        return ",".join(header) + "\n" + ",".join(f"{x:.12g}" for x in row) + "\n"
+        return ",".join(header) + "\n" + ",".join(map(_fmt, row)) + "\n"
 
 
 def _laws(counts: np.ndarray) -> tuple:

@@ -9,10 +9,15 @@ the pairs at Euclidean centroid distance 1.
 An area partition groups the same pixels into G labelled areas (irregular
 rectangles by construction here), the support for the classical area-based
 indices.
+
+The module also owns every plain-text format the package writes: the grid
+and partition files, the JSON document (``_json_text``) and the number in a
+CSV cell (``_fmt``).
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -179,7 +184,17 @@ def partition_window(grid: CategoricalGrid, num_areas: int, seed) -> AreaPartiti
 
 
 # ---------------------------------------------------------------------------
-# plain-text file formats
+# plain-text formats: every JSON document, CSV number, grid and partition file
+
+def _json_text(doc) -> str:
+    """``doc`` as ASCII JSON, indented by 2, ending in a newline; NaN or inf raises ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _fmt(value: float) -> str:
+    """A number as every CSV cell writes it: ``%.12g`` of its float."""
+    return "%.12g" % float(value)
+
 
 def write_grid(grid: CategoricalGrid, path) -> None:
     """Write 'rows cols num_categories' then one line of codes per grid row."""

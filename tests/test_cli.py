@@ -6,9 +6,11 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -761,12 +763,18 @@ def test_experiment_plan_json_written(tmp_path):
     assert (out / "partition.txt").exists()
 
 
-def test_json_files_never_hold_a_non_json_token(tmp_path):
-    # Infinity and NaN are no JSON; strict parsers reject them
+def test_json_files_never_hold_a_non_json_token(tmp_path, monkeypatch):
+    # Infinity and NaN are no JSON; strict parsers reject them.  One function
+    # writes every JSON document: plan.json, manifest.json and decompose's
+    grid = tmp_path / "g.grid"
+    write_grid(CategoricalGrid(3, 3, 2, [1, 2, 1, 2, 2, 1, 1, 1, 2]), grid)
+    dec = decompose(read_grid(grid))
     for value in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="not JSON compliant"):
-            cli._write_json({"karlstrom_distances": [0.0, value]}, tmp_path / "plan.json")
-    assert not (tmp_path / "plan.json").exists()
+            cli._json_text({"karlstrom_distances": [0.0, value]})
+        monkeypatch.setattr(cli, "decompose", lambda *a, **k: replace(dec, marginal=value))
+        assert main(["decompose", str(grid), "--out", str(tmp_path / "d.json")]) == 2
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_bad_cli_arguments_exit_2():
@@ -835,6 +843,43 @@ def test_bad_cli_arguments_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["experiment", "--measures", " ", "--out", "x"])
     assert exc.value.code == 2
+
+
+def test_integer_readers_refuse_digits_with_spaces_around_them(capsys):
+    # every integer option is ASCII digits and nothing else, as in a grid file
+    for text in (" 5", "5 ", "\t5", "5\n"):
+        got = re.escape(repr(text))
+        with pytest.raises(
+            argparse.ArgumentTypeError, match=f"^expected a positive integer, got {got}$"
+        ):
+            cli._positive_int_arg(text)
+        with pytest.raises(
+            argparse.ArgumentTypeError, match=f"^expected a non-negative integer, got {got}$"
+        ):
+            cli._non_negative_int_arg(text)
+        with pytest.raises(
+            argparse.ArgumentTypeError,
+            match=f"^expected a non-negative integer or 'uniform', got {got}$",
+        ):
+            cli._partition_seed_arg(text)
+    # an entry's own spaces are stripped, those inside it are not
+    assert cli._plan_arg(" random:2 ") == (("random", 2),)
+    for entry in ("random: 2", "random:\t2", "random:2 2"):
+        with pytest.raises(
+            argparse.ArgumentTypeError,
+            match=f"^bad plan entry {re.escape(repr(entry))}: expected kind:categories with kind",
+        ):
+            cli._plan_arg(entry)
+    for argv in (
+        ["generate", "--scenario", "random", "--rows", " 5", "--out", "x"],
+        ["experiment", "--seed", "0 ", "--out", "x"],
+        ["measure", "g.grid", "--partition-seed", " 3"],
+        ["experiment", "--scenarios", "compact: 2", "--out", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    capsys.readouterr()
 
 
 def test_argument_types_name_what_they_reject(capsys):

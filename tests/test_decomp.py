@@ -4,6 +4,7 @@ import json
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,18 @@ def test_json_schema():
         assert set(band) == {"label", "p_w", "residual_partial", "info_partial"}
     assert doc["bands"][0]["label"] == "w1"
     assert doc["marginal"] == pytest.approx(H_Z_2X2, abs=1e-12)
+
+
+def test_json_refuses_a_non_finite_term():
+    # strict JSON: a NaN or infinite term raises rather than writing NaN or Infinity
+    dec = decompose(_chessboard(2))
+    assert dec.to_json().endswith("}\n")
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            replace(dec, marginal=value).to_json()
+        band = replace(dec.bands[0], info_partial=value)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            replace(dec, bands=(band, *dec.bands[1:])).to_json()
 
 
 def test_csv_row_schema():
