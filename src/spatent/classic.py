@@ -25,7 +25,7 @@ import numpy as np
 from .cooccur import DistanceClassification, fold_counts, pairs_within
 from .errors import ConsistencyError
 from .lattice import AreaPartition, CategoricalGrid, window_diagonal
-from .prob import _plogp
+from .prob import _plogp, _row_sums
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,20 @@ def estimate_area_probs(
     if (partition.rows, partition.cols) != (grid.rows, grid.cols):
         raise ValueError("partition geometry does not match the grid")
     mask = grid.values == target_category
-    total = np.count_nonzero(mask)
-    if total == 0:
+    if not mask.any():
         raise ValueError(f"category {target_category} does not occur in the grid")
-    # whole-number float counts: the same quotients as integer ones
-    counts = np.bincount(partition.assignment, weights=mask, minlength=partition.num_areas + 1)
-    return AreaProbabilities(counts[1:] / total, partition.sizes)
+    return AreaProbabilities(_area_probs(mask[None], partition)[0], partition.sizes)
+
+
+def _area_probs(masks: np.ndarray, partition: AreaPartition) -> np.ndarray:
+    """The p_g of each row of a (R, N) stack of target-category masks, each holding one.
+
+    Each area's target pixels are counted as one run of the pixels sorted by
+    area.
+    """
+    order, starts = partition._runs
+    counts = np.add.reduceat(masks[:, order], starts, axis=1, dtype=np.int64)
+    return counts / masks.sum(axis=-1)[:, None]
 
 
 def batty_entropy(ap: AreaProbabilities) -> float:
@@ -87,7 +95,16 @@ def batty_entropy(ap: AreaProbabilities) -> float:
     T_g = 1 it reduces to the Shannon entropy of (p_1..p_G).
     """
     mask, p = ap._support
-    return float((p * np.log(ap.sizes[mask] / p)).sum())
+    return _batty(p, ap.sizes[mask], mask[None]).item()
+
+
+def _batty(p: np.ndarray, sizes: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Batty's entropy of each row of a (R, G) ``support`` mask, from p_g and T_g on it.
+
+    ``p`` and ``sizes`` hold the p_g and the T_g of the areas of the
+    support, row after row.
+    """
+    return _row_sums(p * np.log(sizes / p), support)
 
 
 @dataclass(frozen=True)
@@ -147,11 +164,19 @@ def karlstrom_entropy(ap: AreaProbabilities, nb: AreaNeighbourhood) -> float:
     if nb.num_areas != ap.num_areas:
         raise ValueError("neighbourhood and probabilities disagree on area count")
     mask, p = ap._support
-    smoothed = (nb.weights @ ap.probs)[mask]
+    return _karlstrom(p, (nb.weights @ ap.probs)[mask], mask[None]).item()
+
+
+def _karlstrom(p: np.ndarray, smoothed: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The Karlstrom-Ceccato entropy of each row of a (R, G) ``support`` mask.
+
+    ``p`` and ``smoothed`` hold the p_g and the ptilde_g of the areas of
+    the support, row after row.
+    """
     if (smoothed <= 0.0).any():
         # impossible while each area neighbours itself; guards foreign weights
         raise ConsistencyError("smoothed probability vanished on the support")
-    return 0.0 - float((p * np.log(smoothed)).sum())  # no -0.0
+    return 0.0 - _row_sums(p * np.log(smoothed), support)  # no -0.0
 
 
 # ---------------------------------------------------------------------------

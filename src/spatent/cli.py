@@ -9,10 +9,14 @@ experiment  scenario ensemble -> long CSV plus quantile summary CSV
 verify      run the internal identity suite on one or more grid files
 
 Experiment output is deterministic for a given plan and master seed: every
-replicate derives its own RNG stream from its index, and replicates run one
-after another in plan order, each written as soon as it finishes.  A
-``ValueError`` or ``OSError`` caused by the input is reported as one
-``error: <message>`` line with exit code 2.
+replicate derives its own RNG stream from its index.  ``plan.json`` is
+written before the first replicate.  Each entry's replicates run in plan
+order, in stacks of at most ``_STACK`` replicates and ``_STACK_CODES`` pair
+codes: each replicate is drawn and tallied alone, the stack is measured at
+once, and its rows are written, in replicate order, as soon as it is
+measured.  A ``ValueError`` or ``OSError``
+caused by the input is reported as one ``error: <message>`` line with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ import numpy as np
 from . import __version__
 from .classic import (
     CONTIGUITY_INDICES,
+    _area_probs,
+    _batty,
     _index_of_entropy,
-    batty_entropy,
+    _karlstrom,
     build_area_neighbourhood,
     checked_leibovici_distance,
-    estimate_area_probs,
-    karlstrom_entropy,
 )
 from .cooccur import (
     BandGeometry,
@@ -45,7 +49,7 @@ from .cooccur import (
     enumerate_pairs_bruteforce,
     pairs_within,
 )
-from .decomp import decompose, decompose_within
+from .decomp import _band_counts, _decompose_stack, decompose, decompose_within
 from .errors import ConsistencyError
 from .lattice import (
     UNIFORM_PARTITION,
@@ -83,6 +87,13 @@ DEFAULT_DESIGN = (
 )
 
 DEFAULT_KARLSTROM_DISTANCES = "0,2,5,10"
+
+# the most replicates of one entry that `experiment` measures as one stack, for
+# the stack's grids and tables are held until it is measured; and the most
+# ordered pair codes (I^2 per grid) a stack's tables hold: beyond them a stacked
+# decomposition is no faster, and its arrays outgrow the tally's own
+_STACK = 32
+_STACK_CODES = 2**12
 
 # the area-based indices: they read the partition, and `experiment` runs them
 # on two-category scenarios only
@@ -130,8 +141,10 @@ def _plan_arg(text: str) -> tuple:
             continue
         kind, sep, cats = item.partition(":")
         try:
-            if not sep or kind not in SCENARIOS or not _digits(cats):
+            if not sep or kind not in SCENARIOS:
                 raise ValueError(f"expected kind:categories with kind in {SCENARIOS}")
+            if not _digits(cats):
+                raise ValueError(f"category count {cats!r} is not ASCII digits")
             check_categories(kind, int(cats))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad plan entry {item!r}: {exc}")
@@ -190,7 +203,7 @@ def _partition_seed_arg(text: str):
 
 @dataclass(frozen=True)
 class _Plan:
-    """What ``_measure_rows`` reads of a run, built by ``_plan``.
+    """What ``_measure_stack`` reads of a run, built by ``_plan``.
 
     ``pair_bands`` is (bands, split distances (1, d)) or None,
     ``karlstrom`` the (label, neighbourhood) pairs of the smoothed index,
@@ -245,60 +258,135 @@ def _plan(grid, measures, args, seed, shared=False) -> _Plan:
     return _Plan(pair_bands, partition, karlstrom, geometry)
 
 
+def _tally(grid, plan):
+    """The grid's ``pairs_within`` table over the plan's split bands, or None with no pair bands.
+
+    One table over the plan's bands, split further at its distances 1 and
+    d, through its shared geometry if it holds one.
+    """
+    if plan.pair_bands is None:
+        return None
+    cls, distances = plan.pair_bands
+    return pairs_within(grid, cls, distances, geometry=plan.geometry)
+
+
 def _measure_rows(grid, measures, plan, *, ordered: bool = False, target_category: int = 1):
     """(measure, band, value) rows for one grid, in canonical measure order.
 
-    ``plan`` is the ``_plan`` of ``measures`` on the grid's shape.  The
-    stages run in order, each filling the rows of its measures: the tally,
-    one ``pairs_within`` table of the grid over the plan's bands, split
-    further at its distances 1 and d, through its shared geometry if it
-    holds one; the decomposition of its bands (``decompose_within``, folded
-    unless ``ordered``); the contiguity entropies, from the laws up to 1 and
-    up to d; the area indices, Batty from the plan's partition and Karlstrom
-    also from its labelled neighbourhoods.  Shannon's entropy of the
-    categories and Batty's index are computed whenever their stage runs; the
-    rows of ``measures`` alone are returned.
-
-    Batty and Karlstrom rows are NaN when the target category is absent from
-    the grid (the area probabilities are then undefined).
+    ``plan`` is the ``_plan`` of ``measures`` on the grid's shape.  The rows
+    are the stack of one of ``_measure_stack`` over the grid's ``_tally``,
+    whose errors, its decomposition's included, are raised.
     """
-    x_counts = np.bincount(grid.values)  # per code up to the largest present
-    rows = {"shannon_x": [("shannon_x", "", _plogp(x_counts / grid.size))]}
+    keys, values, failures = _measure_stack(
+        [grid], [_tally(grid, plan)], measures, plan,
+        ordered=ordered, target_category=target_category,
+    )
+    if failures[0] is not None:
+        raise failures[0]
+    return _keyed_rows(keys, values[0])
+
+
+def _keyed_rows(keys, values) -> list:
+    """The (measure, band, value) rows of one grid's ``_measure_stack`` keys and values."""
+    return [(m, band, value) for (m, band), value in zip(keys, values.tolist())]
+
+
+def _measure_stack(grids, tallies, measures, plan, *, ordered: bool = False,
+                   target_category: int = 1) -> tuple:
+    """The values of ``measures`` on a stack of grids of one shape and category count.
+
+    Returns ``(keys, values, failures)``: the (measure, band) of each
+    column, in canonical measure order; an (R, K) float array, one row per
+    grid, each the values that grid alone gets; and per grid the
+    ConsistencyError of its decomposition, or None.  ``tallies`` are the
+    grids' ``_tally`` tables, and ``plan`` is the ``_plan`` of ``measures``
+    on their shape.  The stages run in order over the whole stack, each
+    filling the columns of its measures: Shannon's entropy of the
+    categories; per count of present categories, one stacked decomposition
+    of the tables' bands (``decomp._decompose_stack``, folded unless
+    ``ordered``) and the contiguity entropies, from the laws up to 1 and up
+    to d; the area indices, Batty from the plan's partition and Karlstrom
+    also from its labelled neighbourhoods.  Shannon's entropy of the
+    categories and Batty's index are computed whenever their stage runs;
+    the columns of ``measures`` alone are returned.
+
+    Batty and Karlstrom are NaN for a grid where the target category is
+    absent (the area probabilities are then undefined).
+    """
+    n = len(grids)
+    # per code up to the largest present
+    width = max(int(g.values.max()) for g in grids) + 1
+    x_counts = np.array([np.bincount(g.values, minlength=width) for g in grids])
+    # each measure's (row name, band, column) triples
+    columns = {"shannon_x": [("shannon_x", "", _plogp(x_counts / grids[0].size))]}
+    failures = [None] * n
     if plan.pair_bands is not None:
         cls, distances = plan.pair_bands
-        # pairs up to each decomposition break, then up to 1 and up to d
-        within, present = pairs_within(grid, cls, distances, geometry=plan.geometry)
-        if _READERS["bands"].intersection(measures):
-            dec = decompose_within(within[:-2], present, cls.labels, ordered=ordered)
-            rows["shannon_z"] = [("shannon_z", "", dec.marginal)]
-            # each row is named after the term it reads
-            whole = ("mutual_information", "residual_global", "mi_proportional")
-            per_band = ("p_w", "residual_partial", "info_partial")
-            rows["decomposition"] = [(t, "", getattr(dec, t)) for t in whole] + [
-                (t, b.label, getattr(b, t)) for b in dec.bands for t in per_band
-            ]
+        decomposed = _READERS["bands"].intersection(measures)
         # one entropy per pair law: O'Neill, rc and Parresol-Edwards share the
-        # rook law's, Leibovici takes the law up to d; rc divides by log I^2
-        entropies = {}
+        # rook law's, Leibovici takes the law up to d
+        laws = {-1 if m == "leibovici" else -2 for m in CONTIGUITY_INDICES if m in measures}
+        labels = cls.labels
+        # the decomposition's terms, as _decompose_stack orders them
+        whole, bands = np.empty((4, n)), np.empty((3, n, len(labels)))
+        entropies = {k: np.empty(n) for k in laws}
+        groups: dict = {}
+        for i, (_, present) in enumerate(tallies):
+            groups.setdefault(present.size, []).append(i)
+        for ni, rows in groups.items():
+            within = np.stack([tallies[i][0] for i in rows])
+            if decomposed:
+                dec = _decompose_stack(_band_counts(within[:, :-2], ni, ordered), labels)
+                whole[:, rows] = np.transpose(dec.whole)
+                bands[:, rows] = dec.bands
+                for i, failure in zip(rows, dec.failures):
+                    failures[i] = failure
+            for k in laws:
+                near = within[:, k]
+                entropies[k][rows] = _plogp(near / near.sum(axis=-1, keepdims=True))
+        if decomposed:
+            marginal, residual_global, mi, mi_proportional = whole
+            columns["shannon_z"] = [("shannon_z", "", marginal)]
+            # each row is named after the term it reads
+            columns["decomposition"] = [
+                ("mutual_information", "", mi),
+                ("residual_global", "", residual_global),
+                ("mi_proportional", "", mi_proportional),
+            ] + [(t, label, terms[:, j]) for j, label in enumerate(labels)
+                 for t, terms in zip(("p_w", "residual_partial", "info_partial"), bands)]
+        # rc divides by log I^2
+        num_codes = int(grids[0].num_categories) ** 2
         for m in CONTIGUITY_INDICES:
             if m in measures:
                 k = -1 if m == "leibovici" else -2
-                if k not in entropies:
-                    entropies[k] = _plogp(within[k] / within[k].sum())
-                value = _index_of_entropy(m, entropies[k], int(grid.num_categories) ** 2)
-                rows[m] = [(m, f"d{distances[-1]:g}" if k == -1 else "", value)]
+                value = _index_of_entropy(m, entropies[k], num_codes)
+                columns[m] = [(m, f"d{distances[-1]:g}" if k == -1 else "", value)]
     if _AREA.intersection(measures):
-        if not 1 <= target_category <= grid.num_categories:
+        if not 1 <= target_category <= grids[0].num_categories:
             raise ValueError(f"target category {target_category} out of range")
-        area_probs = None
-        if target_category < x_counts.size and x_counts[target_category]:
-            area_probs = estimate_area_probs(grid, plan.partition, target_category)
-        rows["batty"] = [("batty", "", batty_entropy(area_probs) if area_probs else math.nan)]
-        rows["karlstrom"] = [
-            ("karlstrom", band, karlstrom_entropy(area_probs, nb) if area_probs else math.nan)
-            for band, nb in plan.karlstrom
+        batty = np.full(n, math.nan)
+        karlstrom = np.full((n, len(plan.karlstrom)), math.nan)
+        if target_category < width:
+            held = np.flatnonzero(x_counts[:, target_category])
+            if held.size:
+                masks = np.array([grids[i].values == target_category for i in held])
+                probs = _area_probs(masks, plan.partition)
+                # one support per stack, read by every index
+                live = probs > 0.0
+                p = probs[live]
+                sizes = np.broadcast_to(plan.partition.sizes, probs.shape)[live]
+                batty[held] = _batty(p, sizes, live)
+                for j, (_, nb) in enumerate(plan.karlstrom):
+                    # one product per grid, as one grid's probabilities are smoothed
+                    smoothed = np.array([nb.weights @ row for row in probs])[live]
+                    karlstrom[held, j] = _karlstrom(p, smoothed, live)
+        columns["batty"] = [("batty", "", batty)]
+        columns["karlstrom"] = [
+            ("karlstrom", band, karlstrom[:, j]) for j, (band, _) in enumerate(plan.karlstrom)
         ]
-    return [row for m in MEASURES if m in measures for row in rows[m]]
+    chosen = [row for m in MEASURES if m in measures for row in columns[m]]
+    keys = [(name, band) for name, band, _ in chosen]
+    return keys, np.column_stack([column for _, _, column in chosen]), failures
 
 
 def _write_text(text: str, path) -> None:
@@ -451,15 +539,53 @@ class ExperimentPlan:
     def run_entry(self, index: int, rep: int) -> tuple:
         """Replicate ``rep`` of entry ``index``: its grid and the rows ``experiment`` writes.
 
-        The rows are ``_measure_rows`` of the entry's selection over
-        ``shared``.  Replicate ``replicates`` is the idealized one, with the
-        exact equal category split; each draws from its own ``replicate_seed``.
+        The stack of one of ``run_entries``, whose failure is raised.
+        """
+        (grid,), keys, values, (failure,) = self.run_entries(index, [rep])
+        if failure is not None:
+            raise failure
+        return grid, _keyed_rows(keys, values[0])
+
+    def run_entries(self, index: int, reps) -> tuple:
+        """Replicates ``reps`` of entry ``index``, measured as one stack.
+
+        Returns ``(grids, keys, values, failures)``, one item per replicate
+        and one row of ``values`` per replicate, as ``_measure_stack`` gives
+        them over ``shared`` for the entry's selection.  Replicate
+        ``replicates`` is the idealized one, with the exact equal category
+        split; each draws from its own ``replicate_seed``.  Each replicate is
+        drawn and tallied alone, and one whose draw or tally raises is left
+        out of the stack, with None as its grid.  A replicate's failure is
+        the exception of its draw, its tally or its decomposition's
+        identities, or of the stacked stage, which fails every replicate of
+        the stack; its row of ``values`` is then NaN.
         """
         kind, cats = self.scenarios[index]
-        uniform = "uniform" if rep == self.replicates else "dirichlet"
-        seed = replicate_seed(self.seed, kind, cats, rep)
-        grid = generate(ScenarioSpec(kind, self.rows, self.cols, cats, uniform, seed))
-        return grid, _measure_rows(grid, self.selections[index], self.shared)
+        grids, tallies, failures = [None] * len(reps), [], [None] * len(reps)
+        for i, rep in enumerate(reps):
+            uniform = "uniform" if rep == self.replicates else "dirichlet"
+            seed = replicate_seed(self.seed, kind, cats, rep)
+            try:
+                grid = generate(ScenarioSpec(kind, self.rows, self.cols, cats, uniform, seed))
+                tallies.append(_tally(grid, self.shared))
+                grids[i] = grid
+            except Exception as exc:
+                failures[i] = exc
+        live = [i for i, grid in enumerate(grids) if grid is not None]
+        keys, values = [], np.full((len(grids), 0), math.nan)
+        if live:
+            try:
+                keys, stacked, measured = _measure_stack(
+                    [grids[i] for i in live], tallies, self.selections[index], self.shared
+                )
+            except Exception as exc:
+                measured = [exc] * len(live)
+            else:
+                values = np.full((len(grids), len(keys)), math.nan)
+                values[live] = stacked
+            for i, failure in zip(live, measured):
+                failures[i] = failure
+        return grids, keys, values, failures
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +638,8 @@ def _cmd_experiment(args) -> int:
     out = Path(args.out)
     plan = ExperimentPlan.from_args(args)  # checked before any output is made
     out.mkdir(parents=True, exist_ok=True)
+    # the plan first, so that a run cut short still says what made its rows
+    _write_text(plan.to_json(), out / "plan.json")
     if plan.shared.partition is not None:
         write_partition(plan.shared.partition, out / "partition.txt")
 
@@ -527,30 +655,40 @@ def _cmd_experiment(args) -> int:
                 continue  # no replicate of an entry whose measures it cannot take
             label = f"{kind}_x{cats}"
             # the replicates, then the idealized extra one with the exact
-            # equal category split, flagged, unless it is skipped
-            for rep in range(plan.replicates + (not plan.skip_uniform)):
-                uflag = int(rep == plan.replicates)
-                # one failing replicate is reported and skipped, the others are written
-                try:
-                    _, rows = plan.run_entry(index, rep)
-                except Exception as exc:
-                    log.error(
-                        "replicate %s/%d aborted: %s: %s",
-                        label, rep, type(exc).__name__, exc, exc_info=exc,
-                    )
-                    failed += 1
-                    continue
-                fh.write(_row_lines(rows, f"{label},{rep},{uflag},"))
-                written += len(rows)
-                if uflag:
-                    uniform_values.update(((label, m, band), value) for m, band, value in rows)
-                else:
-                    for m, band, value in rows:
-                        ensemble.setdefault((label, m, band), []).append(value)
+            # equal category split, flagged, unless it is skipped; in as few
+            # stacks of as equal sizes as the limits allow, each stack's rows
+            # written in replicate order
+            reps = range(plan.replicates + (not plan.skip_uniform))
+            stacks = math.ceil(len(reps) / max(1, min(_STACK, _STACK_CODES // cats**2)))
+            size = math.ceil(len(reps) / stacks)
+            ordinary, ordinary_keys = [], []
+            for first in range(0, len(reps), size):
+                stack = reps[first : first + size]
+                _, keys, values, failures = plan.run_entries(index, stack)
+                for rep, row, exc in zip(stack, values, failures):
+                    # one failing replicate is reported and skipped, the others are written
+                    if exc is not None:
+                        log.error(
+                            "replicate %s/%d aborted: %s: %s",
+                            label, rep, type(exc).__name__, exc, exc_info=exc,
+                        )
+                        failed += 1
+                        continue
+                    rows = _keyed_rows(keys, row)
+                    uflag = int(rep == plan.replicates)
+                    fh.write(_row_lines(rows, f"{label},{rep},{uflag},"))
+                    written += len(rows)
+                    if uflag:
+                        uniform_values.update(((label, m, band), value) for m, band, value in rows)
+                    else:
+                        ordinary.append(row)
+                        ordinary_keys = keys
+            # each key's values over the ordinary replicates, straight from their rows
+            columns = np.transpose(ordinary) if ordinary else ()
+            ensemble.update(((label, m, band), c) for (m, band), c in zip(ordinary_keys, columns))
 
     summary_path = out / "summary.csv"
     _write_text(_summary_csv(ensemble, uniform_values), summary_path)
-    _write_text(plan.to_json(), out / "plan.json")
 
     print(f"wrote {written} rows to {long_path} and quantiles to {summary_path}")
     if failed:
@@ -569,8 +707,8 @@ def _summary_csv(ensemble: dict, uniform: dict) -> str:
     value (NaN without one).
     """
     # keys with equally many non-NaN values share one quantile call; each
-    # key's array replaces its list of floats, and the quantile partitions
-    # its stacked copy in place, so the summary adds little memory
+    # key's non-NaN values replace its column, and the quantile partitions
+    # their stacked copy in place, so the summary adds little memory
     groups: dict = {}
     for key, values in ensemble.items():
         arr = np.asarray(values, dtype=np.float64)

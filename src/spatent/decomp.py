@@ -15,8 +15,9 @@ partial information of band k, with MI = sum_k p(w_k) PI(Z, w_k).
 Every term comes from one table, the pair counts per band over the present
 categories (row differences of ``cooccur.pairs_within``), and this module is
 the only place that turns it into laws: p(W), p(Z), the band conditionals and
-the joint table, all relative frequencies.  ``decompose_counts`` reads them
-as plain arrays, ``decompose_within`` is the one way to it from a
+the joint table, all relative frequencies.  ``_decompose_stack`` reads them
+as plain arrays, for a stack of tables at once, and ``decompose_counts`` is
+its stack of one; ``decompose_within`` is the one way to a table from a
 ``pairs_within`` tally, ``decompose`` tallies a grid and calls that, and
 ``conditional_pmfs`` returns the same arrays as ``Pmf``/``JointPmf``.
 
@@ -39,7 +40,7 @@ import numpy as np
 from .cooccur import DistanceClassification, PairSample, fold_counts, pairs_within
 from .errors import ConsistencyError
 from .lattice import CategoricalGrid, _fmt, _json_text
-from .prob import JointPmf, Pmf, _plogp, mutual_information
+from .prob import JointPmf, Pmf, _plogp, _row_sums, mutual_information
 
 MI_AGREEMENT_TOL = 1e-10
 # characters a band label cannot hold: ``to_csv_row`` writes labels unquoted
@@ -130,20 +131,21 @@ class EntropyDecomposition:
 
 
 def _laws(counts: np.ndarray) -> tuple:
-    """(p_w, p_z, conds, joint): the relative frequencies of a pair-count table.
+    """(p_w, p_z, conds, joint): the relative frequencies of a pair-count table, or of a stack.
 
-    ``counts`` is (nb, nz); ``conds`` (nb, nz) holds a zero row for each
-    band of zero weight, and ``joint`` is the C-contiguous (nz, nb) pair
-    category x band table.  ``decompose_counts`` takes the terms and the
-    identity residuals of a decomposition from these same arrays.
+    ``counts`` is (nb, nz), or (..., nb, nz) for a stack of tables; ``conds``
+    (..., nb, nz) holds a zero row for each band of zero weight, and
+    ``joint`` is the C-contiguous (..., nz, nb) pair category x band table.
+    ``_decompose_stack`` takes the terms and the identity residuals of a
+    decomposition from these same arrays.
     """
-    q = counts.sum(axis=1)
-    total = int(q.sum())
-    if total == 0:
+    q = counts.sum(axis=-1)
+    total = q.sum(axis=-1, keepdims=True)
+    if not total.all():
         raise ValueError("sample contains no pairs")
-    conds = counts / np.maximum(q, 1)[:, None]  # an empty band's row stays zero
-    joint = np.ascontiguousarray(counts.T) / total
-    return q / total, counts.sum(axis=0) / total, conds, joint
+    conds = counts / np.maximum(q, 1)[..., None]  # an empty band's row stays zero
+    joint = np.ascontiguousarray(counts.swapaxes(-1, -2)) / total[..., None]
+    return q / total, counts.sum(axis=-2) / total, conds, joint
 
 
 @dataclass(frozen=True)
@@ -179,17 +181,67 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
 
     ``labels`` names the bands.  The laws are relative frequencies: p(w_k)
     = Q_k / Q, p(Z) the pooled counts over Q, p(Z | w_k) band k's counts
-    over Q_k.  The result carries its six identity ``residuals``; raises
-    ConsistencyError, naming the worst identity, when any exceeds
-    MI_AGREEMENT_TOL.  Raises ValueError before any work for a table that
-    is not 2-D or holds a negative count, for a label count other than the
-    table's band count, and for a label holding a comma, a double quote, CR
-    or LF, since the CSV row could not carry it.
+    over Q_k.  The table is ``_decompose_stack``'s stack of one.  The
+    result carries its six identity ``residuals``; raises ConsistencyError,
+    naming the worst identity, when any exceeds MI_AGREEMENT_TOL.  Raises
+    ValueError before any work for a table that is not 2-D or holds a
+    negative count, for a label count other than the table's band count,
+    and for a label holding a comma, a double quote, CR or LF, since the CSV
+    row could not carry it.
     """
     if counts.ndim != 2:
         raise ValueError(f"expected a (bands, pair categories) table, got shape {counts.shape}")
-    if len(labels) != counts.shape[0]:
-        raise ValueError(f"{len(labels)} band labels for a table of {counts.shape[0]} bands")
+    stack = _decompose_stack(counts[None], labels)
+    if stack.failures[0] is not None:
+        raise stack.failures[0]
+    marginal, residual_global, mi, mi_proportional = stack.whole[0]
+    p_w, partials, infos = (terms[0].tolist() for terms in stack.bands)
+    bands = tuple(
+        BandDecomposition(label, w, n, h, i, empty=w == 0.0)
+        for label, w, n, h, i in zip(labels, p_w, counts.sum(axis=1).tolist(), partials, infos)
+    )
+    return EntropyDecomposition(
+        marginal=marginal,
+        residual_global=residual_global,
+        mutual_information=mi,
+        mi_proportional=mi_proportional,
+        bands=bands,
+        residuals=MappingProxyType(stack.residuals[0]),
+        degenerate=marginal == 0.0,
+    )
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """The decompositions of a stack of R count tables over nb bands.
+
+    ``bands`` holds the (R, nb) arrays of the bands' p(w_k), H(Z | w_k) and
+    PI(Z, w_k), one row per table; ``whole`` holds per table its H(Z),
+    H(Z)_W, MI and MI / H(Z), ``residuals`` its ``_residuals`` and
+    ``failures`` its ConsistencyError when one exceeds MI_AGREEMENT_TOL, or
+    None: each the terms that ``decompose_counts`` gives that table alone.
+    """
+
+    whole: list
+    bands: tuple
+    residuals: list
+    failures: list
+
+
+def _decompose_stack(counts: np.ndarray, labels) -> _Stack:
+    """The decompositions of a (R, num_bands, num_z_categories) stack of pair-count tables.
+
+    Every term of a table is computed on the stack at once and is bit for
+    bit the term of that table alone: elementwise steps do not mix tables;
+    each band's run of summands, each table's H(Z) and MI are summed by
+    ``prob._row_sums``, one pairwise sum per run as on a single table; and
+    H(Z)_W, like every BLAS product of ``_residuals``, is one product per
+    table.  A table whose identities fail does not stop the others: its
+    ConsistencyError names the worst identity in ``failures``.  Raises
+    ValueError, as ``decompose_counts`` does, before any work.
+    """
+    if len(labels) != counts.shape[-2]:
+        raise ValueError(f"{len(labels)} band labels for a table of {counts.shape[-2]} bands")
     if (counts < 0).any():
         raise ValueError("pair counts must be non-negative")
     for label in labels:
@@ -197,50 +249,42 @@ def decompose_counts(counts: np.ndarray, labels) -> EntropyDecomposition:
             raise ValueError(f"band label {label!r} holds a comma, quote or line break")
     p_w, p_z, conds, joint = _laws(counts)
     # the summands of every band's H(Z | w_k) and PI(Z, w_k) over the support
-    # of the table, band after band; each band sums its own run, in support
-    # order, as _plogp and _kl do
+    # of its table, band after band and table after table; each band sums its
+    # own run, in support order, as _plogp and _kl do
     live = conds > 0.0
     pos = conds[live]
     terms = np.empty((2, pos.size))
     np.log(pos, out=terms[0])
-    np.log(pos / np.broadcast_to(p_z, conds.shape)[live], out=terms[1])
+    np.divide(pos, p_z[:, None, :].repeat(conds.shape[-2], axis=1)[live], out=terms[1])
+    np.log(terms[1], out=terms[1])
     terms *= pos
-    ends = np.cumsum(np.count_nonzero(live, axis=1)).tolist()
-    partials = np.zeros(len(ends))
-    infos = np.zeros(len(ends))
-    start = 0
-    for k, end in enumerate(ends):
-        if end > start:  # a live band: an empty one keeps its zeros
-            h, infos[k] = terms[:, start:end].sum(axis=1)
-            partials[k] = -h + 0.0  # + 0.0 folds -0.0 into 0.0
-        start = end
+    sums = _row_sums(terms, live.reshape(-1, conds.shape[-1])).reshape(2, *p_w.shape)
+    partials = -sums[0] + 0.0  # + 0.0 folds -0.0 into 0.0; an empty band keeps its zeros
+    infos = sums[1]
     h_z = _plogp(p_z)
     mi = mutual_information(joint)
-    h_zw = float(np.dot(p_w, partials))
-    residuals = _residuals(p_w, p_z, conds, joint, h_z, mi, h_zw, partials, infos)
-    failed = {name: r for name, r in residuals.items() if not r <= MI_AGREEMENT_TOL}
-    if failed:
-        worst = max(failed, key=failed.get)
-        raise ConsistencyError(
-            f"decomposition identity {worst} misses by {failed[worst]:.3e} "
-            f"(tolerance {MI_AGREEMENT_TOL:g}); failing: {', '.join(failed)}"
-        )
+    whole, residuals, failures = [], [], []
+    # per table: H(Z)_W, its BLAS product, and the identity residuals on its laws
+    for w, z, c, j, hz, m, h, i in zip(p_w, p_z, conds, joint, h_z.tolist(), mi.tolist(),
+                                       partials, infos):
+        hzw = float(np.dot(w, h))
+        found = _residuals(w, z, c, j, hz, m, hzw, h, i)
+        # H(Z) = 0 gives the proportion 0, flagged by the caller
+        whole.append((hz, hzw, m, m / hz if hz else 0.0))
+        residuals.append(found)
+        failures.append(_identity_failure(found))
+    return _Stack(whole, (p_w, partials, infos), residuals, failures)
 
-    bands = tuple(
-        BandDecomposition(label, w, n, h, i, empty=w == 0.0)
-        for label, w, n, h, i in zip(
-            labels, p_w.tolist(), counts.sum(axis=1).tolist(), partials.tolist(), infos.tolist()
-        )
-    )
-    degenerate = h_z == 0.0
-    return EntropyDecomposition(
-        marginal=h_z,
-        residual_global=h_zw,
-        mutual_information=mi,
-        mi_proportional=0.0 if degenerate else mi / h_z,
-        bands=bands,
-        residuals=MappingProxyType(residuals),
-        degenerate=degenerate,
+
+def _identity_failure(residuals: dict) -> ConsistencyError | None:
+    """The ConsistencyError naming the worst of ``residuals`` beyond MI_AGREEMENT_TOL, or None."""
+    failed = {name: r for name, r in residuals.items() if not r <= MI_AGREEMENT_TOL}
+    if not failed:
+        return None
+    worst = max(failed, key=failed.get)
+    return ConsistencyError(
+        f"decomposition identity {worst} misses by {failed[worst]:.3e} "
+        f"(tolerance {MI_AGREEMENT_TOL:g}); failing: {', '.join(failed)}"
     )
 
 
@@ -299,7 +343,20 @@ def decompose_within(
     unordered codes by ``fold_counts`` unless ``ordered``, and
     ``decompose_counts`` decomposes them.
     """
-    counts = np.diff(within, axis=0)
-    if not ordered:
-        counts = fold_counts(counts, present.size)
-    return decompose_counts(counts, labels)
+    return decompose_counts(_band_counts(within, present.size, ordered), labels)
+
+
+def _band_counts(within: np.ndarray, ni: int, ordered: bool) -> np.ndarray:
+    """The band tables of a ``pairs_within`` table over ni codes, or of a stack of them.
+
+    The row differences of ``within`` (..., breaks, ni^2), folded to
+    unordered codes by ``fold_counts`` unless ``ordered``.  Each folded
+    table of a stack is laid out as ``fold_counts`` lays out one table, band
+    index fastest, so that its BLAS products in ``_residuals`` are the very
+    products of that table alone.
+    """
+    counts = np.diff(within, axis=-2)
+    if ordered:
+        return counts
+    folded = np.swapaxes(fold_counts(counts, ni), -1, -2)
+    return np.swapaxes(np.ascontiguousarray(folded), -1, -2)

@@ -136,6 +136,11 @@ class AreaPartition:
         return self._centroids
 
     @cached_property
+    def _runs(self) -> tuple:
+        """(order, starts): the pixels in order of their area, and where each area's run starts."""
+        return np.argsort(self.assignment, kind="stable"), np.cumsum(self.sizes) - self.sizes
+
+    @cached_property
     def _centroids(self) -> np.ndarray:
         r, c = np.divmod(np.arange(self.rows * self.cols), self.cols)
         # pixel centroids are half-integers, so both weighted sums are exact

@@ -46,10 +46,55 @@ def _validated_probs(probs, what: str) -> np.ndarray:
     return p
 
 
-def _plogp(p: np.ndarray) -> float:
-    """-sum(p * log p) over the strictly positive entries."""
-    pos = p[p > 0.0]
-    return float(-(pos * np.log(pos)).sum()) + 0.0  # + 0.0 folds -0.0 into 0.0
+# the fewest runs of one length that ``_row_sums`` gathers into one array:
+# below it, summing each run as a slice takes fewer numpy calls
+_GATHER = 4
+
+
+def _row_sums(terms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """The sum of each row's run of ``terms``, one per row of ``mask``.
+
+    ``mask`` (R, ...) marks the cells whose terms lie, row after row in C
+    order, end to end along the last axis of ``terms``; a row with no cell
+    sums to 0.0.  Each sum is the very sum numpy takes of its run alone:
+    one pairwise reduction of a contiguous row.  A run is summed as a
+    slice, or, when at least ``_GATHER`` runs have its length, gathered
+    with them into one C-contiguous (m, n) array summed along its rows.  So
+    a stack of tables, its runs laid end to end, gets each table's own bits.
+    """
+    if len(mask) == 1:
+        return terms.sum(axis=-1, keepdims=True)
+    lengths = mask.reshape(len(mask), -1).sum(axis=-1).tolist()
+    groups: dict = {}
+    start = 0
+    for j, n in enumerate(lengths):
+        if n:
+            groups.setdefault(n, []).append((j, start))
+        start += n
+    out = np.zeros(terms.shape[:-1] + (len(lengths),))
+    for n, runs in groups.items():
+        if len(runs) < _GATHER:
+            for j, s in runs:
+                out[..., j] = terms[..., s : s + n].sum(axis=-1)
+        else:
+            js, starts = zip(*runs)
+            # take, unlike an index, lays the gathered runs out C-contiguous
+            out[..., list(js)] = np.take(terms, np.add.outer(starts, range(n)), axis=-1).sum(axis=-1)
+    return out
+
+
+def _plogp(p: np.ndarray):
+    """-sum(p * log p) over the strictly positive entries: a float, or one per row of a stack.
+
+    A (R, n) stack ``p`` gives an (R,) array, each row's entropy bit for bit
+    the float that row alone gives (``_row_sums``).
+    """
+    mask = p > 0.0
+    pos = p[mask]
+    terms = pos * np.log(pos)
+    if p.ndim == 1:
+        return float(-terms.sum()) + 0.0  # + 0.0 folds -0.0 into 0.0
+    return -_row_sums(terms, mask) + 0.0
 
 
 @dataclass(frozen=True)
@@ -186,17 +231,21 @@ def conditional_entropy(joint: JointPmf, conditioning: str = "cols") -> float:
     return float(total)
 
 
-def mutual_information(joint) -> float:
+def mutual_information(joint) -> float | np.ndarray:
     """Mutual information MI(X,Y) = KL(joint || product of marginals).
 
     Computed directly as sum over positive cells of
     p(x,y) log(p(x,y) / (p(x) p(y))).  Wherever p(x,y) > 0 the marginal
     product is positive too, so the divergence always exists.  ``joint`` is
-    a JointPmf, or a probability matrix that the caller has already checked.
+    a JointPmf, or a probability matrix that the caller has already checked;
+    a (R, rows, cols) stack of such matrices gives an (R,) array, each bit
+    for bit the float of its matrix alone.
     """
     p = joint.probs if isinstance(joint, JointPmf) else joint
-    r = p.sum(axis=1)
-    c = p.sum(axis=0)
-    prod = np.outer(r, c)
+    prod = p.sum(axis=-1)[..., :, None] * p.sum(axis=-2)[..., None, :]
     mask = p > 0.0
-    return float((p[mask] * np.log(p[mask] / prod[mask])).sum())
+    pm = p[mask]
+    terms = pm * np.log(pm / prod[mask])
+    if p.ndim == 2:
+        return float(terms.sum())
+    return _row_sums(terms, mask)

@@ -47,6 +47,7 @@ _LATTICE = "src/spatent/lattice.py"
 _CLI = "src/spatent/cli.py"
 _COOCCUR = "src/spatent/cooccur.py"
 _DECOMP = "src/spatent/decomp.py"
+_PROB = "src/spatent/prob.py"
 _DIGESTS = "tests/test_golden_digests.py::test_every_command_writes_its_pinned_bytes"
 
 MUTANTS = (
@@ -117,6 +118,33 @@ MUTANTS = (
         "dual-route-from-the-residual", _DECOMP, '"mi-dual-route": abs(mi - (h_z - h_z_given_w)),',
         '"mi-dual-route": abs(mi - (h_z - h_zw)),',
         ("tests/test_decomp.py::test_identity_residuals_name_the_broken_identity",),
+    ),
+    # the stacked post-tally stage: runs summed alone, failures kept per
+    # table, rows in replicate order
+    Mutant(
+        "gathered-run-crosses-its-boundary", _PROB, "np.add.outer(starts, range(n))",
+        "np.add.outer(starts, range(1, n + 1))",
+        ("tests/test_decomp.py::test_array_core_equals_the_pmf_route",
+         "tests/test_decomp.py::test_a_stack_decomposes_each_experiment_table_as_it_alone"),
+    ),
+    Mutant(
+        "identity-failure-aborts-its-stack", _DECOMP,
+        "        failures.append(_identity_failure(found))\n",
+        "        failures.append(_identity_failure(found))\n"
+        "        if failures[-1] is not None:\n"
+        "            raise failures[-1]\n",
+        ("tests/test_decomp.py::test_a_table_failing_its_identities_fails_alone_in_its_stack",
+         "tests/test_cli.py::test_experiment_isolates_a_replicate_failing_its_identities"),
+    ),
+    Mutant(
+        "stack-rows-scattered-reversed", _CLI, "whole[:, rows] = np.transpose(dec.whole)",
+        "whole[:, rows[::-1]] = np.transpose(dec.whole)",
+        ("tests/test_cli.py::test_experiment_writes_run_entry_rows_in_replicate_order",),
+    ),
+    Mutant(
+        "rows-out-of-replicate-order", _CLI, "for rep, row, exc in zip(stack, values, failures):",
+        "for rep, row, exc in zip(stack[::-1], values[::-1], failures[::-1]):",
+        ("tests/test_cli.py::test_experiment_writes_run_entry_rows_in_replicate_order",),
     ),
 )
 

@@ -1,6 +1,7 @@
 """End-to-end command line coverage on tiny inputs."""
 
 import argparse
+import collections
 import hashlib
 import json
 import logging
@@ -864,10 +865,11 @@ def test_integer_readers_refuse_digits_with_spaces_around_them(capsys):
             cli._partition_seed_arg(text)
     # an entry's own spaces are stripped, those inside it are not
     assert cli._plan_arg(" random:2 ") == (("random", 2),)
-    for entry in ("random: 2", "random:\t2", "random:2 2"):
+    for entry, count in (("random: 2", " 2"), ("random:\t2", "\t2"), ("random:2 2", "2 2")):
         with pytest.raises(
             argparse.ArgumentTypeError,
-            match=f"^bad plan entry {re.escape(repr(entry))}: expected kind:categories with kind",
+            match=f"^bad plan entry {re.escape(repr(entry))}: "
+            f"category count {re.escape(repr(count))} is not ASCII digits$",
         ):
             cli._plan_arg(entry)
     for argv in (
@@ -894,7 +896,7 @@ def test_argument_types_name_what_they_reject(capsys):
     for entry in ("random:٣", "random:²", "random:３"):
         with pytest.raises(
             argparse.ArgumentTypeError,
-            match=f"^bad plan entry '{entry}': expected kind:categories with kind in ",
+            match=f"^bad plan entry '{entry}': category count '{entry[-1]}' is not ASCII digits$",
         ):
             cli._plan_arg(entry)
     for text in ("３", "٣", "²"):
@@ -1116,6 +1118,92 @@ def test_experiment_isolates_a_failed_replicate(tmp_path, monkeypatch, caplog):
     assert (out / "summary.csv").exists()
 
 
+def _entry_rows(plan, skip=()):
+    """The ``results_long.csv`` text of ``plan`` from ``run_entry``, without the replicates in ``skip``."""
+    lines = ["scenario,replicate,uniform_flag,measure,band,value\n"]
+    for index, (kind, cats) in enumerate(plan.scenarios):
+        for rep in range(plan.replicates + 1):
+            if (index, rep) not in skip:
+                head = f"{kind}_x{cats},{rep},{int(rep == plan.replicates)},"
+                lines.append(cli._row_lines(plan.run_entry(index, rep)[1], head))
+    return "".join(lines)
+
+
+def test_experiment_isolates_a_replicate_failing_its_identities(tmp_path, monkeypatch, caplog):
+    plan = ExperimentPlan.from_args(build_parser().parse_args(EXP_ARGS.format(workers=1, out="x").split()))
+    # the joint table of random:5, replicate 1, and a mutual information that
+    # misses it wherever it is decomposed, in a stack of one or of three
+    within, present = cli._tally(plan.run_entry(1, 1)[0], plan.shared)
+    target = decomp._laws(decomp._band_counts(within[:-2], present.size, False))[3]
+    exact = decomp.mutual_information
+    stacked = []
+
+    def broken(joint):
+        stacked.append(len(joint))
+        hit = [j.shape == target.shape and np.array_equal(j, target) for j in joint]
+        return exact(joint) + 1e-6 * np.array(hit)
+
+    monkeypatch.setattr(decomp, "mutual_information", broken)
+    out = tmp_path / "broken"
+    with caplog.at_level(logging.ERROR, logger="spatent"):
+        assert main(EXP_ARGS.format(workers=1, out=out).split()) == 1
+    assert stacked == [3, 3]  # each entry's three replicates, as one stack
+    aborted = [r.getMessage() for r in caplog.records if " aborted: " in r.getMessage()]
+    assert len(aborted) == 1
+    assert re.match(
+        r"^replicate random_x5/1 aborted: ConsistencyError: decomposition identity \S+ misses"
+        r" by 1\.000e-06 \(tolerance 1e-10\); failing: .*mi-dual-route", aborted[0]
+    )
+    # every other replicate is written, as run_entry gives it alone
+    assert (out / "results_long.csv").read_text() == _entry_rows(plan, skip={(1, 1)})
+    with pytest.raises(ConsistencyError, match="^decomposition identity "):
+        plan.run_entry(1, 1)
+
+
+@pytest.mark.parametrize("stack", [1, 2, 32])
+def test_experiment_writes_run_entry_rows_in_replicate_order(tmp_path, monkeypatch, stack):
+    whole = _run_experiment(tmp_path, "whole", 1)
+    monkeypatch.setattr(cli, "_STACK", stack)
+    out = _run_experiment(tmp_path, f"stack{stack}", 1)
+    plan = ExperimentPlan.from_json((out / "plan.json").read_text())
+    assert (out / "results_long.csv").read_text() == _entry_rows(plan)
+    for name in ("results_long.csv", "summary.csv", "plan.json", "partition.txt"):
+        assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("stack", [1, 32])
+def test_an_interrupted_experiment_leaves_its_plan_and_whole_replicates(tmp_path, monkeypatch, stack):
+    full = _run_experiment(tmp_path, "full", 1)
+    real_generate = cli.generate
+    stop = cli.replicate_seed(3, "random", 5, 1)
+
+    def interrupted(spec):
+        if spec.seed == stop and spec.pmf_source == "dirichlet":
+            raise KeyboardInterrupt
+        return real_generate(spec)
+
+    monkeypatch.setattr(cli, "_STACK", stack)
+    monkeypatch.setattr(cli, "generate", interrupted)
+    out = tmp_path / "cut"
+    with pytest.raises(KeyboardInterrupt):
+        main(EXP_ARGS.format(workers=1, out=out).split())
+    assert (out / "plan.json").read_bytes() == (full / "plan.json").read_bytes()
+    assert not (out / "summary.csv").exists()
+    cut = (out / "results_long.csv").read_text().splitlines()
+    lines = (full / "results_long.csv").read_text().splitlines()
+    assert cut == lines[: len(cut)]
+
+    def replicates(rows):
+        return collections.Counter(tuple(row.split(",")[:2]) for row in rows[1:])
+
+    # only whole replicates, and none from the stack that was cut
+    kept, every = replicates(cut), replicates(lines)
+    assert all(kept[key] == every[key] for key in kept)
+    assert sorted(kept) == [("compact_x2", "0"), ("compact_x2", "1"), ("compact_x2", "2")] + (
+        [("random_x5", "0")] if stack == 1 else []
+    )
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_experiment_output_matches_the_pinned_checksums(tmp_path, workers):
     out = tmp_path / f"pin{workers}"
@@ -1129,10 +1217,13 @@ def test_experiment_output_matches_the_pinned_checksums(tmp_path, workers):
 
 
 def test_import_loads_no_fft_and_no_thread_pool():
+    # what a fresh interpreter loads to import the package and build the
+    # parser: no FFT until a tally needs one (BandGeometry._stage_one), and
+    # no pool of threads or processes
     code = (
-        "import sys, spatent, spatent.cli; "
+        "import sys, spatent, spatent.cli; spatent.cli.build_parser(); "
         "print(sorted(m for m in sys.modules"
-        " if m.startswith(('numpy.fft', 'concurrent.futures'))))"
+        " if m.startswith(('numpy.fft', 'concurrent.futures', 'multiprocessing'))))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
@@ -1146,16 +1237,15 @@ def test_experiment_summary_groups_keys_by_value_count(tmp_path, monkeypatch):
     # three decimals survive the 12-digit CSV round trip exactly
     drawn = iter(np.random.default_rng(5).random(1000).round(3))
 
-    def fake_rows(grid, selected, plan):
+    def fake_rows(grid):
         rep = next(drawn)
-        return [
-            ("a", "", next(drawn)),
-            ("b", "w1", next(drawn) if rep < 0.6 else math.nan),
-            ("c", "", math.nan),
-            ("d", "", next(drawn)),
-        ]
+        return [next(drawn), next(drawn) if rep < 0.6 else math.nan, math.nan, next(drawn)]
 
-    monkeypatch.setattr(cli, "_measure_rows", fake_rows)
+    def fake_stack(grids, tallies, selected, plan):
+        keys = [("a", ""), ("b", "w1"), ("c", ""), ("d", "")]
+        return keys, np.array([fake_rows(g) for g in grids]), [None] * len(grids)
+
+    monkeypatch.setattr(cli, "_measure_stack", fake_stack)
     out = tmp_path / "grouped"
     argv = "--scenarios random:2,compact:2 --rows 6 --cols 6 --replicates 5 --skip-uniform"
     assert main(["experiment", *argv.split(), "--measures", "shannon_x", "--out", str(out)]) == 0

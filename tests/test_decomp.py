@@ -501,3 +501,77 @@ def test_ordered_decompose_equals_the_core_on_an_ordered_tally(num_x):
 def test_core_rejects_an_empty_table():
     with pytest.raises(ValueError, match="no pairs"):
         decompose_counts(np.zeros((2, 3), dtype=np.int64), ("w1", "w2"))
+
+
+# --------------------------------------------------------------------------
+# a stack of tables decomposes each as it alone
+
+def _stack_terms(stack, r):
+    """Table r of a ``decomp._decompose_stack``, as ``_terms`` reads a decomposition."""
+    p_w, partials, infos = (terms[r].tolist() for terms in stack.bands)
+    marginal, residual_global, mi, mi_proportional = stack.whole[r]
+    return {
+        "marginal": marginal,
+        "residual_global": residual_global,
+        "mutual_information": mi,
+        "mi_proportional": mi_proportional,
+        "p_w": p_w,
+        "residual_partial": partials,
+        "info_partial": infos,
+        "empty": [w == 0.0 for w in p_w],
+    }
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_a_stack_decomposes_each_experiment_table_as_it_alone(ordered):
+    # six replicates of each default entry, stacked as experiment stacks
+    # them: one stack per count of present categories
+    stacks: dict = {}
+    for kind, num_x in [("compact", 2), ("repulsive", 2), ("multicluster", 2), ("random", 2),
+                        ("compact", 5), ("random", 5), ("compact", 20), ("random", 20)]:
+        for rep in range(6):
+            spec = ScenarioSpec(kind, 50, 50, num_x, "uniform" if rep == 5 else "dirichlet", (rep,))
+            g = generate(spec)
+            cls = DistanceClassification.default_for(g)
+            within, present = pairs_within(g, cls, (1.0, 2.0))
+            stacks.setdefault(present.size, []).append(within[:-2])
+    assert len(stacks) > 1
+    for ni, tables in stacks.items():
+        stack = decomp._decompose_stack(
+            decomp._band_counts(np.stack(tables), ni, ordered), cls.labels
+        )
+        for r, within in enumerate(tables):
+            alone = decomp.decompose_within(within, np.arange(ni), cls.labels, ordered=ordered)
+            assert _stack_terms(stack, r) == _terms(alone)
+            assert stack.residuals[r] == dict(alone.residuals)
+            assert stack.failures[r] is None
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+@pytest.mark.parametrize("num_x", [1, 2, 5, 20])
+def test_a_stack_decomposes_each_random_table_as_it_alone(num_x, ordered):
+    # dense, sparse and hollow tables, and one of a single code, by shape
+    stacks: dict = {}
+    for counts in _random_tables(np.random.default_rng(num_x * 2 + ordered), num_x, ordered):
+        stacks.setdefault(counts.shape, []).append(counts)
+    for (nb, _), tables in stacks.items():
+        labels = tuple(f"w{k + 1}" for k in range(nb))
+        stack = decomp._decompose_stack(np.stack(tables), labels)
+        for r, counts in enumerate(tables):
+            assert _stack_terms(stack, r) == _terms(decompose_counts(counts, labels))
+
+
+def test_a_table_failing_its_identities_fails_alone_in_its_stack(monkeypatch):
+    counts = np.random.default_rng(9).integers(0, 5000, size=(5, 7, 15))
+    labels = tuple(f"w{k + 1}" for k in range(7))
+    exact = decomp.mutual_information
+    # table 2 of a stack of five misses the MI identities; a stack of one does not
+    monkeypatch.setattr(
+        decomp, "mutual_information", lambda joint: exact(joint) + 1e-6 * (len(joint) == 5) * np.eye(5)[2]
+    )
+    stack = decomp._decompose_stack(counts, labels)
+    assert [f is None for f in stack.failures] == [True, True, False, True, True]
+    assert re.match(r"^decomposition identity mi-\S+ misses by ", str(stack.failures[2]))
+    assert max(stack.residuals[2].values()) > decomp.MI_AGREEMENT_TOL
+    for r in (0, 1, 3, 4):
+        assert _stack_terms(stack, r) == _terms(decompose_counts(counts[r], labels))
