@@ -122,8 +122,8 @@ MUTANTS = (
     # the stacked post-tally stage: runs summed alone, failures kept per
     # table, rows in replicate order
     Mutant(
-        "gathered-run-crosses-its-boundary", _PROB, "np.add.outer(starts, range(n))",
-        "np.add.outer(starts, range(1, n + 1))",
+        "gathered-run-crosses-its-boundary", _PROB, "np.add.outer(starts, np.arange(n))",
+        "np.add.outer(starts, np.arange(1, n + 1))",
         ("tests/test_decomp.py::test_array_core_equals_the_pmf_route",
          "tests/test_decomp.py::test_a_stack_decomposes_each_experiment_table_as_it_alone"),
     ),
