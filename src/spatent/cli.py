@@ -12,9 +12,10 @@ Experiment output is deterministic for a given plan and master seed: every
 replicate derives its own RNG stream from its index.  ``plan.json`` is
 written before the first replicate.  Each entry's replicates run in plan
 order, in stacks of at most ``_STACK`` replicates and ``_STACK_CODES`` pair
-codes: each replicate is drawn and tallied alone, the stack is measured at
-once, and its rows are written, in replicate order, as soon as it is
-measured.  A ``ValueError`` or ``OSError``
+codes: every replicate of a stack is drawn, the drawn ones are tallied in
+one call over the plan's shared geometry, the stack is measured at once,
+and its rows are written, in replicate order, as soon as it is measured.
+A ``ValueError`` or ``OSError``
 caused by the input is reported as one ``error: <message>`` line with exit
 code 2.
 """
@@ -48,6 +49,7 @@ from .cooccur import (
     DistanceClassification,
     enumerate_pairs_bruteforce,
     pairs_within,
+    pairs_within_stack,
 )
 from .decomp import _band_counts, _decompose_stack, decompose, decompose_within
 from .errors import ConsistencyError
@@ -270,6 +272,22 @@ def _tally(grid, plan):
         return None
     cls, distances = plan.pair_bands
     return pairs_within(grid, cls, distances, geometry=plan.geometry)
+
+
+def _tallies(grids, plan) -> list:
+    """Each grid's ``_tally`` through the plan's shared geometry, or the exception it raises.
+
+    One ``pairs_within_stack`` call tallies the same-shape grids; a grid
+    failing its exactness checks gets its own ConsistencyError, and an
+    error of the call itself is every grid's.
+    """
+    if plan.pair_bands is None:
+        return [None] * len(grids)
+    cls, distances = plan.pair_bands
+    try:
+        return pairs_within_stack(grids, cls, distances, geometry=plan.geometry)
+    except Exception as exc:
+        return [exc] * len(grids)
 
 
 def _measure_rows(grid, measures, plan, *, ordered: bool = False, target_category: int = 1):
@@ -555,24 +573,30 @@ class ExperimentPlan:
         and one row of ``values`` per replicate, as ``_measure_stack`` gives
         them over ``shared`` for the entry's selection.  Replicate
         ``replicates`` is the idealized one, with the exact equal category
-        split; each draws from its own ``replicate_seed``.  Each replicate is
-        drawn and tallied alone, and one whose draw or tally raises is left
-        out of the stack, with None as its grid.  A replicate's failure is
-        the exception of its draw, its tally or its decomposition's
-        identities, or of the stacked stage, which fails every replicate of
-        the stack; its row of ``values`` is then NaN.
+        split; each draws from its own ``replicate_seed``.  Every replicate
+        is drawn first, then the drawn ones are tallied in one ``_tallies``
+        call, and one whose draw or tally raises is left out of the stack,
+        with None as its grid.  A replicate's failure is the exception of its
+        draw, its tally or its decomposition's identities, or of the stacked
+        stage, which fails every replicate of the stack; its row of
+        ``values`` is then NaN.
         """
         kind, cats = self.scenarios[index]
-        grids, tallies, failures = [None] * len(reps), [], [None] * len(reps)
+        grids, failures = [None] * len(reps), [None] * len(reps)
         for i, rep in enumerate(reps):
             uniform = "uniform" if rep == self.replicates else "dirichlet"
             seed = replicate_seed(self.seed, kind, cats, rep)
             try:
-                grid = generate(ScenarioSpec(kind, self.rows, self.cols, cats, uniform, seed))
-                tallies.append(_tally(grid, self.shared))
-                grids[i] = grid
+                grids[i] = generate(ScenarioSpec(kind, self.rows, self.cols, cats, uniform, seed))
             except Exception as exc:
                 failures[i] = exc
+        drawn = [i for i, grid in enumerate(grids) if grid is not None]
+        tallies = []
+        for i, tally in zip(drawn, _tallies([grids[i] for i in drawn], self.shared)):
+            if isinstance(tally, Exception):
+                grids[i], failures[i] = None, tally
+            else:
+                tallies.append(tally)
         live = [i for i, grid in enumerate(grids) if grid is not None]
         keys, values = [], np.full((len(grids), 0), math.nan)
         if live:

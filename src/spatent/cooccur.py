@@ -72,7 +72,7 @@ less those three.  corr is one inverse transform of |F_a|^2, pruned to the
 rows dr = 0 .. Dr, and the a-pixel counts come from Dr + 1 row cuts of the
 column counts, so this route costs one category's transforms and one
 inverse, against the nb - 1 band transforms and GEMMs of the band route.
-A batch keeps the band route, since it finishes the band spectra once for
+A stack keeps the band route, since it finishes the band spectra once for
 every grid, and so does every tally of three or more categories, where one
 inverse per category pair costs more than the GEMMs.
 
@@ -84,15 +84,20 @@ band totals and every displacement a tally reads come from its live
 entries.  The band route also reads each inner G_k after its row
 transform, kept only for the rows dr = 0 .. (largest dr in band k) and
 scaled by w, and the two 1-D factors of W; the geometry builds those on
-first use, so the two-category route never pays for them.  A batch of
+first use, so the two-category route never pays for them.  A stack of
 same-shape grids shares one geometry, which also keeps each finished G_k
-once a tally first needs it; a one-shot tally by the band route finishes
-each band's column block as it goes.  Memory stays near (ni - 1) * N
-complex values: only the R non-zero rows of each transformed category are
-row-transformed, and the column transforms run one column block at a time,
-each category's block once, then multiplied by each band's block or, on
-the two-category route, inverted along p1 into Dr + 1 rows, in buffers
-allocated once per tally.
+once a tally first needs it, and ``pairs_within_stack`` tallies the stack
+in one call: the band split, the fit check, the list of FFT bands and the
+reads of each G_k and of W run once, and the band sums and the
+column-block buffers are allocated once, for the stack's largest ni.  Each
+grid keeps its own stage one, GEMMs and every-pair table, and a grid whose
+counts fail the checks below gets its own ConsistencyError.  A one-shot
+tally by the band route finishes each band's column block as it goes.
+Memory stays near (ni - 1) * N complex values: only the R non-zero rows of
+each transformed category are row-transformed, and the column transforms
+run one column block at a time, each category's block once, then
+multiplied by each band's block or, on the two-category route, inverted
+along p1 into Dr + 1 rows, in buffers allocated once per tally or stack.
 
 The inner sums and the outermost band's differences are stacked and
 checked once (``_exact_counts``): each must lie within 0.25 of its integer
@@ -560,94 +565,189 @@ def pairs_within(
     ``fold_counts(row, ni)`` folds a row.  Inner
     bands are the module docstring's FFT band sums, the outermost every pair
     minus them; an uncovered pair raises CoverageError, counts failing the
-    exactness checks ConsistencyError.  ``geometry``, when given, must fit
-    the grid's shape and the split bands (ValueError otherwise) and marks a
-    batch: the tally reads the band spectra it finished once.  Without one,
-    the tally finishes each band's column block as it goes, peaking near
-    ni * N, or, with two present categories, reads one autocorrelation.
+    exactness checks ConsistencyError.  ``geometry``, when given, marks a
+    batch: the tally is the stack of one of ``pairs_within_stack``, whose
+    error it raises.  Without one, the tally finishes each band's column
+    block as it goes, peaking near ni * N, or, with two present categories,
+    reads one autocorrelation.
+    """
+    if geometry is not None:
+        (tally,) = pairs_within_stack([grid], classification, distances, geometry=geometry)
+        if isinstance(tally, ConsistencyError):
+            raise tally
+        return tally
+    fine, rows = _split_bands(classification, distances)
+    geometry = BandGeometry(grid.rows, grid.cols, fine)
+    present = np.flatnonzero(np.bincount(grid.values))  # the codes on the grid
+    inner = _inner_band_sums(grid.matrix, present, geometry, False)
+    return _running_sums(grid.values, present, inner, geometry.totals)[rows], present
+
+
+def pairs_within_stack(grids, classification, distances=(), *, geometry) -> list:
+    """``pairs_within`` of each of the same-shape ``grids`` over the shared ``geometry``, in one call.
+
+    Returns one item per grid, in order: its ``(within, present)``, or the
+    ConsistencyError its counts raise, so that a grid failing the exactness
+    checks fails alone.  A NaN distance, or a geometry that does not fit
+    the split bands and every grid's shape, raises ValueError for the whole
+    call.  The band split and the fit check run once per call, and one
+    ``_BandRoute`` reads the FFT bands, their finished G_k and the window
+    once and holds the band sums and the two column-block buffers for the
+    largest ni on the stack.  Each grid keeps its own present codes,
+    direct bands, category spectra, GEMMs and every-pair table, each as a
+    tally alone takes them, so each item equals the grid's one-shot tally.
+    """
+    fine, rows = _split_bands(classification, distances)
+    for grid in grids:
+        if (grid.rows, grid.cols, fine) != (geometry.rows, geometry.cols, geometry.classification):
+            raise ValueError(
+                f"geometry of a {geometry.rows}x{geometry.cols} grid over bands "
+                f"{geometry.classification.breaks} does not fit a {grid.rows}x{grid.cols} grid "
+                f"over bands {fine.breaks}"
+            )
+    if not grids:
+        return []
+    presents = [np.flatnonzero(np.bincount(grid.values)) for grid in grids]
+    route = _BandRoute(geometry, [present.size for present in presents], True)
+    tallies = []
+    for grid, present in zip(grids, presents):
+        try:
+            inner = route.sums(grid.matrix, present)
+            within = _running_sums(grid.values, present, inner, geometry.totals)
+        except ConsistencyError as exc:
+            tallies.append(exc)
+        else:
+            tallies.append((within[rows], present))
+    return tallies
+
+
+def _split_bands(classification, distances) -> tuple:
+    """``classification`` split further at ``distances``, and the rows ``pairs_within`` returns.
+
+    The rows index the split bands' running sum: one per break, then one
+    per distance clamped to [breaks[0], breaks[-1]].  A NaN distance raises
+    ValueError.
     """
     if any(math.isnan(d) for d in distances):
         raise ValueError(f"split distances must not be NaN, got {tuple(distances)}")
     lo, hi = classification.breaks[0], classification.breaks[-1]
     ends = classification.breaks + tuple(min(max(float(d), lo), hi) for d in distances)
     fine = classification.refined(distances)
-    batch = geometry is not None
-    if not batch:
-        geometry = BandGeometry(grid.rows, grid.cols, fine)
-    elif (geometry.rows, geometry.cols, geometry.classification) != (grid.rows, grid.cols, fine):
-        raise ValueError(
-            f"geometry of a {geometry.rows}x{geometry.cols} grid over bands "
-            f"{geometry.classification.breaks} does not fit a {grid.rows}x{grid.cols} grid "
-            f"over bands {fine.breaks}"
-        )
-    present = np.flatnonzero(np.bincount(grid.values))  # the codes on the grid
-    inner = _inner_band_sums(grid.matrix, present, geometry, batch)
-    # the outermost band is every pair minus the inner bands; one check covers all
-    outer = _ordered_pair_counts(grid.values, present) - np.rint(inner).sum(axis=0)
-    counts = _exact_counts(np.concatenate((inner, outer[None])), geometry.totals)
-    within = np.zeros((len(fine.breaks), present.size**2), dtype=np.int64)
+    return fine, np.searchsorted(fine.breaks, ends)
+
+
+def _running_sums(flat, present, inner, totals):
+    """One grid's exact counts, summed over its bands from a leading zero row: (nb + 1, ni^2) int64.
+
+    ``inner`` is its ``_inner_band_sums``; the outermost band is every pair
+    minus them, and one ``_exact_counts`` check covers all bands.
+    """
+    outer = _ordered_pair_counts(flat, present) - np.rint(inner).sum(axis=0)
+    counts = _exact_counts(np.concatenate((inner, outer[None])), totals)
+    within = np.zeros((len(counts) + 1, present.size**2), dtype=np.int64)
     np.cumsum(counts.reshape(len(counts), -1), axis=0, out=within[1:])
-    return within[np.searchsorted(fine.breaks, ends)], present
+    return within
 
 
 def _inner_band_sums(codes, present, geometry, batch):
     """Pair sums of the inner bands: (nb - 1, ni, ni) floats, per present category pair.
 
     ``codes`` is the (rows, cols) grid and ``present`` the ni codes on it.
-    A band with fewer displacements than ni holds its exact direct counts,
-    the others their FFT sums.  Only the first ni - 1 present categories are
-    transformed: every pixel lies in a present category, so the last one's
-    spectrum is the window's minus theirs.  A ``batch`` reads its geometry's
-    ``finished`` bands; a one-shot tally finishes each band's column block
-    here, into one buffer, or, with two present categories, takes
-    ``_two_category_sums`` and no band spectrum.
+    A ``batch`` reads its geometry's ``finished`` bands; a one-shot tally
+    finishes each band's column block as it goes, or, with two present
+    categories, takes ``_two_category_sums`` and no band spectrum.  Else it
+    is the sums of a ``_BandRoute`` made for this grid alone.
     """
-    ni = len(present)
-    if ni == 2 and not batch:
+    if len(present) == 2 and not batch:
         return _two_category_sums(codes, present[0], geometry)
-    sums = np.zeros((len(geometry.sizes), ni, ni))
-    direct = [k for k, size in enumerate(geometry.sizes) if 0 < size < ni]
-    if direct:
-        sums[direct] = _direct_band_counts(codes, present, map(geometry.displacements, direct))
-    bands = [(k, s) for k, s in enumerate(geometry.spectra) if geometry.sizes[k] >= ni]
-    if not bands:
-        return sums
-    finished = geometry.finished if batch else None
-    p1, h2 = geometry.p1, geometry.p2 // 2 + 1
-    rows = codes.shape[0]
-    # stage one of each 2-D transform: row rfft of the `rows` non-zero rows,
-    # stored column-major so that stage two runs along contiguous memory
-    spectra = np.empty((ni - 1, h2, rows), dtype=np.complex128)
-    for i, a in enumerate(present[:-1]):
-        np.fft.rfft(codes.T == a, n=geometry.p2, axis=0, out=spectra[i])
+    return _BandRoute(geometry, [len(present)], batch).sums(codes, present)
 
-    # stage two, one column block at a time: the category block is finished
-    # and conjugated once, then multiplied by every band's block, each band
-    # feeding one real GEMM on (re, im) pairs; all blocks share three buffers
-    step = min(h2, max(1, _BLOCK_BYTES // (16 * ni * p1)))
-    cats, product = (np.empty(ni * step * p1, dtype=np.complex128) for _ in range(2))
-    band = None if batch else np.empty(step * p1, dtype=np.complex128)
-    row_w, col_w = geometry.window
-    for j in range(0, h2, step):
-        cut = slice(j, j + step)
-        width = min(step, h2 - j)
-        f = cats[: ni * width * p1].reshape(ni, width, p1)
-        t = product[: f.size].reshape(f.shape)
-        np.fft.fft(spectra[:, cut], n=p1, axis=2, out=f[:-1])
-        # every pixel lies in a present category: the last one's block is W minus the others'
-        np.sum(f[:-1], axis=0, out=f[-1])
-        np.multiply(row_w[cut], col_w, out=t[0])
-        np.subtract(t[0], f[-1], out=f[-1])
-        np.conjugate(f, out=f)
-        fr = f.reshape(ni, -1).view(np.float64)
-        for k, s in bands:
-            if batch:
-                g = finished[k][cut]
-            else:
-                g = _finish_band(s[cut], p1, out=band[: width * p1].reshape(width, p1))
-            np.multiply(f, g, out=t)
-            sums[k] += fr @ t.reshape(ni, -1).view(np.float64).T
-    return sums
+
+class _BandRoute:
+    """The band route over one geometry, for grids of the given numbers ni of present categories.
+
+    Made once per tally, or once per stack of tallies, it reads once what
+    is the same for every grid: the bands the FFT may sum, those with at
+    least min(ni) displacements, their spectra (the ``finished`` G_k of a
+    ``batch``, else the stage-one spectra) and the window's two factors.
+    It allocates once the band sums, and on the first grid that needs them
+    the two column-block buffers and, for a one-shot tally, the buffer that
+    finishes a band's block, each large enough for every ni it is made for.
+    ``sums`` fills them for one grid at a time.
+    """
+
+    def __init__(self, geometry, widths, batch):
+        self.geometry, self.batch = geometry, batch
+        self.sizes = geometry.sizes.tolist()
+        least = min(widths)
+        self.bands = [(k, s) for k, s in enumerate(geometry.spectra) if self.sizes[k] >= least]
+        if batch and self.bands:
+            self.bands = [(k, geometry.finished[k]) for k, _ in self.bands]
+        self.window = geometry.window
+        p1, h2 = geometry.p1, geometry.p2 // 2 + 1
+        # the columns of a block at each ni, as a tally alone takes them
+        self.steps = {ni: min(h2, max(1, _BLOCK_BYTES // (16 * ni * p1))) for ni in widths}
+        most = max(widths)
+        self._sums = np.empty(len(self.sizes) * most * most)
+        cats = max(ni * step * p1 for ni, step in self.steps.items()) if self.bands else 0
+        band = 0 if batch or not self.bands else max(self.steps.values()) * p1
+        self._lengths, self._blocks = (cats, cats, band), None
+
+    def sums(self, codes, present):
+        """``_inner_band_sums`` of one grid, a view of the route's band sums until the next call.
+
+        A band with fewer displacements than ni holds its exact direct
+        counts, the others their FFT sums.  Only the first ni - 1 present
+        categories are transformed: every pixel lies in a present category,
+        so the last one's spectrum is the window's minus theirs.
+        """
+        geometry, ni = self.geometry, len(present)
+        sums = self._sums[: len(self.sizes) * ni * ni].reshape(-1, ni, ni)
+        sums.fill(0.0)
+        direct = [k for k, size in enumerate(self.sizes) if 0 < size < ni]
+        if direct:
+            sums[direct] = _direct_band_counts(codes, present, map(geometry.displacements, direct))
+        bands = [(k, s) for k, s in self.bands if self.sizes[k] >= ni]
+        if not bands:
+            return sums
+        p1, h2 = geometry.p1, geometry.p2 // 2 + 1
+        rows = codes.shape[0]
+        # stage one of each 2-D transform: row rfft of the `rows` non-zero rows,
+        # stored column-major so that stage two runs along contiguous memory
+        spectra = np.empty((ni - 1, h2, rows), dtype=np.complex128)
+        for i, a in enumerate(present[:-1]):
+            np.fft.rfft(codes.T == a, n=geometry.p2, axis=0, out=spectra[i])
+
+        # stage two, one column block at a time: the category block is finished
+        # and conjugated once, then multiplied by every band's block, each band
+        # feeding one real GEMM on (re, im) pairs; all blocks share the route's buffers
+        if self._blocks is None:
+            # after the first stage one, where a one-shot tally always took
+            # them: that order keeps its peak memory and its page faults
+            self._blocks = [np.empty(n, dtype=np.complex128) for n in self._lengths]
+        cats, product, band = self._blocks
+        step = self.steps[ni]
+        row_w, col_w = self.window
+        for j in range(0, h2, step):
+            cut = slice(j, j + step)
+            width = min(step, h2 - j)
+            f = cats[: ni * width * p1].reshape(ni, width, p1)
+            t = product[: f.size].reshape(f.shape)
+            np.fft.fft(spectra[:, cut], n=p1, axis=2, out=f[:-1])
+            # every pixel lies in a present category: the last one's block is W minus the others'
+            np.sum(f[:-1], axis=0, out=f[-1])
+            np.multiply(row_w[cut], col_w, out=t[0])
+            np.subtract(t[0], f[-1], out=f[-1])
+            np.conjugate(f, out=f)
+            fr = f.reshape(ni, -1).view(np.float64)
+            for k, s in bands:
+                if self.batch:
+                    g = s[cut]
+                else:
+                    g = _finish_band(s[cut], p1, out=band[: width * p1].reshape(width, p1))
+                np.multiply(f, g, out=t)
+                sums[k] += fr @ t.reshape(ni, -1).view(np.float64).T
+        return sums
 
 
 def _two_category_sums(codes, a, geometry):

@@ -107,6 +107,39 @@ MUTANTS = (
         "counts[..., ab] + counts[..., ba]",
         ("tests/test_cooccur.py::test_fold_counts_follows_the_unordered_codes",),
     ),
+    Mutant(
+        "two-category-dc-sign-swapped", _COOCCUR,
+        "right, left = np.maximum(dc, 0), np.maximum(-dc, 0)",
+        "right, left = np.maximum(-dc, 0), np.maximum(dc, 0)",
+        ("tests/test_cooccur.py::test_two_category_route_equals_bruteforce",
+         "tests/test_cooccur.py::test_two_category_route_equals_the_displacement_oracle"),
+    ),
+    Mutant(
+        "two-category-column-bounds-swapped", _COOCCUR, "top[dr, cols - right] - top[dr, left]",
+        "top[dr, cols - left] - top[dr, right]",
+        ("tests/test_cooccur.py::test_two_category_route_equals_bruteforce",
+         "tests/test_cooccur.py::test_two_category_route_equals_the_displacement_oracle"),
+    ),
+    # the stacked tally: band sums cleared per grid, tables in their grid's
+    # slot, a grid's check failure kept to that grid
+    Mutant(
+        "stack-band-sums-not-cleared", _COOCCUR, "        sums.fill(0.0)\n", "",
+        ("tests/test_cooccur.py::test_each_stacked_grid_tallies_as_it_does_alone",
+         "tests/test_cli.py::test_each_default_design_grid_tallies_in_its_stack_as_alone"),
+    ),
+    Mutant(
+        "stack-tables-in-neighbour-slots", _COOCCUR, "    return tallies\n",
+        "    return tallies[1:] + tallies[:1]\n",
+        ("tests/test_cooccur.py::test_each_stacked_grid_tallies_as_it_does_alone",
+         "tests/test_cli.py::test_each_default_design_grid_tallies_in_its_stack_as_alone"),
+    ),
+    Mutant(
+        "stack-check-failure-fails-the-stack", _COOCCUR,
+        "        except ConsistencyError as exc:\n            tallies.append(exc)\n",
+        "        except ConsistencyError:\n            raise\n",
+        ("tests/test_cooccur.py::test_a_stacked_grid_failing_its_checks_fails_alone",
+         "tests/test_cli.py::test_experiment_isolates_a_replicate_failing_its_tally"),
+    ),
     # the decomposition's identity residuals
     Mutant(
         "mixture-residual-fixed-at-zero", _DECOMP,

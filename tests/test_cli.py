@@ -55,16 +55,32 @@ def _chessboard_path(tmp_path, n=10):
 
 
 def _spy_tallies(monkeypatch):
-    """Every ``pairs_within`` tally of the command paths: (grid, split bands, geometry, within, present)."""
-    tallies, real = [], cooccur.pairs_within
+    """Every grid tallied on the command paths: (grid, split bands, geometry, within, present).
 
-    def spy(grid, classification, distances=(), *, geometry=None):
-        within, present = real(grid, classification, distances, geometry=geometry)
-        tallies.append((grid, classification.refined(distances), geometry, within, present))
+    One entry per one-shot ``pairs_within`` call and per grid of a
+    ``pairs_within_stack`` call, which ``pairs_within`` with a geometry
+    makes; a grid whose tally raises is not recorded.
+    """
+    tallies = []
+    real_one, real_stack = cooccur.pairs_within, cooccur.pairs_within_stack
+
+    def one(grid, classification, distances=(), *, geometry=None):
+        within, present = real_one(grid, classification, distances, geometry=geometry)
+        if geometry is None:
+            tallies.append((grid, classification.refined(distances), None, within, present))
         return within, present
 
+    def stack(grids, classification, distances=(), *, geometry):
+        items = real_stack(grids, classification, distances, geometry=geometry)
+        fine = classification.refined(distances)
+        tallies.extend((grid, fine, geometry, *item) for grid, item in zip(grids, items)
+                       if not isinstance(item, Exception))
+        return items
+
     for module in (cooccur, decomp, classic, cli):
-        monkeypatch.setattr(module, "pairs_within", spy)
+        monkeypatch.setattr(module, "pairs_within", one)
+    for module in (cooccur, cli):
+        monkeypatch.setattr(module, "pairs_within_stack", stack)
     return tallies
 
 
@@ -1158,6 +1174,58 @@ def test_experiment_isolates_a_replicate_failing_its_identities(tmp_path, monkey
     assert (out / "results_long.csv").read_text() == _entry_rows(plan, skip={(1, 1)})
     with pytest.raises(ConsistencyError, match="^decomposition identity "):
         plan.run_entry(1, 1)
+
+
+def test_experiment_isolates_a_replicate_failing_its_tally(tmp_path, monkeypatch, caplog):
+    plan = ExperimentPlan.from_args(build_parser().parse_args(EXP_ARGS.format(workers=1, out="x").split()))
+    # the every-pair table of random:5, replicate 1, one pair off, so that its
+    # outermost band misses the geometry's total wherever it is tallied
+    target = plan.run_entry(1, 1)[0].values
+    every_pair, stack_call = cooccur._ordered_pair_counts, cooccur.pairs_within_stack
+    stacks = []
+
+    def perturbed(flat, present):
+        every = every_pair(flat, present)
+        if np.array_equal(flat, target):
+            every[0, 0] += 1
+        return every
+
+    def counting(grids, *args, **kwargs):
+        stacks.append(len(grids))
+        return stack_call(grids, *args, **kwargs)
+
+    monkeypatch.setattr(cooccur, "_ordered_pair_counts", perturbed)
+    monkeypatch.setattr(cli, "pairs_within_stack", counting)
+    out = tmp_path / "broken"
+    with caplog.at_level(logging.ERROR, logger="spatent"):
+        assert main(EXP_ARGS.format(workers=1, out=out).split()) == 1
+    assert stacks == [3, 3]  # each entry's three replicates, tallied in one call
+    aborted = [r.getMessage() for r in caplog.records if " aborted: " in r.getMessage()]
+    assert len(aborted) == 1
+    assert re.match(
+        r"^replicate random_x5/1 aborted: ConsistencyError: per-band pair counts \[.*\] disagree"
+        r" with the geometry \[.*\]$", aborted[0]
+    )
+    # every other replicate is written, as run_entry gives it alone
+    assert (out / "results_long.csv").read_text() == _entry_rows(plan, skip={(1, 1)})
+    with pytest.raises(ConsistencyError, match="^per-band pair counts "):
+        plan.run_entry(1, 1)
+
+
+def test_each_default_design_grid_tallies_in_its_stack_as_alone():
+    argv = "experiment --replicates 10 --seed 0 --out x".split()
+    plan = ExperimentPlan.from_args(build_parser().parse_args(argv))
+    cls, distances = plan.shared.pair_bands
+    tallied = 0
+    for index in range(len(plan.scenarios)):
+        grids = plan.run_entries(index, range(plan.replicates + 1))[0]
+        stacked = cooccur.pairs_within_stack(grids, cls, distances, geometry=plan.shared.geometry)
+        for grid, (within, present) in zip(grids, stacked):
+            alone = cooccur.pairs_within(grid, cls, distances)
+            np.testing.assert_array_equal(within, alone[0])
+            np.testing.assert_array_equal(present, alone[1])
+            tallied += 1
+    assert tallied == 88
 
 
 @pytest.mark.parametrize("stack", [1, 2, 32])

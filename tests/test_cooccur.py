@@ -34,6 +34,7 @@ from spatent.cooccur import (
     _inner_band_sums,
     fold_counts,
     pairs_within,
+    pairs_within_stack,
 )
 
 
@@ -798,6 +799,71 @@ def test_shared_geometry_equals_the_one_shot_tally(rows, cols, cats, blocks, bre
             assert g.shape == (geometry.p2 // 2 + 1, geometry.p1)
             assert not g.flags.writeable
     assert [None if s is None else s.tobytes() for s in geometry.spectra] == stage_one
+
+
+@st.composite
+def same_shape_stacks(draw):
+    """1-6 grids of one shape, 3x3 to 12x12, declaring I in {1, 2, 3, 5, 20}; each grid
+    draws its own subset of the codes, so present counts mix and codes go absent."""
+    rows, cols = draw(st.integers(3, 12)), draw(st.integers(3, 12))
+    cats = draw(st.sampled_from((1, 2, 3, 5, 20)))
+    grids = []
+    for _ in range(draw(st.integers(1, 6))):
+        codes = draw(st.permutations(range(1, cats + 1)))[: draw(st.integers(1, cats))]
+        seed = draw(st.integers(0, 2**32 - 1))
+        values = np.random.default_rng(seed).choice(codes, size=rows * cols)
+        grids.append(_grid(rows, cols, cats, values))
+    return grids
+
+
+@given(same_shape_stacks(), st.lists(st.floats(0.0, 20.0), max_size=2))
+@settings(max_examples=80, deadline=None)
+def test_each_stacked_grid_tallies_as_it_does_alone(grids, distances):
+    rows, cols = grids[0].rows, grids[0].cols
+    cls = DistanceClassification.default_for(grids[0])
+    fine = cls.refined(distances)
+    stacked = pairs_within_stack(grids, cls, distances, geometry=BandGeometry(rows, cols, fine))
+    assert len(stacked) == len(grids)
+    for grid, (within, present) in zip(grids, stacked):
+        assert within.dtype == np.int64
+        for alone in (
+            pairs_within(grid, cls, distances),
+            pairs_within(grid, cls, distances, geometry=BandGeometry(rows, cols, fine)),
+        ):
+            np.testing.assert_array_equal(within, alone[0])
+            np.testing.assert_array_equal(present, alone[1])
+
+
+def test_a_stack_refuses_a_geometry_that_misfits_any_grid():
+    grids = [_chessboard(6), _chessboard(6), _grid(6, 7, 2, np.ones(42))]
+    cls = DistanceClassification.default_for(grids[0])
+    with pytest.raises(ValueError, match="does not fit a 6x7 grid"):
+        pairs_within_stack(grids, cls, geometry=BandGeometry(6, 6, cls))
+    with pytest.raises(ValueError, match="^split distances must not be NaN"):
+        pairs_within_stack(grids[:2], cls, (math.nan,), geometry=BandGeometry(6, 6, cls))
+    assert pairs_within_stack([], cls, geometry=BandGeometry(6, 6, cls)) == []
+
+
+def test_a_stacked_grid_failing_its_checks_fails_alone(monkeypatch):
+    grids = list(_three_grids(20, 20, 5, 11))
+    cls = DistanceClassification.default_for(grids[0])
+    geometry = BandGeometry(20, 20, cls)
+    real = cooccur._ordered_pair_counts
+
+    def off_by_one(flat, present):
+        every = real(flat, present)
+        if flat is grids[1].values:
+            every[0, 0] += 1
+        return every
+
+    monkeypatch.setattr(cooccur, "_ordered_pair_counts", off_by_one)
+    first, failure, last = pairs_within_stack(grids, cls, geometry=geometry)
+    assert isinstance(failure, ConsistencyError)
+    assert str(failure).startswith("per-band pair counts ")
+    for grid, (within, present) in zip(grids[::2], (first, last)):
+        np.testing.assert_array_equal(within, pairs_within(grid, cls)[0])
+    with pytest.raises(ConsistencyError, match="^per-band pair counts "):
+        pairs_within(grids[1], cls, geometry=geometry)
 
 
 def test_one_shot_tally_never_finishes_the_band_spectra(monkeypatch):
