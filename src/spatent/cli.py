@@ -262,24 +262,14 @@ def _plan(grid, measures, args, seed, shared=False) -> _Plan:
     return _Plan(pair_bands, partition, karlstrom, geometry)
 
 
-def _tally(grid, plan):
-    """The grid's ``pairs_within`` table over the plan's split bands, or None with no pair bands.
-
-    One table over the plan's bands, split further at its distances 1 and
-    d, through its shared geometry if it holds one.
-    """
-    if plan.pair_bands is None:
-        return None
-    cls, distances = plan.pair_bands
-    return pairs_within(grid, cls, distances, geometry=plan.geometry)
-
-
 def _tallies(grids, plan) -> list:
-    """Each grid's ``_tally`` through the plan's shared geometry, or the exception it raises.
+    """Each grid's ``pairs_within`` table, or the exception it raises; None with no pair bands.
 
-    One ``pairs_within_stack`` call tallies the same-shape grids; a grid
-    failing its exactness checks gets its own ConsistencyError, and an
-    error of the call itself is every grid's.
+    A table is over the plan's bands, split further at its distances 1 and
+    d.  One ``pairs_within_stack`` call tallies the same-shape grids,
+    through the plan's shared geometry if it holds one; a grid failing its
+    exactness checks gets its own ConsistencyError, and an error of the
+    call itself is every grid's.
     """
     if plan.pair_bands is None:
         return [None] * len(grids)
@@ -294,11 +284,14 @@ def _measure_rows(grid, measures, plan, *, ordered: bool = False, target_categor
     """(measure, band, value) rows for one grid, in canonical measure order.
 
     ``plan`` is the ``_plan`` of ``measures`` on the grid's shape.  The rows
-    are the stack of one of ``_measure_stack`` over the grid's ``_tally``,
-    whose errors, its decomposition's included, are raised.
+    are the stack of one of ``_measure_stack`` over the grid's ``_tallies``
+    table, whose errors, its decomposition's included, are raised.
     """
+    (tally,) = _tallies([grid], plan)
+    if isinstance(tally, Exception):
+        raise tally
     keys, values, failures = _measure_stack(
-        [grid], [_tally(grid, plan)], measures, plan,
+        [grid], [tally], measures, plan,
         ordered=ordered, target_category=target_category,
     )
     if failures[0] is not None:
@@ -319,7 +312,7 @@ def _measure_stack(grids, tallies, measures, plan, *, ordered: bool = False,
     column, in canonical measure order; an (R, K) float array, one row per
     grid, each the values that grid alone gets; and per grid the
     ConsistencyError of its decomposition, or None.  ``tallies`` are the
-    grids' ``_tally`` tables, and ``plan`` is the ``_plan`` of ``measures``
+    grids' ``_tallies`` tables, and ``plan`` is the ``_plan`` of ``measures``
     on their shape.  The stages run in order over the whole stack, each
     filling the columns of its measures: Shannon's entropy of the
     categories; per count of present categories, one stacked decomposition

@@ -63,18 +63,20 @@ a block, in bands of blocks whose temporaries stay in cache.  Each band of
 blocks' GEMM is added to an int64 total, and its entries stay far below
 2^53, so the route is exact at any grid size that fits in memory.
 
-A one-shot tally of two present categories a and b reads no band spectrum
-at all.  One transformed category holds all four cells of every inner
-band: with corr(d) the autocorrelation of a's indicator, every pixel is a
-or b, so a band's (a, b) count is the a-pixels whose partner lies in the
-window less its sum of corr, (b, a) likewise, and (b, b) the band total
-less those three.  corr is one inverse transform of |F_a|^2, pruned to the
-rows dr = 0 .. Dr, and the a-pixel counts come from Dr + 1 row cuts of the
-column counts, so this route costs one category's transforms and one
-inverse, against the nb - 1 band transforms and GEMMs of the band route.
-A stack keeps the band route, since it finishes the band spectra once for
-every grid, and so does every tally of three or more categories, where one
-inverse per category pair costs more than the GEMMs.
+A tally of two present categories a and b without a shared geometry reads
+no band spectrum at all.  One transformed category holds all four cells of
+every inner band: with corr(d) the autocorrelation of a's indicator, every
+pixel is a or b, so a band's (a, b) count is the a-pixels whose partner
+lies in the window less its sum of corr, (b, a) likewise, and (b, b) the
+band total less those three.  corr is one inverse transform of |F_a|^2,
+pruned to the rows dr = 0 .. Dr, and the a-pixel counts come from Dr + 1
+row cuts of the column counts, so this route costs one category's
+transforms and one inverse, against the nb - 1 band transforms and GEMMs
+of the band route.
+A stack over a shared geometry keeps the band route, since it finishes
+the band spectra once for every grid, and so does every tally of three or
+more categories, where one inverse per category pair costs more than the
+GEMMs.
 
 Everything that depends only on the grid shape and the bands is a
 ``BandGeometry``.  Its ``plane``, the band of each displacement (dr, dc)
@@ -84,20 +86,24 @@ band totals and every displacement a tally reads come from its live
 entries.  The band route also reads each inner G_k after its row
 transform, kept only for the rows dr = 0 .. (largest dr in band k) and
 scaled by w, and the two 1-D factors of W; the geometry builds those on
-first use, so the two-category route never pays for them.  A stack of
-same-shape grids shares one geometry, which also keeps each finished G_k
-once a tally first needs it, and ``pairs_within_stack`` tallies the stack
-in one call: the band split, the fit check, the list of FFT bands and the
-reads of each G_k and of W run once, and the band sums and the
-column-block buffers are allocated once, for the stack's largest ni.  Each
-grid keeps its own stage one, GEMMs and every-pair table, and a grid whose
-counts fail the checks below gets its own ConsistencyError.  A one-shot
-tally by the band route finishes each band's column block as it goes.
-Memory stays near (ni - 1) * N complex values: only the R non-zero rows of
-each transformed category are row-transformed, and the column transforms
-run one column block at a time, each category's block once, then
-multiplied by each band's block or, on the two-category route, inverted
-along p1 into Dr + 1 rows, in buffers allocated once per tally or stack.
+first use, so the two-category route never pays for them.
+
+``pairs_within_stack`` is the one tally body, and ``pairs_within`` its
+stack of one.  It tallies a stack of same-shape grids in one call: the
+band split, the fit check, the list of FFT bands and the reads of each
+band spectrum and of W run once, and the band sums and the column-block
+buffers are allocated once, for the stack's largest ni.  Each grid keeps
+its own stage one, GEMMs and every-pair table, and a grid whose counts
+fail the checks below gets its own ConsistencyError.  Without a geometry
+the call builds one for the stack's shape, and the band route finishes
+each band's column block as it goes.  A geometry passed in is shared
+across grids: it keeps each finished G_k once a tally first needs it, and
+every grid reads those.  Memory stays near (ni - 1) * N complex values:
+only the R non-zero rows of each transformed category are
+row-transformed, and the column transforms run one column block at a
+time, each category's block once, then multiplied by each band's block
+or, on the two-category route, inverted along p1 into Dr + 1 rows, in
+buffers allocated once per call, or per grid on the two-category route.
 
 The inner sums and the outermost band's differences are stacked and
 checked once (``_exact_counts``): each must lie within 0.25 of its integer
@@ -383,17 +389,17 @@ class BandGeometry:
     geometry serves every grid of its shape tallied over its classification.
 
     The band route reads three more, each built on first use, so a
-    two-category one-shot tally never builds them.  ``spectra[k]``, one per
-    inner band, is band k's displacement mask after stage one of the 2-D
-    transform: the row rfft of the mask's rows dr = 0 .. (the largest dr in
-    band k), scaled by the Parseval weight, or None for a band no
-    displacement reaches.  ``window`` holds the two 1-D factors of the
-    window's 2-D transform, W = window[0] * window[1] over (p2//2 + 1, p1),
-    or None when no inner band is reached; it is built with ``spectra``.
-    ``finished``, each inner band's G_k, is built for a batch the first time
-    a tally is given this geometry: (nb - 1) * (p2//2 + 1) * p1 * 16 bytes,
-    about 0.3 MiB at 50 x 50, 2.7 MiB at 200 x 200 and 53 MiB at 1000 x
-    1000 with the default bands.
+    two-category tally without a shared geometry never builds them.
+    ``spectra[k]``, one per inner band, is band k's displacement mask after
+    stage one of the 2-D transform: the row rfft of the mask's rows dr = 0
+    .. (the largest dr in band k), scaled by the Parseval weight, or None
+    for a band no displacement reaches.  ``window`` holds the two 1-D
+    factors of the window's 2-D transform, W = window[0] * window[1] over
+    (p2//2 + 1, p1), or None when no inner band is reached; it is built
+    with ``spectra``.  ``finished``, each inner band's G_k, is built the
+    first time a tally shares this geometry: (nb - 1) * (p2//2 + 1) * p1 *
+    16 bytes, about 0.3 MiB at 50 x 50, 2.7 MiB at 200 x 200 and 53 MiB at
+    1000 x 1000 with the default bands.
     """
 
     def __init__(self, rows: int, cols: int, classification: DistanceClassification):
@@ -565,39 +571,43 @@ def pairs_within(
     ``fold_counts(row, ni)`` folds a row.  Inner
     bands are the module docstring's FFT band sums, the outermost every pair
     minus them; an uncovered pair raises CoverageError, counts failing the
-    exactness checks ConsistencyError.  ``geometry``, when given, marks a
-    batch: the tally is the stack of one of ``pairs_within_stack``, whose
-    error it raises.  Without one, the tally finishes each band's column
-    block as it goes, peaking near ni * N, or, with two present categories,
-    reads one autocorrelation.
+    exactness checks ConsistencyError.  The tally is the stack of one of
+    ``pairs_within_stack``, with or without a shared ``geometry``, and it
+    raises its item's error.
     """
-    if geometry is not None:
-        (tally,) = pairs_within_stack([grid], classification, distances, geometry=geometry)
-        if isinstance(tally, ConsistencyError):
-            raise tally
-        return tally
-    fine, rows = _split_bands(classification, distances)
-    geometry = BandGeometry(grid.rows, grid.cols, fine)
-    present = np.flatnonzero(np.bincount(grid.values))  # the codes on the grid
-    inner = _inner_band_sums(grid.matrix, present, geometry, False)
-    return _running_sums(grid.values, present, inner, geometry.totals)[rows], present
+    (tally,) = pairs_within_stack([grid], classification, distances, geometry=geometry)
+    if isinstance(tally, ConsistencyError):
+        raise tally
+    return tally
 
 
-def pairs_within_stack(grids, classification, distances=(), *, geometry) -> list:
-    """``pairs_within`` of each of the same-shape ``grids`` over the shared ``geometry``, in one call.
+def pairs_within_stack(grids, classification, distances=(), *, geometry=None) -> list:
+    """``pairs_within`` of each of the same-shape ``grids``, in one call.
 
     Returns one item per grid, in order: its ``(within, present)``, or the
     ConsistencyError its counts raise, so that a grid failing the exactness
-    checks fails alone.  A NaN distance, or a geometry that does not fit
-    the split bands and every grid's shape, raises ValueError for the whole
-    call.  The band split and the fit check run once per call, and one
-    ``_BandRoute`` reads the FFT bands, their finished G_k and the window
-    once and holds the band sums and the two column-block buffers for the
-    largest ni on the stack.  Each grid keeps its own present codes,
-    direct bands, category spectra, GEMMs and every-pair table, each as a
-    tally alone takes them, so each item equals the grid's one-shot tally.
+    checks fails alone.  A NaN distance, a grid whose shape differs from
+    the first's or from a given ``geometry``'s, or a geometry that does not
+    fit the split bands raises ValueError for the whole call, and an
+    uncovered pair CoverageError.  Without a ``geometry``, one is built for
+    the stack's shape and the split bands; a grid with two present
+    categories reads one autocorrelation, and every other grid takes the
+    band route, which finishes each band's column block as it goes,
+    peaking near ni * N.  A given ``geometry`` is shared across grids: every
+    grid takes the band route over its ``finished`` G_k.  The band split
+    and the fit check run once per call, and one ``_BandRoute`` reads the
+    FFT bands, their spectra and the window once and holds the band sums
+    and the column-block buffers for the largest ni on its grids.  Each
+    grid keeps its own present codes, direct bands, category spectra,
+    GEMMs and every-pair table, each as a tally alone takes them, so each
+    item equals the grid's tally alone.
     """
     fine, rows = _split_bands(classification, distances)
+    if not grids:
+        return []
+    shared = geometry is not None
+    if not shared:
+        geometry = BandGeometry(grids[0].rows, grids[0].cols, fine)
     for grid in grids:
         if (grid.rows, grid.cols, fine) != (geometry.rows, geometry.cols, geometry.classification):
             raise ValueError(
@@ -605,14 +615,19 @@ def pairs_within_stack(grids, classification, distances=(), *, geometry) -> list
                 f"{geometry.classification.breaks} does not fit a {grid.rows}x{grid.cols} grid "
                 f"over bands {fine.breaks}"
             )
-    if not grids:
-        return []
     presents = [np.flatnonzero(np.bincount(grid.values)) for grid in grids]
-    route = _BandRoute(geometry, [present.size for present in presents], True)
+    # a shared geometry finishes the band spectra once for every grid, so
+    # only a tally without one takes the two-category route
+    pairwise = [not shared and present.size == 2 for present in presents]
+    widths = [present.size for present, two in zip(presents, pairwise) if not two]
+    route = _BandRoute(geometry, widths, shared) if widths else None
     tallies = []
-    for grid, present in zip(grids, presents):
+    for grid, present, two in zip(grids, presents, pairwise):
         try:
-            inner = route.sums(grid.matrix, present)
+            if two:
+                inner = _two_category_sums(grid.matrix, present[0], geometry)
+            else:
+                inner = route.sums(grid.matrix, present)
             within = _running_sums(grid.values, present, inner, geometry.totals)
         except ConsistencyError as exc:
             tallies.append(exc)
@@ -639,8 +654,9 @@ def _split_bands(classification, distances) -> tuple:
 def _running_sums(flat, present, inner, totals):
     """One grid's exact counts, summed over its bands from a leading zero row: (nb + 1, ni^2) int64.
 
-    ``inner`` is its ``_inner_band_sums``; the outermost band is every pair
-    minus them, and one ``_exact_counts`` check covers all bands.
+    ``inner`` is its inner band sums, (nb - 1, ni, ni) floats per present
+    category pair; the outermost band is every pair minus them, and one
+    ``_exact_counts`` check covers all bands.
     """
     outer = _ordered_pair_counts(flat, present) - np.rint(inner).sum(axis=0)
     counts = _exact_counts(np.concatenate((inner, outer[None])), totals)
@@ -649,39 +665,25 @@ def _running_sums(flat, present, inner, totals):
     return within
 
 
-def _inner_band_sums(codes, present, geometry, batch):
-    """Pair sums of the inner bands: (nb - 1, ni, ni) floats, per present category pair.
-
-    ``codes`` is the (rows, cols) grid and ``present`` the ni codes on it.
-    A ``batch`` reads its geometry's ``finished`` bands; a one-shot tally
-    finishes each band's column block as it goes, or, with two present
-    categories, takes ``_two_category_sums`` and no band spectrum.  Else it
-    is the sums of a ``_BandRoute`` made for this grid alone.
-    """
-    if len(present) == 2 and not batch:
-        return _two_category_sums(codes, present[0], geometry)
-    return _BandRoute(geometry, [len(present)], batch).sums(codes, present)
-
-
 class _BandRoute:
     """The band route over one geometry, for grids of the given numbers ni of present categories.
 
-    Made once per tally, or once per stack of tallies, it reads once what
-    is the same for every grid: the bands the FFT may sum, those with at
-    least min(ni) displacements, their spectra (the ``finished`` G_k of a
-    ``batch``, else the stage-one spectra) and the window's two factors.
-    It allocates once the band sums, and on the first grid that needs them
-    the two column-block buffers and, for a one-shot tally, the buffer that
-    finishes a band's block, each large enough for every ni it is made for.
-    ``sums`` fills them for one grid at a time.
+    Made once per ``pairs_within_stack`` call, it reads once what is the
+    same for every grid: the bands the FFT may sum, those with at least
+    min(ni) displacements, their spectra (the ``finished`` G_k of a
+    ``shared`` geometry, else the stage-one spectra) and the window's two
+    factors.  It allocates once the band sums, and after the first grid's
+    stage one the two column-block buffers and, without a shared geometry,
+    the buffer that finishes a band's block, each large enough for every
+    ni it is made for.  ``sums`` fills them for one grid at a time.
     """
 
-    def __init__(self, geometry, widths, batch):
-        self.geometry, self.batch = geometry, batch
+    def __init__(self, geometry, widths, shared):
+        self.geometry, self.shared = geometry, shared
         self.sizes = geometry.sizes.tolist()
         least = min(widths)
         self.bands = [(k, s) for k, s in enumerate(geometry.spectra) if self.sizes[k] >= least]
-        if batch and self.bands:
+        if shared and self.bands:
             self.bands = [(k, geometry.finished[k]) for k, _ in self.bands]
         self.window = geometry.window
         p1, h2 = geometry.p1, geometry.p2 // 2 + 1
@@ -690,11 +692,11 @@ class _BandRoute:
         most = max(widths)
         self._sums = np.empty(len(self.sizes) * most * most)
         cats = max(ni * step * p1 for ni, step in self.steps.items()) if self.bands else 0
-        band = 0 if batch or not self.bands else max(self.steps.values()) * p1
+        band = 0 if shared or not self.bands else max(self.steps.values()) * p1
         self._lengths, self._blocks = (cats, cats, band), None
 
     def sums(self, codes, present):
-        """``_inner_band_sums`` of one grid, a view of the route's band sums until the next call.
+        """One grid's inner band sums, a view of the route's band sums until the next call.
 
         A band with fewer displacements than ni holds its exact direct
         counts, the others their FFT sums.  Only the first ni - 1 present
@@ -722,8 +724,8 @@ class _BandRoute:
         # and conjugated once, then multiplied by every band's block, each band
         # feeding one real GEMM on (re, im) pairs; all blocks share the route's buffers
         if self._blocks is None:
-            # after the first stage one, where a one-shot tally always took
-            # them: that order keeps its peak memory and its page faults
+            # after the first stage one, where a grid tallied alone always
+            # took them: that order keeps its peak memory and its page faults
             self._blocks = [np.empty(n, dtype=np.complex128) for n in self._lengths]
         cats, product, band = self._blocks
         step = self.steps[ni]
@@ -741,7 +743,7 @@ class _BandRoute:
             np.conjugate(f, out=f)
             fr = f.reshape(ni, -1).view(np.float64)
             for k, s in bands:
-                if self.batch:
+                if self.shared:
                     g = s[cut]
                 else:
                     g = _finish_band(s[cut], p1, out=band[: width * p1].reshape(width, p1))
@@ -751,7 +753,7 @@ class _BandRoute:
 
 
 def _two_category_sums(codes, a, geometry):
-    """``_inner_band_sums`` of a grid whose only categories are ``a`` and one other, b.
+    """The inner band sums of a grid whose only categories are ``a`` and one other, b.
 
     Every pixel is a or b.  So with corr(d) the autocorrelation of a's
     indicator, the pairs at displacement d read (a, b) for the a-pixels x

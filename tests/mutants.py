@@ -140,6 +140,37 @@ MUTANTS = (
         ("tests/test_cooccur.py::test_a_stacked_grid_failing_its_checks_fails_alone",
          "tests/test_cli.py::test_experiment_isolates_a_replicate_failing_its_tally"),
     ),
+    # the one tally body's dispatch: a stack without a geometry takes the
+    # two-category route and finishes each band's block as it goes, a stack
+    # sharing one reads its finished band spectra
+    Mutant(
+        "unshared-stack-takes-the-shared-route", _COOCCUR,
+        "        geometry = BandGeometry(grids[0].rows, grids[0].cols, fine)\n",
+        "        geometry = BandGeometry(grids[0].rows, grids[0].cols, fine)\n"
+        "        shared = True\n",
+        ("tests/test_cooccur.py::test_one_shot_tally_never_finishes_the_band_spectra",
+         "tests/test_cooccur.py::test_two_category_route_reads_no_band_spectrum"),
+    ),
+    Mutant(
+        "shared-stack-takes-the-two-category-route", _COOCCUR,
+        "pairwise = [not shared and present.size == 2 for present in presents]",
+        "pairwise = [present.size == 2 for present in presents]",
+        ("tests/test_cooccur.py::test_two_category_route_reads_no_band_spectrum",),
+    ),
+    # the geometry's coverage check, and the position pairs inside a block
+    # of the every-pair table
+    Mutant(
+        "coverage-lower-break-inclusive", _COOCCUR, "if not (breaks[0] < 1.0 and",
+        "if not (breaks[0] <= 1.0 and",
+        ("tests/test_cooccur.py::test_coverage_enforcement",),
+    ),
+    Mutant(
+        "block-route-row-cuts-swapped", _COOCCUR,
+        "np.add(first[:-shift], pos[shift:], out=",
+        "np.add(first[shift:], pos[:-shift], out=",
+        ("tests/test_cooccur.py::test_block_pair_table_equals_a_one_hot_count",
+         "tests/test_cooccur.py::test_displacement_oracle_equality"),
+    ),
     # the decomposition's identity residuals
     Mutant(
         "mixture-residual-fixed-at-zero", _DECOMP,

@@ -36,7 +36,7 @@ from spatent import (
     shannon,
     write_grid,
 )
-from spatent import ConsistencyError, classic, cli, cooccur, decomp
+from spatent import ConsistencyError, cli, cooccur, decomp
 from spatent.cli import ExperimentPlan, build_parser, main
 from spatent.decomp import decompose_counts
 
@@ -57,28 +57,19 @@ def _chessboard_path(tmp_path, n=10):
 def _spy_tallies(monkeypatch):
     """Every grid tallied on the command paths: (grid, split bands, geometry, within, present).
 
-    One entry per one-shot ``pairs_within`` call and per grid of a
-    ``pairs_within_stack`` call, which ``pairs_within`` with a geometry
-    makes; a grid whose tally raises is not recorded.
+    One entry per grid of a ``pairs_within_stack`` call, which every
+    ``pairs_within`` call makes; a grid whose tally raises is not recorded.
     """
     tallies = []
-    real_one, real_stack = cooccur.pairs_within, cooccur.pairs_within_stack
+    real = cooccur.pairs_within_stack
 
-    def one(grid, classification, distances=(), *, geometry=None):
-        within, present = real_one(grid, classification, distances, geometry=geometry)
-        if geometry is None:
-            tallies.append((grid, classification.refined(distances), None, within, present))
-        return within, present
-
-    def stack(grids, classification, distances=(), *, geometry):
-        items = real_stack(grids, classification, distances, geometry=geometry)
+    def stack(grids, classification, distances=(), *, geometry=None):
+        items = real(grids, classification, distances, geometry=geometry)
         fine = classification.refined(distances)
         tallies.extend((grid, fine, geometry, *item) for grid, item in zip(grids, items)
                        if not isinstance(item, Exception))
         return items
 
-    for module in (cooccur, decomp, classic, cli):
-        monkeypatch.setattr(module, "pairs_within", one)
     for module in (cooccur, cli):
         monkeypatch.setattr(module, "pairs_within_stack", stack)
     return tallies
@@ -1149,7 +1140,7 @@ def test_experiment_isolates_a_replicate_failing_its_identities(tmp_path, monkey
     plan = ExperimentPlan.from_args(build_parser().parse_args(EXP_ARGS.format(workers=1, out="x").split()))
     # the joint table of random:5, replicate 1, and a mutual information that
     # misses it wherever it is decomposed, in a stack of one or of three
-    within, present = cli._tally(plan.run_entry(1, 1)[0], plan.shared)
+    ((within, present),) = cli._tallies([plan.run_entry(1, 1)[0]], plan.shared)
     target = decomp._laws(decomp._band_counts(within[:-2], present.size, False))[3]
     exact = decomp.mutual_information
     stacked = []

@@ -31,7 +31,6 @@ from spatent.cooccur import (
     _exact_counts,
     _fast_length,
     _fold_index,
-    _inner_band_sums,
     fold_counts,
     pairs_within,
     pairs_within_stack,
@@ -866,6 +865,77 @@ def test_a_stacked_grid_failing_its_checks_fails_alone(monkeypatch):
         pairs_within(grids[1], cls, geometry=geometry)
 
 
+@st.composite
+def mixed_route_stacks(draw):
+    """1-6 grids of one shape, 5x5 to 12x12, declaring I = 20; each grid holds
+    exactly ni in {1, 2, 3, 20} of the codes, so one stack mixes the routes."""
+    rows, cols = draw(st.integers(5, 12)), draw(st.integers(5, 12))
+    grids = []
+    for _ in range(draw(st.integers(1, 6))):
+        codes = draw(st.permutations(range(1, 21)))[: draw(st.sampled_from((1, 2, 3, 20)))]
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = np.concatenate((codes, rng.choice(codes, size=rows * cols - len(codes))))
+        grids.append(_grid(rows, cols, 20, rng.permutation(values)))
+    return grids
+
+
+@given(mixed_route_stacks(), st.lists(st.floats(0.0, 20.0), max_size=2))
+@settings(max_examples=60, deadline=None)
+def test_a_stack_without_a_geometry_tallies_each_grid_as_alone(grids, distances):
+    rows, cols = grids[0].rows, grids[0].cols
+    cls = DistanceClassification.default_for(grids[0])
+    fine = cls.refined(distances)
+    stacked = pairs_within_stack(grids, cls, distances)
+    assert len(stacked) == len(grids)
+    for grid, (within, present) in zip(grids, stacked):
+        assert within.dtype == np.int64
+        for alone in (
+            pairs_within(grid, cls, distances),
+            pairs_within(grid, cls, distances, geometry=BandGeometry(rows, cols, fine)),
+        ):
+            np.testing.assert_array_equal(within, alone[0])
+            np.testing.assert_array_equal(present, alone[1])
+
+
+def test_a_stack_without_a_geometry_refuses_a_misfit_shape_or_a_nan():
+    grids = [_chessboard(6), _chessboard(6), _grid(6, 7, 2, np.ones(42))]
+    cls = DistanceClassification.default_for(grids[0])
+    with pytest.raises(ValueError, match="^geometry of a 6x6 grid .* does not fit a 6x7 grid"):
+        pairs_within_stack(grids, cls)
+    with pytest.raises(ValueError, match="^split distances must not be NaN"):
+        pairs_within_stack(grids[:2], cls, (math.nan,))
+    assert pairs_within_stack([], cls) == []
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["two-category-route", "band-route"])
+def test_a_grid_failing_its_checks_fails_alone_in_a_stack_without_a_geometry(
+    monkeypatch, failing
+):
+    rng = np.random.default_rng(failing)
+    grids = [_grid(20, 20, 5, rng.integers(1, ni + 1, size=400)) for ni in (2, 5, 2, 3)]
+    cls = DistanceClassification.default_for(grids[0])
+    alone = [pairs_within(grid, cls) for grid in grids]
+    real = cooccur._ordered_pair_counts
+
+    def off_by_one(flat, present):
+        every = real(flat, present)
+        if flat is grids[failing].values:
+            every[0, 0] += 1
+        return every
+
+    monkeypatch.setattr(cooccur, "_ordered_pair_counts", off_by_one)
+    stacked = pairs_within_stack(grids, cls)
+    failure = stacked.pop(failing)
+    assert isinstance(failure, ConsistencyError)
+    assert str(failure).startswith("per-band pair counts ")
+    del alone[failing]
+    for (within, present), (want, codes) in zip(stacked, alone):
+        np.testing.assert_array_equal(within, want)
+        np.testing.assert_array_equal(present, codes)
+    with pytest.raises(ConsistencyError, match="^per-band pair counts "):
+        pairs_within(grids[failing], cls)
+
+
 def test_one_shot_tally_never_finishes_the_band_spectra(monkeypatch):
     def refuse(self):
         raise AssertionError("a one-shot tally built the finished band spectra")
@@ -1125,9 +1195,8 @@ def test_window_route_keeps_its_rounding_headroom_at_1000x1000():
     cls = DistanceClassification.default_for(grid)
     geometry = BandGeometry(1000, 1000, cls)
     m0 = grid.matrix - 1
-    band, autocorrelation = (
-        _inner_band_sums(m0, np.array([0, 1]), geometry, batch) for batch in (True, False)
-    )
+    band = cooccur._BandRoute(geometry, [2], True).sums(m0, np.array([0, 1]))
+    autocorrelation = cooccur._two_category_sums(m0, 0, geometry)
     # the band route's sums, and the one-shot route's autocorrelation values,
     # which it rounds before it sums them
     assert np.max(np.abs(band - np.rint(band))) <= 1e-5
